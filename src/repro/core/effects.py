@@ -22,7 +22,9 @@ effect                    simulation / live-runtime interpretation
 ``DiscardCheckpoints``    drop uncommitted checkpoints (slot discard, or
                           stack discard-from-``from_seq``)
 ``PersistMeta``           persist small protocol metadata (the recoverable
-                          commit set and decision log of Section 6)
+                          commit set of Section 6) by overwriting its key
+``AppendLog``             append one record to a stable log key (the
+                          Section 6 decision log: one record per decision)
 ``ObserveDecision``       let the spooler replicas record a decision
 ``Redeliver``             synchronously re-inject a spooled envelope
 ``Rollback``              informational: the state was restored to ``to_seq``
@@ -140,6 +142,18 @@ class PersistMeta:
 
 
 @slotted_dataclass(frozen=True)
+class AppendLog:
+    """Append ``record`` to the stable log ``key`` ("decisions").
+
+    Unlike :class:`PersistMeta` the effect carries only what is new, so its
+    cost does not grow with the history already persisted.
+    """
+
+    key: str
+    record: Any
+
+
+@slotted_dataclass(frozen=True)
 class ObserveDecision:
     """Expose a (kind, tree) decision to the spooler replicas (rule 3)."""
 
@@ -192,6 +206,7 @@ class Handoff:
 Effect = Any  # any of the classes above; kept loose for Python 3.9
 
 __all__ = [
+    "AppendLog",
     "Broadcast",
     "CancelTimer",
     "CommitThrough",

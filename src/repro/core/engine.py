@@ -298,7 +298,8 @@ class EngineBase:
         self._spool_decisions: Optional[Tuple[Any, ...]] = None
         self._timer_actions: Dict[str, Callable[[], None]] = {}
         self._counters: Dict[str, int] = {}
-        # Mirrors of the PersistMeta effects, so recovery never reads storage.
+        # Mirrors of the PersistMeta / AppendLog effects, so recovery never
+        # reads storage: the last commit set put, every decision appended.
         self._persisted_commit_set: List[Any] = []
         self._persisted_decisions: List[Any] = []
         # Effect plumbing: eager per-effect sink + per-handle collection list.
@@ -671,12 +672,9 @@ class EngineBase:
             return
         self.decisions_seen[tree_id] = decision
         if self.config.failure_resilience:
-            value = [
-                [t.initiator, t.initiation_seq, d]
-                for t, d in self.decisions_seen.items()
-            ]
-            self._persisted_decisions = value
-            self._emit(FX.PersistMeta(key="decisions", value=value))
+            record = [tree_id.initiator, tree_id.initiation_seq, decision]
+            self._persisted_decisions.append(record)
+            self._emit(FX.AppendLog(key="decisions", record=record))
 
     def _load_decisions(self) -> Dict[TreeId, str]:
         return {TreeId(i, s): d for i, s, d in self._persisted_decisions}

@@ -98,13 +98,13 @@ class PartitionCoordinator:
         self._dormant.add(pid)
         node.cancel_all_timers()
         node.on_crash()
-        node.crashed = True
+        self.sim.set_crashed(node, True)
         if self.sim.failure_detector is not None:
             self.sim.failure_detector.report_crash(pid)
 
     def _wake(self, node: "CheckpointProcess") -> None:
         """On merge, a minority process follows rule 3 (restart protocol)."""
-        node.crashed = False
+        self.sim.set_crashed(node, False)
         node.on_recover(None)
         if self.sim.failure_detector is not None:
             self.sim.failure_detector.report_recovery(node.node_id)

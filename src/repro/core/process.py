@@ -23,13 +23,14 @@ timer table, and the ``crashed`` flag the kernel toggles.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.core import effects as FX
 from repro.core import events as EV
 from repro.core import messages as M
 from repro.core.app import Application
 from repro.core.engine import ProtocolConfig, ProtocolEngine  # noqa: F401  (re-export)
+from repro.errors import ProtocolError
 from repro.net.message import Envelope, control
 from repro.sim import trace as T
 from repro.sim.node import Node
@@ -72,7 +73,7 @@ class CheckpointProcess(Node):
         engine.store.oldchkpt = self.store.oldchkpt
         engine.store.newchkpt = self.store.newchkpt
         engine._persisted_commit_set = self.storage.get("commit_set", [])
-        engine._persisted_decisions = self.storage.get("decisions", [])
+        engine._persisted_decisions = self.storage.read_log("decisions")
 
     # ------------------------------------------------------------------
     # Attribute forwarding: the engine owns the protocol state
@@ -103,14 +104,15 @@ class CheckpointProcess(Node):
     # Kernel callbacks -> engine events
     # ------------------------------------------------------------------
     def _detector_views(self) -> Tuple[Optional[frozenset], Optional[Tuple[ProcessId, ...]]]:
+        """The status monitor's view, as stamped on engine events.
+
+        Environment views ride on events but are built once per liveness
+        generation: the detector hands out the same pair until then.
+        """
         detector = self.sim.failure_detector
         if detector is None:
             return None, None
-        down = frozenset(detector.believed_down())
-        status_down = tuple(
-            pid for pid, operational in detector.status_snapshot().items() if not operational
-        )
-        return down, status_down
+        return detector.views()
 
     def on_start(self) -> None:
         self.engine.handle(EV.Start(peers=tuple(self.sim.process_ids), at=self.now))
@@ -210,70 +212,89 @@ class CheckpointProcess(Node):
     # Engine effects -> kernel actions
     # ------------------------------------------------------------------
     def _apply_effect(self, eff: FX.Effect) -> None:
-        if isinstance(eff, FX.EmitTrace):
-            self.sim.trace.record(self.now, eff.kind, pid=self.node_id, **eff.fields)
-        elif isinstance(eff, FX.Send):
-            self.send(eff.envelope)
-        elif isinstance(eff, FX.SetTimer):
-            delay = eff.delay
-            if eff.jitter is not None:
-                stream, lo, hi = eff.jitter
-                delay += self.sim.rng.stream(stream, self.node_id).uniform(lo, hi)
-            self.set_timer(
-                eff.name,
-                delay,
-                lambda name=eff.name: self._timer_fired(name),
-                priority=eff.priority,
-            )
-        elif isinstance(eff, FX.CancelTimer):
-            self.cancel_timer(eff.name)
-        elif isinstance(eff, FX.SaveCheckpoint):
-            self._apply_save_checkpoint(eff)
-        elif isinstance(eff, FX.CommitThrough):
-            if eff.store == FX.SLOT:
-                self.store.commit_new()
-            else:
-                self.multi_store.commit_through(eff.seq)
-        elif isinstance(eff, FX.DiscardCheckpoints):
-            if eff.store == FX.SLOT:
-                self.store.discard_new()
-            else:
-                self.multi_store.discard_from(eff.from_seq)
-        elif isinstance(eff, FX.PersistMeta):
-            self.storage.put(eff.key, eff.value)
-        elif isinstance(eff, FX.ObserveDecision):
-            self.sim.network.observe_decision((eff.kind, eff.tree))
-        elif isinstance(eff, FX.Redeliver):
-            self.sim.network.redeliver(eff.envelope)
-        elif isinstance(eff, FX.Broadcast):
-            body = eff.body
-            for pid in self.sim.process_ids:
-                if pid != self.node_id and self.sim.is_alive(pid):
-                    self.sim.trace.record(
-                        self.now, T.K_CTRL_SEND, pid=self.node_id,
-                        dst=pid, msg_type=body.kind, tree=getattr(body, "tree", None),
-                    )
-                    self.send(control(self.node_id, pid, body))
-        elif isinstance(eff, FX.Handoff):
-            self.sim.trace.record(
-                self.now, T.K_CTRL_SEND, pid=self.node_id,
-                dst=eff.successor, msg_type="handoff", tree=None,
-            )
-            self.send(
-                control(
-                    self.node_id,
-                    eff.successor,
-                    M.HandoffMsg(
-                        source=eff.source,
-                        commit_set=eff.commit_set,
-                        decisions=eff.decisions,
-                        uncommitted_seq=eff.uncommitted_seq,
-                        spooled=eff.spooled,
-                    ),
+        handler = _EFFECT_DISPATCH.get(eff.__class__)
+        if handler is None:
+            raise ProtocolError(f"unknown engine effect {eff!r}")
+        handler(self, eff)
+
+    # Per-effect interpreters bound through _EFFECT_DISPATCH.
+    def _fx_emit_trace(self, eff: FX.EmitTrace) -> None:
+        sim = self.sim
+        sim.trace.record(sim.now, eff.kind, pid=self.node_id, **eff.fields)
+
+    def _fx_send(self, eff: FX.Send) -> None:
+        self.send(eff.envelope)
+
+    def _fx_set_timer(self, eff: FX.SetTimer) -> None:
+        delay = eff.delay
+        if eff.jitter is not None:
+            stream, lo, hi = eff.jitter
+            delay += self.sim.rng.stream(stream, self.node_id).uniform(lo, hi)
+        self.set_timer(
+            eff.name,
+            delay,
+            lambda name=eff.name: self._timer_fired(name),
+            priority=eff.priority,
+        )
+
+    def _fx_cancel_timer(self, eff: FX.CancelTimer) -> None:
+        self.cancel_timer(eff.name)
+
+    def _fx_commit_through(self, eff: FX.CommitThrough) -> None:
+        if eff.store == FX.SLOT:
+            self.store.commit_new()
+        else:
+            self.multi_store.commit_through(eff.seq)
+
+    def _fx_discard_checkpoints(self, eff: FX.DiscardCheckpoints) -> None:
+        if eff.store == FX.SLOT:
+            self.store.discard_new()
+        else:
+            self.multi_store.discard_from(eff.from_seq)
+
+    def _fx_persist_meta(self, eff: FX.PersistMeta) -> None:
+        self.storage.put(eff.key, eff.value)
+
+    def _fx_append_log(self, eff: FX.AppendLog) -> None:
+        self.storage.append(eff.key, eff.record)
+
+    def _fx_observe_decision(self, eff: FX.ObserveDecision) -> None:
+        self.sim.network.observe_decision((eff.kind, eff.tree))
+
+    def _fx_redeliver(self, eff: FX.Redeliver) -> None:
+        self.sim.network.redeliver(eff.envelope)
+
+    def _fx_broadcast(self, eff: FX.Broadcast) -> None:
+        body = eff.body
+        for pid in self.sim.process_ids:
+            if pid != self.node_id and self.sim.is_alive(pid):
+                self.sim.trace.record(
+                    self.now, T.K_CTRL_SEND, pid=self.node_id,
+                    dst=pid, msg_type=body.kind, tree=getattr(body, "tree", None),
                 )
+                self.send(control(self.node_id, pid, body))
+
+    def _fx_handoff(self, eff: FX.Handoff) -> None:
+        self.sim.trace.record(
+            self.now, T.K_CTRL_SEND, pid=self.node_id,
+            dst=eff.successor, msg_type="handoff", tree=None,
+        )
+        self.send(
+            control(
+                self.node_id,
+                eff.successor,
+                M.HandoffMsg(
+                    source=eff.source,
+                    commit_set=eff.commit_set,
+                    decisions=eff.decisions,
+                    uncommitted_seq=eff.uncommitted_seq,
+                    spooled=eff.spooled,
+                ),
             )
-        elif isinstance(eff, FX.Rollback):
-            pass  # informational; the engine already restored its app state
+        )
+
+    def _fx_rollback(self, eff: FX.Rollback) -> None:
+        """Informational; the engine already restored its app state."""
 
     def _apply_save_checkpoint(self, eff: FX.SaveCheckpoint) -> None:
         store = self.store if eff.store == FX.SLOT else self.multi_store
@@ -284,3 +305,24 @@ class CheckpointProcess(Node):
             store.take_new(eff.seq, eff.state, made_at=eff.made_at, **eff.meta)
         else:  # "push" — extension stack entry
             store.push(eff.seq, eff.state, made_at=eff.made_at, **eff.meta)
+
+
+#: Exact-class → interpreter table for the effect hot path: one dict probe
+#: per effect, whichever it is.  Plain functions (not names): the adapter's
+#: subclasses reuse these interpreters, they do not override them.
+_EFFECT_DISPATCH: Dict[type, Callable[[CheckpointProcess, Any], None]] = {
+    FX.EmitTrace: CheckpointProcess._fx_emit_trace,
+    FX.Send: CheckpointProcess._fx_send,
+    FX.SetTimer: CheckpointProcess._fx_set_timer,
+    FX.CancelTimer: CheckpointProcess._fx_cancel_timer,
+    FX.SaveCheckpoint: CheckpointProcess._apply_save_checkpoint,
+    FX.CommitThrough: CheckpointProcess._fx_commit_through,
+    FX.DiscardCheckpoints: CheckpointProcess._fx_discard_checkpoints,
+    FX.PersistMeta: CheckpointProcess._fx_persist_meta,
+    FX.AppendLog: CheckpointProcess._fx_append_log,
+    FX.ObserveDecision: CheckpointProcess._fx_observe_decision,
+    FX.Redeliver: CheckpointProcess._fx_redeliver,
+    FX.Broadcast: CheckpointProcess._fx_broadcast,
+    FX.Handoff: CheckpointProcess._fx_handoff,
+    FX.Rollback: CheckpointProcess._fx_rollback,
+}

@@ -15,7 +15,7 @@ recovering process instead learns the current status snapshot via
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Set
+from typing import TYPE_CHECKING, Dict, FrozenSet, Set, Tuple
 
 from repro.sim.event import PRIORITY_TIMER
 from repro.types import ProcessId, SimTime
@@ -31,6 +31,8 @@ class FailureDetector:
         self.sim = sim
         self.detection_latency = detection_latency
         self._known_down: Set[ProcessId] = set()
+        self._views: Tuple[FrozenSet[ProcessId], Tuple[ProcessId, ...]] = (frozenset(), ())
+        self._views_generation = -1  # no kernel generation is negative
         sim.failure_detector = self
         membership = getattr(sim, "membership", None)
         if membership is not None:
@@ -42,6 +44,7 @@ class FailureDetector:
     def report_crash(self, pid: ProcessId) -> None:
         """Called by ``Simulation.crash``; fan out notices after the latency."""
         self._known_down.add(pid)
+        self.sim.liveness_changed()
         self.sim.scheduler.after(
             self.detection_latency,
             lambda: self._notify_crash(pid),
@@ -52,6 +55,7 @@ class FailureDetector:
     def report_recovery(self, pid: ProcessId) -> None:
         """Called by ``Simulation.recover``; fan out notices after the latency."""
         self._known_down.discard(pid)
+        self.sim.liveness_changed()
         self.sim.scheduler.after(
             self.detection_latency,
             lambda: self._notify_recovery(pid),
@@ -72,10 +76,12 @@ class FailureDetector:
     def _on_view_change(self, view: object) -> None:
         """Prune beliefs about pids that are no longer members."""
         self._known_down &= set(view.pids)  # type: ignore[attr-defined]
+        self.sim.liveness_changed()
 
     def forget(self, pid: ProcessId) -> None:
         """A pid departed gracefully; it is neither up nor down."""
         self._known_down.discard(pid)
+        self.sim.liveness_changed()
 
     def _notify_recovery(self, pid: ProcessId) -> None:
         if not self.sim.is_alive(pid):
@@ -94,3 +100,21 @@ class FailureDetector:
     def believed_down(self) -> Set[ProcessId]:
         """Processes currently believed failed (reported, not yet recovered)."""
         return set(self._known_down)
+
+    def views(self) -> Tuple[FrozenSet[ProcessId], Tuple[ProcessId, ...]]:
+        """``(believed_down, pids down in status_snapshot)``, built once per
+        liveness generation.
+
+        This is the pair every engine event carries (``down`` /
+        ``status_down``).  Both halves change only at a transition that bumps
+        the kernel's ``liveness_generation``, so every event in between
+        shares one immutable pair instead of paying an n-wide recomputation.
+        """
+        generation = self.sim.liveness_generation
+        if generation != self._views_generation:
+            self._views = (
+                frozenset(self.believed_down()),
+                tuple(pid for pid, up in self.status_snapshot().items() if not up),
+            )
+            self._views_generation = generation
+        return self._views

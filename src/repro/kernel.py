@@ -122,6 +122,28 @@ class KernelCore:
         self.ids = IdAllocator()
         self.failure_detector: Optional[Any] = None
         self.membership = MembershipPlane()
+        #: Bumped by :meth:`liveness_changed` at every transition that can
+        #: alter ``is_alive``, ``process_ids`` or the detector's beliefs;
+        #: views derived from them are rebuilt only when it has moved.
+        self.liveness_generation = 0
+        self._process_ids: List[ProcessId] = []
+        self._process_ids_generation = 0
+
+    # ------------------------------------------------------------------
+    # Liveness generation
+    # ------------------------------------------------------------------
+    def liveness_changed(self) -> None:
+        """Invalidate every view cached under the liveness generation."""
+        self.liveness_generation += 1
+
+    def set_crashed(self, node: "Node", crashed: bool) -> None:
+        """The one place a hosted node's ``crashed`` flag is written.
+
+        Silent (no trace record, no detector report): crash, recovery,
+        departure and partition dormancy each wrap it in their own protocol.
+        """
+        node.crashed = crashed
+        self.liveness_changed()
 
     # ------------------------------------------------------------------
     # Topology
@@ -132,6 +154,7 @@ class KernelCore:
             raise SimulationError(f"duplicate node id {node.node_id}")
         node.bind(self)
         self.nodes[node.node_id] = node
+        self.liveness_changed()
         self.membership.seed(node.node_id)
         return node
 
@@ -151,6 +174,7 @@ class KernelCore:
         self.membership.begin_join(pid)
         node.bind(self)
         self.nodes[pid] = node
+        self.liveness_changed()
         self.trace.record(self.now, T.K_JOIN, pid=pid, epoch=self.membership.view.epoch + 1)
         node.on_start()
         self.membership.complete_join(pid)
@@ -192,8 +216,8 @@ class KernelCore:
         )
         node.on_leave(successor, spooled)
         node.cancel_all_timers()
-        node.crashed = True  # nothing may run on it past this point
-        del self.nodes[pid]
+        del self.nodes[pid]  # first, so set_crashed's one bump covers both changes
+        self.set_crashed(node, True)  # nothing may run on it past this point
         self.membership.complete_leave(pid)
         if self.failure_detector is not None:
             self.failure_detector.forget(pid)
@@ -206,7 +230,10 @@ class KernelCore:
 
     @property
     def process_ids(self) -> List[ProcessId]:
-        return sorted(self.nodes)
+        if self._process_ids_generation != self.liveness_generation:
+            self._process_ids = sorted(self.nodes)
+            self._process_ids_generation = self.liveness_generation
+        return list(self._process_ids)
 
     def is_alive(self, pid: ProcessId) -> bool:
         """True if ``pid`` exists and is not crashed."""
@@ -233,7 +260,7 @@ class KernelCore:
         node = self.nodes[pid]
         if node.crashed:
             raise SimulationError(f"P{pid} is already crashed")
-        node.crashed = True
+        self.set_crashed(node, True)
         node.cancel_all_timers()
         self.trace.record(self.now, T.K_CRASH, pid=pid)
         node.on_crash()
@@ -247,7 +274,7 @@ class KernelCore:
         node = self.nodes[pid]
         if not node.crashed:
             raise SimulationError(f"P{pid} is not crashed")
-        node.crashed = False
+        self.set_crashed(node, False)
         self.trace.record(self.now, T.K_RECOVER, pid=pid)
         node.on_recover(stable_state)
         if self.failure_detector is not None:

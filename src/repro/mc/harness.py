@@ -154,6 +154,7 @@ class ClusterHarness:
                 FX.CommitThrough,
                 FX.DiscardCheckpoints,
                 FX.PersistMeta,
+                FX.AppendLog,
                 FX.ObserveDecision,
                 FX.Rollback,
             ),

@@ -238,18 +238,21 @@ class ShardRuntime(AsyncRuntime):
             self._remote_down.discard(pid)
         else:
             self._remote_down.add(pid)
+        self.liveness_changed()
 
     def admit_pid(self, pid: ProcessId) -> None:
         """Extend the global population view with a newly joined pid."""
         if pid not in self._membership:
             self._all_pids = sorted(set(self._all_pids) | {pid})
             self._membership = frozenset(self._all_pids)
+            self.liveness_changed()
 
     def retire_pid(self, pid: ProcessId) -> None:
         """Drop a gracefully departed pid from the global population view."""
         self._all_pids = [p for p in self._all_pids if p != pid]
         self._membership = frozenset(self._all_pids)
         self._remote_down.discard(pid)
+        self.liveness_changed()
 
 
 class ShardFailureDetector(FailureDetector):

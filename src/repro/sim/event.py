@@ -1,7 +1,8 @@
 """Events for the discrete-event simulation kernel.
 
 An :class:`Event` is an opaque callback scheduled at a simulation time.  The
-kernel orders events by ``(time, priority, seq)``:
+kernel orders events by ``(time, priority, seq)`` — the scheduler keys its
+heap on that tuple, so events themselves define no ordering:
 
 * ``time`` — simulation time of the event;
 * ``priority`` — smaller runs first among same-time events.  The paper gives
@@ -32,9 +33,9 @@ from repro.priorities import (  # noqa: F401
 )
 
 
-@dataclass(order=True)
+@dataclass
 class Event:
-    """A scheduled callback, ordered by ``(time, priority, seq)``."""
+    """A scheduled callback, fired in ``(time, priority, seq)`` order."""
 
     time: SimTime
     priority: int

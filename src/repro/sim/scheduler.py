@@ -17,7 +17,7 @@ then checkpoint" in the simulation.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.event import PRIORITY_NORMAL, Event
@@ -28,7 +28,10 @@ class Scheduler:
     """Priority-queue event loop with virtual time."""
 
     def __init__(self) -> None:
-        self._heap: List[Event] = []
+        # Entries are ``(time, priority, seq, event)``: ``seq`` is unique, so
+        # heap ordering is decided by C tuple comparison and never reaches
+        # the (unordered) Event.
+        self._heap: List[Tuple[SimTime, int, int, Event]] = []
         self._now: SimTime = 0.0
         self._seq = 0
         self._events_processed = 0
@@ -83,10 +86,10 @@ class Scheduler:
             self._compact()
 
     def _compact(self) -> None:
-        live = [event for event in self._heap if not event.cancelled]
-        for event in self._heap:
-            if event.cancelled:
-                event.cancel_hook = None
+        live = [entry for entry in self._heap if not entry[3].cancelled]
+        for entry in self._heap:
+            if entry[3].cancelled:
+                entry[3].cancel_hook = None
         self._heap = live
         heapq.heapify(self._heap)
         self._cancelled_in_heap = 0
@@ -117,7 +120,7 @@ class Scheduler:
         event = Event(time=time, priority=priority, seq=self._seq, action=action, label=label)
         event.cancel_hook = self._note_cancel
         self._seq += 1
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (time, priority, event.seq, event))
         return event
 
     def after(
@@ -138,7 +141,7 @@ class Scheduler:
         Returns ``False`` when the queue is empty (simulation exhausted).
         """
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[3]
             self._popped(event)
             if event.cancelled:
                 continue
@@ -166,9 +169,10 @@ class Scheduler:
         fired = 0
         try:
             while self._heap:
-                event = self._heap[0]
+                event = self._heap[0][3]
                 if event.cancelled:
-                    self._popped(heapq.heappop(self._heap))
+                    heapq.heappop(self._heap)
+                    self._popped(event)
                     continue
                 if until is not None and event.time > until:
                     self._now = until

@@ -26,6 +26,20 @@ after a crash see the last completed write.  Backends:
 Values must be JSON-shaped (dicts, lists, tuples, scalars) — the snapshot
 engine enforces for the in-memory backend what JSON encoding enforces for
 the file backends.
+
+Log keys
+--------
+Besides ``put``/``get`` value keys, every backend keeps append-only *log
+keys*: ``append(key, record)`` adds one record at a cost independent of how
+many the log already holds, and ``read_log(key)`` returns the records in
+append order.  A key is used as one or the other, never both; ``delete``
+and ``keys()`` cover both kinds (``get`` and ``in`` see value keys only).
+The file backends keep one JSON line per record in ``<key>.log``.  An
+append is complete once its newline is on disk: a final line without one is
+a *torn tail* — the append never finished, the same outcome as a crash just
+before it — and a reader drops it (counted in ``torn_tails``); the next
+append truncates it first.  Any other undecodable line is corruption and
+raises :class:`~repro.errors.StableStorageError`.
 """
 
 from __future__ import annotations
@@ -34,9 +48,10 @@ import copy
 import json
 import os
 import tempfile
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Iterator, List, Optional, Set
 
 from repro.errors import StableStorageError
+from repro.stable import snapshot
 from repro.stable.snapshot import SnapshotEngine
 
 _KEY_SAFE = frozenset(
@@ -59,6 +74,14 @@ class StableStorage:
     def keys(self) -> Iterator[str]:
         raise NotImplementedError
 
+    def append(self, key: str, record: Any) -> None:
+        """Add ``record`` to the end of log ``key`` (O(1) in the log's length)."""
+        raise NotImplementedError
+
+    def read_log(self, key: str) -> List[Any]:
+        """Every record appended to log ``key``, in order (``[]`` if none)."""
+        raise NotImplementedError
+
     def __contains__(self, key: str) -> bool:
         sentinel = object()
         return self.get(key, sentinel) is not sentinel
@@ -77,6 +100,7 @@ class InMemoryStableStorage(StableStorage):
 
     def __init__(self, engine: Optional[SnapshotEngine] = None) -> None:
         self._data: Dict[str, Any] = {}
+        self._logs: Dict[str, List[Any]] = {}
         self.engine = engine or SnapshotEngine()
 
     def put(self, key: str, value: Any) -> None:
@@ -87,10 +111,19 @@ class InMemoryStableStorage(StableStorage):
 
     def delete(self, key: str) -> None:
         self._data.pop(key, None)
+        self._logs.pop(key, None)
         self.engine.forget(key)
 
     def keys(self) -> Iterator[str]:
-        return iter(sorted(self._data))
+        return iter(sorted(self._data.keys() | self._logs.keys()))
+
+    def append(self, key: str, record: Any) -> None:
+        # Only the new record is frozen; records are small and unique, so
+        # they bypass the interning pool (which never evicts).
+        self._logs.setdefault(key, []).append(snapshot.freeze(record))
+
+    def read_log(self, key: str) -> List[Any]:
+        return list(self._logs.get(key, ()))
 
     def __contains__(self, key: str) -> bool:
         return key in self._data
@@ -106,6 +139,7 @@ class DeepCopyStableStorage(StableStorage):
 
     def __init__(self) -> None:
         self._data: Dict[str, Any] = {}
+        self._logs: Dict[str, List[Any]] = {}
 
     def put(self, key: str, value: Any) -> None:
         self._data[key] = copy.deepcopy(value)
@@ -117,9 +151,16 @@ class DeepCopyStableStorage(StableStorage):
 
     def delete(self, key: str) -> None:
         self._data.pop(key, None)
+        self._logs.pop(key, None)
 
     def keys(self) -> Iterator[str]:
-        return iter(sorted(self._data))
+        return iter(sorted(self._data.keys() | self._logs.keys()))
+
+    def append(self, key: str, record: Any) -> None:
+        self._logs.setdefault(key, []).append(copy.deepcopy(record))
+
+    def read_log(self, key: str) -> List[Any]:
+        return copy.deepcopy(self._logs.get(key, []))
 
     def __contains__(self, key: str) -> bool:
         return key in self._data
@@ -164,15 +205,24 @@ class FileStableStorage(StableStorage):
     The atomic rename is what makes this *stable*: a crash mid-write leaves
     either the old value or the new value, never a torn record — the
     Lampson-Sturgis contract the paper cites.  Keys round-trip through
-    :func:`escape_key`, so ``keys()`` returns exactly what was put.
+    :func:`escape_key`, so ``keys()`` returns exactly what was put.  Log
+    keys live beside them as ``<key>.log``, one JSON line per record.
     """
 
     def __init__(self, root: str):
         self.root = root
         os.makedirs(root, exist_ok=True)
+        #: Torn final log lines that ``read_log`` dropped (module docstring).
+        self.torn_tails = 0
+        # Log files this object knows to end in a newline: its own appends
+        # write whole lines, so only the first touch has to look.
+        self._intact_logs: Set[str] = set()
 
     def _path(self, key: str) -> str:
         return os.path.join(self.root, f"{escape_key(key)}.json")
+
+    def _log_path(self, key: str) -> str:
+        return os.path.join(self.root, f"{escape_key(key)}.log")
 
     def _encode(self, key: str, value: Any) -> str:
         try:
@@ -205,29 +255,68 @@ class FileStableStorage(StableStorage):
             raise StableStorageError(f"corrupt stable record {key!r}: {exc}") from exc
 
     def delete(self, key: str) -> None:
-        path = self._path(key)
-        if os.path.exists(path):
-            os.unlink(path)
+        for path in (self._path(key), self._log_path(key)):
+            if os.path.exists(path):
+                os.unlink(path)
 
     def keys(self) -> Iterator[str]:
         found = [
-            unescape_key(name[: -len(".json")])
+            unescape_key(os.path.splitext(name)[0])
             for name in os.listdir(self.root)
-            if name.endswith(".json") and not name.startswith(".tmp-")
+            if name.endswith((".json", ".log")) and not name.startswith(".tmp-")
         ]
         return iter(sorted(found))
+
+    def _append_lines(self, key: str, lines: str) -> None:
+        """Append newline-terminated ``lines`` to the log file of ``key``.
+
+        A torn tail left by an earlier crash is cut off first, or the new
+        record would be glued onto it and read back as interior corruption.
+        """
+        path = self._log_path(key)
+        if path not in self._intact_logs:
+            try:
+                with open(path, "rb+") as handle:
+                    data = handle.read()
+                    if not data.endswith(b"\n"):
+                        handle.truncate(data.rfind(b"\n") + 1)
+            except FileNotFoundError:
+                pass
+            self._intact_logs.add(path)
+        try:
+            with open(path, "a") as handle:
+                handle.write(lines)
+        except OSError:
+            self._intact_logs.discard(path)  # a partial write may have torn it
+            raise
+
+    def append(self, key: str, record: Any) -> None:
+        self._append_lines(key, self._encode(key, record) + "\n")
+
+    def read_log(self, key: str) -> List[Any]:
+        try:
+            with open(self._log_path(key)) as handle:
+                lines = handle.read().split("\n")
+            if lines.pop():  # text after the last newline: the append never completed
+                self.torn_tails += 1
+            return [json.loads(line) for line in lines]
+        except FileNotFoundError:
+            return []
+        except (OSError, ValueError) as exc:
+            raise StableStorageError(f"corrupt stable log {key!r}: {exc}") from exc
 
 
 class WriteBehindFileStableStorage(FileStableStorage):
     """Batched :class:`FileStableStorage` with a group-commit ``flush``.
 
-    Puts and deletes buffer in memory (values are JSON-encoded immediately,
-    preserving both the put-time error contract and put-time value capture)
-    and reads are served buffer-first, so the store is always read-your-
-    writes consistent.  ``flush`` applies the whole batch: every buffered
-    value is written to a temp file first, then the batch is published with
-    one atomic rename per key — a flushed record is never torn, exactly the
-    per-key contract of the unbatched backend.  Durability is batch-
+    Puts, deletes and log appends buffer in memory (values are JSON-encoded
+    immediately, preserving both the put-time error contract and put-time
+    value capture) and reads are served buffer-first, so the store is always
+    read-your-writes consistent.  ``flush`` applies the whole batch: every
+    buffered value is written to a temp file first, then the batch is
+    published with one atomic rename per key — a flushed record is never
+    torn, exactly the per-key contract of the unbatched backend — and each
+    log's buffered lines are appended in one write.  Durability is batch-
     granular by design (write-behind): records buffered since the last
     flush are lost on a crash, which the checkpoint layer tolerates because
     an uncommitted ``newchkpt`` may always be aborted.
@@ -242,6 +331,7 @@ class WriteBehindFileStableStorage(FileStableStorage):
         self.flush_every = flush_every
         self.flushes = 0
         self._buffer: Dict[str, Any] = {}
+        self._log_buffer: Dict[str, List[str]] = {}  # key -> lines not yet on disk
         self._ops_since_flush = 0
 
     def _note_op(self) -> None:
@@ -264,6 +354,7 @@ class WriteBehindFileStableStorage(FileStableStorage):
 
     def delete(self, key: str) -> None:
         self._buffer[key] = self._DELETED
+        self._log_buffer.pop(key, None)
         self._note_op()
 
     def keys(self) -> Iterator[str]:
@@ -273,12 +364,22 @@ class WriteBehindFileStableStorage(FileStableStorage):
                 on_disk.discard(key)
             else:
                 on_disk.add(key)
+        on_disk.update(self._log_buffer)
         return iter(sorted(on_disk))
+
+    def append(self, key: str, record: Any) -> None:
+        self._log_buffer.setdefault(key, []).append(self._encode(key, record) + "\n")
+        self._note_op()
+
+    def read_log(self, key: str) -> List[Any]:
+        deleted = self._buffer.get(key) is self._DELETED
+        on_disk = [] if deleted else super().read_log(key)
+        return on_disk + [json.loads(line) for line in self._log_buffer.get(key, ())]
 
     def flush(self) -> None:
         """Group-commit the buffered batch to disk."""
         self._ops_since_flush = 0
-        if not self._buffer:
+        if not self._buffer and not self._log_buffer:
             return
         staged = []
         try:
@@ -300,6 +401,9 @@ class WriteBehindFileStableStorage(FileStableStorage):
             if entry is self._DELETED:
                 super().delete(key)
         self._buffer.clear()
+        for key in sorted(self._log_buffer):
+            self._append_lines(key, "".join(self._log_buffer[key]))
+            del self._log_buffer[key]
         self.flushes += 1
 
     def close(self) -> None:

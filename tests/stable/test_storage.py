@@ -230,3 +230,130 @@ def test_write_behind_close_flushes_and_leaves_no_tmp(tmp_path):
     storage.close()
     assert [n for n in os.listdir(root) if n.startswith(".tmp-")] == []
     assert FileStableStorage(root).get("k9") == 9
+
+
+# ----------------------------------------------------------------------
+# Log keys (append / read_log)
+# ----------------------------------------------------------------------
+
+RECORDS = [[0, 1, "commit"], [2, 7, "abort"], [0, 2, "restart"], [1, 1, "commit"]]
+
+
+def test_log_append_read_roundtrip_in_order(storage):
+    assert storage.read_log("log") == []
+    for count, record in enumerate(RECORDS, start=1):
+        storage.append("log", record)
+        assert storage.read_log("log") == RECORDS[:count]
+
+
+def test_log_keys_are_listed_and_deleted(storage):
+    storage.put("value", 1)
+    storage.append("log", RECORDS[0])
+    assert list(storage.keys()) == ["log", "value"]
+    assert storage.get("log") is None and "log" not in storage  # not a value key
+    storage.delete("log")
+    assert storage.read_log("log") == []
+    assert list(storage.keys()) == ["value"]
+    storage.append("log", RECORDS[1])  # a deleted log starts over
+    assert storage.read_log("log") == [RECORDS[1]]
+
+
+def test_log_caller_mutation_never_leaks_in_or_out(storage):
+    record = [0, 1, "commit"]
+    storage.append("log", record)
+    record[2] = "abort"
+    assert storage.read_log("log") == [[0, 1, "commit"]]
+    storage.read_log("log").append("extra")  # the returned list is the caller's
+    assert storage.read_log("log") == [[0, 1, "commit"]]
+
+
+def test_log_append_rejects_non_json_shaped_records(storage):
+    if isinstance(storage, DeepCopyStableStorage):
+        pytest.skip("the deep-copy baseline stores any copyable object")
+    with pytest.raises(StableStorageError):
+        storage.append("log", object())
+    assert storage.read_log("log") == []
+
+
+def test_file_log_persists_across_instances_one_line_per_record(tmp_path):
+    root = str(tmp_path / "stable")
+    writer = FileStableStorage(root)
+    for record in RECORDS:
+        writer.append("log", record)
+    assert FileStableStorage(root).read_log("log") == RECORDS
+    with open(os.path.join(root, "log.log")) as handle:
+        assert handle.read().count("\n") == len(RECORDS)
+
+
+def test_file_log_torn_tail_is_dropped_reported_and_cut_by_the_next_append(tmp_path):
+    root = str(tmp_path / "stable")
+    writer = FileStableStorage(root)
+    writer.append("log", RECORDS[0])
+    writer.append("log", RECORDS[1])
+    path = os.path.join(root, "log.log")
+    with open(path, "a") as handle:
+        handle.write('[0, 2, "rest')  # crash mid-append: no newline reached disk
+    reopened = FileStableStorage(root)
+    assert reopened.read_log("log") == RECORDS[:2]
+    assert reopened.torn_tails == 1
+    # Even a fragment that parses is dropped: without its newline the append
+    # never completed.
+    with open(path, "w") as handle:
+        handle.write('[0, 1, "commit"]\n[2, 7, "abort"]')
+    assert FileStableStorage(root).read_log("log") == RECORDS[:1]
+    # A fresh writer (no read first) must not glue its record onto the tear.
+    fresh = FileStableStorage(root)
+    fresh.append("log", RECORDS[2])
+    assert fresh.read_log("log") == [RECORDS[0], RECORDS[2]]
+    assert fresh.torn_tails == 0
+
+
+def test_file_log_interior_corruption_is_an_error(tmp_path):
+    root = str(tmp_path / "stable")
+    FileStableStorage(root).append("log", RECORDS[0])
+    with open(os.path.join(root, "log.log"), "w") as handle:
+        handle.write('[0, 1, "commit"]\n{not json\n[2, 7, "abort"]\n')
+    with pytest.raises(StableStorageError, match="corrupt stable log"):
+        FileStableStorage(root).read_log("log")
+    with open(os.path.join(root, "log.log"), "w") as handle:
+        handle.write('[0, 1, "commit"]\n\n[2, 7, "abort"]\n')  # blank interior line
+    with pytest.raises(StableStorageError, match="corrupt stable log"):
+        FileStableStorage(root).read_log("log")
+
+
+def test_write_behind_log_reads_its_own_buffered_appends(tmp_path):
+    root = str(tmp_path / "stable")
+    storage = WriteBehindFileStableStorage(root, flush_every=100)
+    storage.append("log", RECORDS[0])
+    storage.flush()
+    storage.append("log", RECORDS[1])
+    storage.append("log", RECORDS[2])
+    assert storage.read_log("log") == RECORDS[:3]  # disk first, then the buffer
+    assert FileStableStorage(root).read_log("log") == RECORDS[:1]
+    assert "log" in list(storage.keys())
+    storage.close()
+    assert FileStableStorage(root).read_log("log") == RECORDS[:3]
+
+
+def test_write_behind_appends_count_toward_the_flush_threshold(tmp_path):
+    root = str(tmp_path / "stable")
+    storage = WriteBehindFileStableStorage(root, flush_every=3)
+    storage.put("k", 1)
+    storage.append("log", RECORDS[0])
+    assert storage.flushes == 0
+    storage.append("log", RECORDS[1])
+    assert storage.flushes == 1
+    assert FileStableStorage(root).read_log("log") == RECORDS[:2]
+
+
+def test_write_behind_log_delete_then_append_within_one_batch(tmp_path):
+    root = str(tmp_path / "stable")
+    storage = WriteBehindFileStableStorage(root, flush_every=100)
+    storage.append("log", RECORDS[0])
+    storage.flush()
+    storage.delete("log")
+    assert storage.read_log("log") == []  # the flushed record is already gone
+    storage.append("log", RECORDS[1])
+    assert storage.read_log("log") == [RECORDS[1]]
+    storage.flush()
+    assert FileStableStorage(root).read_log("log") == [RECORDS[1]]
