@@ -15,8 +15,7 @@ import json
 import pathlib
 
 from repro.bench.harness import format_table, print_experiment, rows_to_json
-from repro.bench.scale import quick_mode
-from repro.bench.shards import experiment_shards
+from repro.bench.shards import experiment_shards, quick_mode
 from repro.runtime.shard import visible_cpus
 
 ARTIFACT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_SCALE.json"

@@ -28,7 +28,6 @@ from repro.bench import experiments as E
 from repro.bench import live as L
 from repro.bench import native as N
 from repro.bench import perf as P
-from repro.bench import scale as S
 from repro.bench import shards as SH
 from repro.bench.harness import format_table, print_experiment, rows_to_json, write_json
 from repro.bench.parallel import run_registry_parallel
@@ -56,7 +55,6 @@ REGISTRY: Dict[str, Tuple[str, Callable[[], List[Dict[str, Any]]]]] = {
     "domino": ("Domino effect (motivation)", lambda: E.experiment_domino()),
     "perf": ("E-PERF — snapshot engine + parallel sweeps", lambda: P.experiment_perf()),
     "live": ("E-LIVE — live kernel vs. simulator", lambda: L.experiment_live()),
-    "escale": ("E-SCALE — wire codec + batching throughput", lambda: S.experiment_scale_pass()),
     "enative": ("E-NATIVE — compiled vs interpreted hot paths", lambda: N.experiment_native()),
     "escale-shards": ("E-SCALE — sharded runtime scaling", lambda: SH.experiment_shards()),
     "eapp": ("E-APP — checkpoint-as-a-service job workload", lambda: APP.experiment_app()),

@@ -5,7 +5,7 @@ Runs the identical seeded random workload under three kernels:
 * the discrete-event :class:`~repro.sim.simulation.Simulation` (virtual
   time — the fast baseline);
 * :class:`~repro.runtime.loop.AsyncRuntime` with the loopback transport and
-  the wire codec on (every message JSON round-trips);
+  the wire codec on (every message round-trips through the binary format);
 * the same with the codec off (pure real-timer kernel overhead).
 
 Reported per kernel: wall seconds, protocol messages sent, trace events,

@@ -87,7 +87,7 @@ def codec_row(n: int, reps: int) -> Dict[str, Any]:
         def run() -> float:
             start = time.perf_counter()
             for envelope in burst:
-                fn(envelope, version=wire.WIRE_V2)
+                fn(envelope)
             return n / (time.perf_counter() - start)
 
         return run

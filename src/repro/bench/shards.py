@@ -26,18 +26,26 @@ reps — the CI smoke-test shape.
 
 from __future__ import annotations
 
+import os
 import statistics
 import tempfile
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.bench.scale import QUICK_REPS, REPS, TIME_SCALE, quick_mode
 from repro.runtime.shard import ShardedCluster, visible_cpus
 
+REPS = 5
+QUICK_REPS = 3
+TIME_SCALE = 0.005  # protocol-unit second := 5ms real; bursts finish fast
 SHARD_COUNTS: Sequence[int] = (1, 2, 4, 8)
 SIZES: Sequence[int] = (256, 1024)
 QUICK_SHARD_COUNTS: Sequence[int] = (1, 2)
 QUICK_SIZES: Sequence[int] = (64,)
 MESSAGES_PER_PID = 4
+
+
+def quick_mode() -> bool:
+    """True when the reduced CI sweep was requested via ``ESCALE_QUICK``."""
+    return os.environ.get("ESCALE_QUICK", "") not in ("", "0")
 
 
 def shards_row(n: int, shards: int, reps: int) -> Dict[str, Any]:

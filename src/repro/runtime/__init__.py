@@ -4,8 +4,8 @@ The subsystem mirrors the simulator's layering:
 
 * :mod:`repro.runtime.loop` — :class:`AsyncRuntime`, the second
   :class:`repro.kernel.KernelLike` kernel (real asyncio timers and clock);
-* :mod:`repro.runtime.transport` — in-process loopback and
-  length-prefixed-JSON TCP transports;
+* :mod:`repro.runtime.transport` — the in-process loopback transport and
+  the batched length-prefixed TCP links both socket transports share;
 * :mod:`repro.runtime.wire` — the wire codec and framing;
 * :mod:`repro.runtime.network` — the :class:`repro.net.network.Network`
   subclass that transmits via a transport;
@@ -13,7 +13,7 @@ The subsystem mirrors the simulator's layering:
   storage, per-node JSONL traces, and kill/restart;
 * :mod:`repro.runtime.shard` — the multi-process sharded runtime: one
   :class:`AsyncRuntime` per worker core, consistent-hash pid placement,
-  wire-v2 inter-shard links, and the :class:`ShardedCluster` front door;
+  batched inter-shard links, and the :class:`ShardedCluster` front door;
 * ``python -m repro.runtime`` — a demo CLI that boots a cluster (optionally
   sharded via ``--shards``), injects a failure, and consistency-checks the
   merged trace.

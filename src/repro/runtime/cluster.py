@@ -29,7 +29,12 @@ from repro.errors import SimulationError
 from repro.failure import FailureDetector
 from repro.net.delay import FixedDelay
 from repro.runtime.loop import AsyncRuntime
-from repro.runtime.transport import LoopbackTransport, TcpTransport, Transport
+from repro.runtime.transport import (
+    LoopbackTransport,
+    TcpTransport,
+    Transport,
+    _codec_enabled,
+)
 from repro.sim.trace import JsonlStreamSink, TraceEvent, TraceSink
 from repro.stable.storage import WriteBehindFileStableStorage
 from repro.types import ProcessId, SimTime
@@ -99,7 +104,7 @@ class Cluster:
         delay_model: Optional["DelayModel"] = None,
         flush_every: int = 8,
         trace_flush_every: int = 64,
-        codec: str = "binary",
+        codec: "bool | str" = "binary",
         extra_sinks: Sequence[TraceSink] = (),
     ) -> None:
         if n < 2:
@@ -112,7 +117,8 @@ class Cluster:
         if isinstance(transport, Transport):
             self.transport = transport
         elif transport == "tcp":
-            self.transport = TcpTransport(codec=codec)
+            _codec_enabled(codec)  # rejects retired/unknown names; sockets always encode
+            self.transport = TcpTransport()
         else:
             self.transport = LoopbackTransport(codec=codec)
         self.runtime = AsyncRuntime(
@@ -310,11 +316,8 @@ class Cluster:
                 "frames_sent": self.transport.frames_sent,
                 "batches_sent": self.transport.batches_sent,
                 "bytes_sent": self.transport.bytes_sent,
+                "links_rejected": self.transport.links_rejected,
                 "wire_generations": self.transport.generation_summary(),
-                "negotiated": {
-                    str(pid): version
-                    for pid, version in sorted(self.transport.negotiated.items())
-                },
             }
         return {
             **wire_stats,

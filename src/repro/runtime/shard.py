@@ -13,7 +13,7 @@ Layout::
 
     ShardedCluster (front door, parent process)
       ├─ worker 0: AsyncRuntime ── ShardTransport ──┐
-      ├─ worker 1: AsyncRuntime ── ShardTransport ──┼── one wire-v2 TCP
+      ├─ worker 1: AsyncRuntime ── ShardTransport ──┼── one batched TCP
       └─ worker k: AsyncRuntime ── ShardTransport ──┘   link per shard pair
 
 * **pid → shard assignment** is consistent hashing (:class:`HashRing`):
@@ -23,10 +23,10 @@ Layout::
 * **intra-shard** delivery uses the loopback fast path (the wire-codec
   round-trip plus the delay-model/channel pipeline — exactly
   :class:`~repro.runtime.transport.LoopbackTransport` semantics).
-* **inter-shard** traffic rides the binary wire protocol v2 over one
-  negotiated TCP connection per shard pair, with the batched coalescing
-  drain from :class:`~repro.runtime.transport.TcpTransport`: frames stay
-  whole and in queue order inside a batch, and the *receiving* shard
+* **inter-shard** traffic rides one TCP connection per shard pair — the
+  same batched-link implementation as :class:`~repro.runtime.transport.
+  TcpTransport` (:class:`~repro.runtime.transport.LinkTransport`): frames
+  stay whole and in queue order inside a batch, and the *receiving* shard
   samples the per-message delivery delay, so the non-FIFO channel contract
   is preserved across the process boundary.
 * **traces** stream to per-shard :class:`~repro.runtime.cluster.
@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import asyncio
 import bisect
+import functools
 import glob
 import hashlib
 import os
@@ -58,10 +59,10 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from multiprocessing import get_context
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core import CheckpointProcess, ProtocolConfig
-from repro.errors import NetworkError, SimulationError, TransportError, WireError
+from repro.errors import NetworkError, SimulationError, TransportError
 from repro.failure import FailureDetector
 from repro.net.delay import FixedDelay
 from repro.net.message import Envelope, normal
@@ -69,7 +70,7 @@ from repro.runtime import wire
 from repro.runtime.cluster import PidRouterSink
 from repro.runtime.loop import AsyncRuntime
 from repro.runtime.network import RuntimeNetwork
-from repro.runtime.transport import Transport, _codec_version, listening_socket
+from repro.runtime.transport import LinkTransport, listening_socket
 from repro.sim.event import PRIORITY_TIMER
 from repro.sim.node import Node
 from repro.stable.storage import WriteBehindFileStableStorage
@@ -282,59 +283,35 @@ class ShardFailureDetector(FailureDetector):
                 node.on_recovery_notice(pid)
 
 
-class ShardTransport(Transport):
-    """The data plane of one shard: loopback locally, wire-v2 links across.
+class ShardTransport(LinkTransport):
+    """The data plane of one shard: loopback locally, batched links across.
 
     Each worker opens exactly one TCP server (its *shard endpoint*) via the
     ``SO_REUSEADDR`` listener helper.  Outbound envelopes are routed by the
     hash ring:
 
     * destination on this shard — the envelope takes the loopback fast
-      path: optional wire-codec round-trip, then the delay-model/channel
-      delivery pipeline on the local kernel;
-    * destination remote — the envelope is queued per destination *shard*
-      and a pump coalesces up to ``max_batch`` queued frames into one
-      write/drain on the single connection this shard keeps to that peer
-      (opened lazily, wire version negotiated from the peer's hello).
+      path: wire-codec round-trip, then the delay-model/channel delivery
+      pipeline on the local kernel;
+    * destination remote — the envelope rides the
+      :class:`~repro.runtime.transport.LinkTransport` link keyed by the
+      destination *shard* (one connection per peer shard, opened lazily
+      once the parent has broadcast the address map).
 
-    Frames that cannot reach a peer shard go through
-    :meth:`~repro.net.network.Network.spool_or_drop` exactly like the
-    single-process TCP transport's unreachable-peer path.
+    Everything between the queue and the socket — batching, retry, salvage
+    of frames that cannot reach a peer shard, the inbound read loop — is the
+    base class's; this class adds routing and the misroute re-forward.
     """
 
-    def __init__(
-        self,
-        shard: int,
-        ring: HashRing,
-        host: str = "127.0.0.1",
-        codec: str = "binary",
-        max_batch: int = 64,
-        loopback_codec: "bool | str" = "binary",
-    ) -> None:
-        super().__init__()
-        if max_batch < 1:
-            raise TransportError(f"max_batch must be >= 1, got {max_batch}")
+    def __init__(self, shard: int, ring: HashRing, host: str = "127.0.0.1") -> None:
+        super().__init__(host)
         self.shard = shard
         self.ring = ring
-        self.host = host
-        version = _codec_version(codec)
-        if version is None:
-            raise TransportError("shard links require a codec ('binary' or 'json')")
-        self.preferred_version = version
-        self.loopback_version = _codec_version(loopback_codec)
-        self.max_batch = max_batch
         self.port: Optional[int] = None
         self.peer_addrs: Dict[int, Tuple[str, int]] = {}
-        self.negotiated: Dict[int, int] = {}  # peer shard -> version in use
         self._server: Optional[asyncio.AbstractServer] = None
-        self._accepted: List[asyncio.StreamWriter] = []
-        self._queues: Dict[int, "asyncio.Queue[Envelope]"] = {}
-        self._writer_tasks: Dict[int, asyncio.Task] = {}
+        self._accepted: Set[asyncio.StreamWriter] = set()
         self._peers_ready: Optional[asyncio.Event] = None
-        self.frames_sent = 0
-        self.frames_received = 0
-        self.batches_sent = 0
-        self.bytes_sent = 0
         self.intra_delivered = 0
         self.misrouted = 0
 
@@ -351,7 +328,8 @@ class ShardTransport(Transport):
             raise TransportError(f"shard {self.shard} is already listening")
         self._peers_ready = asyncio.Event()
         self._server = await asyncio.start_server(
-            self._serve_link, sock=listening_socket(self.host, 0)
+            functools.partial(self._receive, accepted=self._accepted),
+            sock=listening_socket(self.host, 0),
         )
         self.port = self._server.sockets[0].getsockname()[1]
         return self.port
@@ -370,153 +348,48 @@ class ShardTransport(Transport):
 
     async def stop(self) -> None:
         await super().stop()
-        for task in self._writer_tasks.values():
-            task.cancel()
-        for task in self._writer_tasks.values():
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):  # noqa: BLE001
-                pass
-        self._writer_tasks.clear()
-        self._queues.clear()
         if self._server is not None:
             self._server.close()
             self._server = None
-        for writer in self._accepted:
-            try:
-                writer.close()
-            except Exception:  # noqa: BLE001 - already-broken socket
-                pass
-        self._accepted = []
+        self._close_accepted(self._accepted)
 
     # ------------------------------------------------------------------
-    # Send path
+    # Routing
     # ------------------------------------------------------------------
+    async def _address(self, shard: int) -> Tuple[str, int]:
+        if self._peers_ready is None:
+            raise TransportError("shard link used before listen()")
+        await self._peers_ready.wait()
+        return self.peer_addrs[shard]
+
     def send(self, envelope: Envelope) -> None:
         if not self.started:
             raise TransportError("shard transport is not running")
         dst_shard = self.ring.shard_of(envelope.dst)
         if dst_shard == self.shard:
             # Loopback fast path: same semantics as LoopbackTransport.
-            if self.loopback_version is not None:
-                envelope = wire.roundtrip(envelope, version=self.loopback_version)
             self.intra_delivered += 1
+            self._deliver_after_delay(wire.roundtrip(envelope))
+        else:
+            self._enqueue(dst_shard, envelope)
+
+    def _inbound(self, envelope: Envelope) -> None:
+        if envelope.dst in self.runtime.nodes:
             self._deliver_after_delay(envelope)
             return
-        queue = self._queues.get(dst_shard)
-        if queue is None:
-            queue = self._queues[dst_shard] = asyncio.Queue()
-        queue.put_nowait(envelope)
-        task = self._writer_tasks.get(dst_shard)
-        if task is None or task.done():
-            self._writer_tasks[dst_shard] = asyncio.get_running_loop().create_task(
-                self._drain(dst_shard, queue)
-            )
-
-    async def _drain(self, dst_shard: int, queue: "asyncio.Queue[Envelope]") -> None:
-        """Outbound pump for one peer shard: connect once, batch, write."""
-        assert self._peers_ready is not None
-        await self._peers_ready.wait()
-        writer: Optional[asyncio.StreamWriter] = None
-        try:
-            while True:
-                batch = [await queue.get()]
-                while len(batch) < self.max_batch and not queue.empty():
-                    batch.append(queue.get_nowait())
-                writer = await self._write_with_retry(dst_shard, writer, batch)
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:  # noqa: BLE001 - surface via runtime.check()
-            self.runtime.scheduler._note_error(f"shard link ->S{dst_shard}", exc)
-        finally:
-            if writer is not None:
-                writer.close()
-
-    async def _connect(self, dst_shard: int) -> asyncio.StreamWriter:
-        host, port = self.peer_addrs[dst_shard]
-        reader, writer = await asyncio.open_connection(host, port)
-        advertised = await wire.read_hello(reader)
-        self.negotiated[dst_shard] = wire.negotiate(self.preferred_version, advertised)
-        return writer
-
-    async def _write_with_retry(
-        self,
-        dst_shard: int,
-        writer: Optional[asyncio.StreamWriter],
-        batch: List[Envelope],
-    ) -> Optional[asyncio.StreamWriter]:
-        """Write one batch as a single buffer, reconnecting once if stale."""
-        for _attempt in (0, 1):
-            if writer is None:
-                try:
-                    writer = await self._connect(dst_shard)
-                except OSError:
-                    break
-            version = self.negotiated.get(dst_shard, self.preferred_version)
-            buffer = b"".join(wire.dumps_frame(e, version=version) for e in batch)
-            try:
-                writer.write(buffer)
-                await writer.drain()
-                self.frames_sent += len(batch)
-                self.batches_sent += 1
-                self.bytes_sent += len(buffer)
-                return writer
-            except (ConnectionError, OSError):
-                try:
-                    writer.close()
-                except Exception:  # noqa: BLE001
-                    pass
-                writer = None
-        for envelope in batch:
-            self.runtime.network.spool_or_drop(envelope, "shard unreachable")
-        return None
-
-    # ------------------------------------------------------------------
-    # Receive path
-    # ------------------------------------------------------------------
-    async def _serve_link(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._accepted.append(writer)
-        writer.write(wire.pack_hello(self.preferred_version))
-        try:
-            while True:
-                try:
-                    blob = await wire.read_frame(reader)
-                except WireError:
-                    break  # peer died mid-frame: a tolerated link loss
-                if blob is None:
-                    break
-                envelope = wire.loads_frame(blob)
-                self.frames_received += 1
-                if envelope.dst not in self.runtime.nodes:
-                    # A frame for a pid this shard does not host: the
-                    # sender routed on a stale ring (mid view change) or
-                    # the pid departed.  Count it, then salvage: re-forward
-                    # via the *current* ring when it names another owner,
-                    # else hand it to the spool-or-drop policy.
-                    self.misrouted += 1
-                    net = self.runtime.network
-                    if (
-                        self.ring.shard_of(envelope.dst) != self.shard
-                        and envelope.dst in getattr(net, "global_pids", ())
-                    ):
-                        self.send(envelope)
-                    else:
-                        net.spool_or_drop(envelope, "misrouted")
-                    continue
-                self._deliver_after_delay(envelope)
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            try:
-                self._accepted.remove(writer)
-            except ValueError:
-                pass
-            try:
-                writer.close()
-            except Exception:  # noqa: BLE001
-                pass
+        # A frame for a pid this shard does not host: the sender routed on
+        # a stale ring (mid view change) or the pid departed.  Count it,
+        # then salvage: re-forward via the *current* ring when it names
+        # another owner, else hand it to the spool-or-drop policy.
+        self.misrouted += 1
+        net = self.runtime.network
+        if (
+            self.ring.shard_of(envelope.dst) != self.shard
+            and envelope.dst in getattr(net, "global_pids", ())
+        ):
+            self.send(envelope)
+        else:
+            net.spool_or_drop(envelope, "misrouted")
 
 
 # ----------------------------------------------------------------------
@@ -574,9 +447,6 @@ class WorkerSpec:
     root: str
     time_scale: float
     host: str = "127.0.0.1"
-    codec: str = "binary"
-    max_batch: int = 64
-    loopback_codec: "bool | str" = "binary"
     config: Optional[ProtocolConfig] = None
     detector_latency: Optional[SimTime] = 2.0
     spoolers: bool = True
@@ -601,14 +471,7 @@ class ShardWorker:
         self.router = PidRouterSink(
             os.path.join(spec.root, "trace"), flush_every=spec.trace_flush_every
         )
-        self.transport = ShardTransport(
-            spec.shard,
-            self.ring,
-            host=spec.host,
-            codec=spec.codec,
-            max_batch=spec.max_batch,
-            loopback_codec=spec.loopback_codec,
-        )
+        self.transport = ShardTransport(spec.shard, self.ring, host=spec.host)
         self.runtime = ShardRuntime(
             self.all_pids,
             seed=spec.seed,
@@ -923,7 +786,7 @@ class ShardWorker:
             "bytes_sent": self.transport.bytes_sent,
             "intra_delivered": self.transport.intra_delivered,
             "misrouted": self.transport.misrouted,
-            "negotiated": dict(self.transport.negotiated),
+            "links_rejected": self.transport.links_rejected,
         }
 
 
@@ -1086,9 +949,6 @@ class ShardedCluster:
         detector_latency: Optional[SimTime] = 2.0,
         spoolers: bool = True,
         delay: float = 0.5,
-        codec: str = "binary",
-        max_batch: int = 64,
-        loopback_codec: "bool | str" = "binary",
         flush_every: int = 8,
         trace_flush_every: int = 64,
         workload: Optional[Dict[str, Any]] = None,
@@ -1124,9 +984,6 @@ class ShardedCluster:
                     root=os.path.join(self.root, f"shard-{shard}"),
                     time_scale=time_scale,
                     host=host,
-                    codec=codec,
-                    max_batch=max_batch,
-                    loopback_codec=loopback_codec,
                     config=config,
                     detector_latency=detector_latency,
                     spoolers=spoolers,
@@ -1468,7 +1325,7 @@ class ShardedCluster:
             for key in (
                 "normal_sent", "control_sent", "delivered", "dropped", "spooled",
                 "trace_events", "frames_sent", "frames_received", "batches_sent",
-                "bytes_sent", "intra_delivered", "misrouted",
+                "bytes_sent", "intra_delivered", "misrouted", "links_rejected",
             )
         }
         return {

@@ -12,25 +12,25 @@ outgoing envelope exactly as the simulated network does, then hands it to a
   simulator uses, so the non-FIFO contract carries over verbatim.  Fast,
   deterministic-ish, and precise about in-flight accounting (supports
   ``AsyncRuntime.join``).
-* :class:`TcpTransport` — every node gets its own length-prefixed TCP
-  server on localhost; sends go through per-destination client connections
-  with real serialization, framing, and socket scheduling.  The payload
-  codec (binary v2 vs JSON v1) is negotiated per connection — the server's
-  accept handler writes a hello advertising its maximum version, the client
-  speaks the minimum of that and its own preference (see
-  :mod:`repro.runtime.wire`).  Outbound frames to one destination are
-  *batched*: the per-destination pump collects every queued envelope (up to
-  ``max_batch``), writes their frames as one buffer, and drains the socket
-  once per batch instead of once per frame.  Batching cannot introduce
-  orderings the model forbids: frames stay whole and in queue order inside
-  a batch, and arrival order was never delivery order anyway — on arrival
-  the receiving side applies the delay-model/channel pipeline *per message*
-  before delivery, so protocol-level delays keep their configured
-  magnitudes and messages genuinely reorder (TCP is FIFO per connection;
-  the sampled post-arrival delay restores the paper's non-FIFO channel
-  model).
+* :class:`LinkTransport` — batched length-prefixed links over real TCP
+  sockets, implemented once: the per-destination outbound pump (queue →
+  coalesce up to ``max_batch`` → one :func:`~repro.runtime.wire.encode_batch`
+  buffer → one write/drain → reconnect once → whole-batch salvage) and the
+  inbound read loop (64 KiB reads → :class:`~repro.runtime.wire.FrameDecoder`
+  → :func:`~repro.runtime.wire.loads_frame`).  There is one wire format and
+  no handshake: a connection carries frames from its first byte.
+  :class:`TcpTransport` (one server per node, links keyed by pid) and
+  :class:`~repro.runtime.shard.ShardTransport` (one server per worker,
+  links keyed by shard) supply only the addressing hooks.  Batching cannot
+  introduce orderings the model forbids: frames stay whole and in queue
+  order inside a batch, and arrival order was never delivery order anyway —
+  on arrival the receiving side applies the delay-model/channel pipeline
+  *per message* before delivery, so protocol-level delays keep their
+  configured magnitudes and messages genuinely reorder (TCP is FIFO per
+  connection; the sampled post-arrival delay restores the paper's non-FIFO
+  channel model).
 
-Both preserve the delivery-time policy enforcement of
+All preserve the delivery-time policy enforcement of
 :meth:`repro.net.network.Network.deliver_local`: partition filtering, crash
 spooling/dropping, and the delivered/dropped/spooled counters.
 
@@ -44,8 +44,9 @@ a drop, which the resilient protocol tolerates by design.
 from __future__ import annotations
 
 import asyncio
+import functools
 import socket
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import TransportError, WireError
 from repro.net.message import Envelope
@@ -151,103 +152,283 @@ def listening_socket(host: str, port: int) -> socket.socket:
     return sock
 
 
-def _codec_version(codec: "bool | str") -> Optional[int]:
-    """Map a codec knob (bool or name) to a wire version (None = off)."""
+def _codec_enabled(codec: "bool | str | None") -> bool:
+    """Whether a codec knob turns the wire round-trip on.
+
+    There is one wire format, so the knob is on (``True`` / ``"binary"``)
+    or off (``False`` / ``None``); the retired JSON format is named in the
+    error so an old configuration fails with a pointer, not a puzzle.
+    """
     if codec is True or codec == "binary":
-        return wire.WIRE_V2
-    if codec == "json":
-        return wire.WIRE_V1
+        return True
     if codec is False or codec is None:
-        return None
-    raise TransportError(f"unknown codec {codec!r} (use 'binary', 'json', or False)")
+        return False
+    if codec == "json":
+        raise TransportError(
+            "codec='json' was removed: the JSON wire format (v1) is retired, "
+            "use 'binary' (or False to skip serialization on loopback)"
+        )
+    raise TransportError(f"unknown codec {codec!r} (use 'binary' or False)")
 
 
 class LoopbackTransport(Transport):
     """In-process transport: real timers, no sockets.
 
-    With the codec on (default: the binary v2 format) every envelope is
-    round-tripped through the full wire codec before delivery, so loopback
-    tests also prove the traffic is wire-serializable; ``codec="json"``
-    selects the v1 JSON format and ``codec=False`` skips serialization for
+    With the codec on (the default) every envelope is round-tripped through
+    the full wire codec before delivery, so loopback tests also prove the
+    traffic is wire-serializable; ``codec=False`` skips serialization for
     raw kernel-overhead benchmarks.
     """
 
     def __init__(self, codec: "bool | str" = True) -> None:
         super().__init__()
-        self.codec = codec
-        self.wire_version = _codec_version(codec)
+        self.codec = _codec_enabled(codec)
 
     def send(self, envelope: Envelope) -> None:
         if not self.started:
             raise TransportError("loopback transport is not running")
-        if self.wire_version is not None:
-            envelope = wire.roundtrip(envelope, version=self.wire_version)
+        if self.codec:
+            envelope = wire.roundtrip(envelope)
         self._deliver_after_delay(envelope)
 
 
-class TcpTransport(Transport):
-    """Length-prefixed frames over TCP between per-node localhost servers.
+def _close(writer: Optional[asyncio.StreamWriter]) -> None:
+    """Close ``writer`` if there is one; always returns None."""
+    if writer is not None:
+        try:
+            writer.close()
+        except Exception:  # noqa: BLE001 - already-broken socket
+            pass
+    return None
 
-    Topology: every pid gets an ``asyncio`` server on ``(host, ephemeral)``;
-    the chosen port is remembered so a killed node's endpoint reopens on the
-    *same* address at restart (peers reconnect transparently).  Outbound,
-    the transport keeps one client connection per destination, fed by a
-    queue so node callbacks never block on a socket; the pump coalesces up
-    to ``max_batch`` queued envelopes into one buffer per write/drain.
 
-    ``codec`` selects the *preferred* wire format ("binary" v2 by default,
-    "json" for the v1 path); what a connection actually speaks is the
-    minimum of that and the version the destination's server advertises in
-    its hello.  ``server_versions`` overrides the advertised version per
-    pid — a pid capped at :data:`~repro.runtime.wire.WIRE_V1` behaves
-    exactly like a JSON-only node from an older build, so mixed-version
-    clusters are testable in-process.
+class LinkTransport(Transport):
+    """Batched length-prefixed links over TCP: the one pump, the one reader.
 
-    ``disconnect``/``reconnect`` model a node dropping off the network: the
-    server socket and its accepted connections close, cached client
-    connections die on next use, and frames that cannot reach the peer go
-    through the network's spool-or-drop salvage path.
+    A *link* is a one-directional TCP connection to the server that owns a
+    destination ``key`` (a pid for :class:`TcpTransport`, a shard for
+    :class:`~repro.runtime.shard.ShardTransport`).  Subclasses decide what a
+    key is, where it listens (:meth:`_address`), whether it is currently
+    unreachable (:meth:`_link_down`) and what to do with a decoded inbound
+    envelope (:meth:`_inbound`); everything between the queue and the
+    socket lives here, once.
+
+    Outbound, each key has a queue fed by :meth:`_enqueue` (so node
+    callbacks never block on a socket) and a pump task that *coalesces*
+    everything already queued (up to ``max_batch``) into one
+    :func:`~repro.runtime.wire.encode_batch` buffer, written and drained
+    once.  Frames stay whole and in queue order, and the receiver samples a
+    per-message delivery delay, so batching changes syscall count — not the
+    ordering the non-FIFO channel model already permits.  A write that
+    fails reconnects once; a batch that still cannot be written — or that
+    the pump holds when its link goes down and the pump is cancelled — is
+    handed whole to :meth:`~repro.net.network.Network.spool_or_drop`, the
+    paper's Section 6 salvage path.
+
+    Inbound, :meth:`_receive` turns 64 KiB socket reads into frames with a
+    :class:`~repro.runtime.wire.FrameDecoder` and decodes each payload
+    straight from a ``memoryview`` slice.  A peer that dies mid-frame or
+    sends bytes that do not decode costs exactly its connection: the link
+    is closed, ``links_rejected`` is bumped, and a fresh connection is
+    served normally.
     """
 
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        codec: str = "binary",
-        max_batch: int = 64,
-        server_versions: Optional[Dict["ProcessId", int]] = None,
-    ) -> None:
+    def __init__(self, host: str = "127.0.0.1", max_batch: int = 64) -> None:
         super().__init__()
         if max_batch < 1:
             raise TransportError(f"max_batch must be >= 1, got {max_batch}")
         self.host = host
-        version = _codec_version(codec)
-        if version is None:
-            raise TransportError("tcp transport requires a codec ('binary' or 'json')")
-        self.preferred_version = version
         self.max_batch = max_batch
-        self.server_versions: Dict["ProcessId", int] = dict(server_versions or {})
-        self._servers: Dict["ProcessId", asyncio.AbstractServer] = {}
-        self.ports: Dict["ProcessId", int] = {}
-        self._down: Set["ProcessId"] = set()
-        self._accepted: Dict["ProcessId", Set[asyncio.StreamWriter]] = {}
-        self._queues: Dict["ProcessId", "asyncio.Queue[Envelope]"] = {}
-        self._writer_tasks: Dict["ProcessId", asyncio.Task] = {}
-        self.negotiated: Dict["ProcessId", int] = {}  # dst -> version in use
+        self._queues: Dict[Any, "asyncio.Queue[Envelope]"] = {}
+        self._pumps: Dict[Any, "asyncio.Task[None]"] = {}
         self.frames_sent = 0
         self.frames_received = 0
         self.batches_sent = 0
         self.bytes_sent = 0
+        self.links_rejected = 0
+
+    # ------------------------------------------------------------------
+    # Hooks
+    # ------------------------------------------------------------------
+    async def _address(self, key: Any) -> Tuple[str, int]:
+        """Where the server owning ``key`` listens (may wait until known)."""
+        raise NotImplementedError
+
+    def _link_down(self, key: Any) -> bool:
+        """True while ``key`` is known unreachable: salvage, do not write."""
+        return False
+
+    def _inbound(self, envelope: Envelope) -> None:
+        """A decoded envelope arrived on one of this transport's servers.
+
+        The socket hop is real but near-instant on localhost; the
+        delay-model pipeline restores protocol-scale transit times and the
+        non-FIFO ordering contract.
+        """
+        self._deliver_after_delay(envelope)
+
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
+    async def stop(self) -> None:
+        await super().stop()
+        pumps = list(self._pumps.values())
+        self._pumps.clear()
+        self._queues.clear()
+        for task in pumps:
+            task.cancel()
+        await asyncio.gather(*pumps, return_exceptions=True)
+
+    # ------------------------------------------------------------------
+    # Outbound
+    # ------------------------------------------------------------------
+    def _enqueue(self, key: Any, envelope: Envelope) -> None:
+        """Queue ``envelope`` for ``key``'s link, starting its pump if idle."""
+        queue = self._queues.get(key)
+        if queue is None:
+            queue = self._queues[key] = asyncio.Queue()
+        queue.put_nowait(envelope)
+        task = self._pumps.get(key)
+        if task is None or task.done():
+            self._pumps[key] = asyncio.get_running_loop().create_task(
+                self._pump(key, queue)
+            )
+
+    def _cut_link(self, key: Any) -> None:
+        """Cancel ``key``'s pump; its queue keeps anything not yet taken."""
+        task = self._pumps.pop(key, None)
+        if task is not None:
+            task.cancel()
+
+    def _salvage(self, batch: List[Envelope]) -> None:
+        spool_or_drop = self.runtime.network.spool_or_drop
+        for envelope in batch:
+            spool_or_drop(envelope, "unreachable")
+
+    async def _pump(self, key: Any, queue: "asyncio.Queue[Envelope]") -> None:
+        """Outbound pump for one link: batch, connect, write, salvage."""
+        writer: Optional[asyncio.StreamWriter] = None
+        batch: List[Envelope] = []
+        try:
+            while True:
+                batch = [await queue.get()]
+                while len(batch) < self.max_batch and not queue.empty():
+                    batch.append(queue.get_nowait())
+                if not self._link_down(key):
+                    buffer = wire.encode_batch(batch)
+                    for _attempt in (0, 1):  # a stale connection earns one reconnect
+                        try:
+                            if writer is None:
+                                writer = await self._connect(key)
+                            writer.write(buffer)
+                            await writer.drain()
+                        except OSError:  # ConnectionError included
+                            writer = _close(writer)
+                            continue
+                        self.frames_sent += len(batch)
+                        self.batches_sent += 1
+                        self.bytes_sent += len(buffer)
+                        batch = []
+                        break
+                if batch:  # could not be written
+                    self._salvage(batch)
+                    batch = []
+        except asyncio.CancelledError:
+            # The link was cut with a dequeued batch in hand (suspended in
+            # the connect or the drain): nobody else holds those envelopes.
+            if self._link_down(key):
+                self._salvage(batch)
+            raise
+        except Exception as exc:  # noqa: BLE001 - surface via runtime.check()
+            self.runtime.scheduler._note_error(f"link pump ->{key}", exc)
+        finally:
+            _close(writer)
+
+    async def _connect(self, key: Any) -> asyncio.StreamWriter:
+        host, port = await self._address(key)
+        _reader, writer = await asyncio.open_connection(host, port)
+        return writer
+
+    # ------------------------------------------------------------------
+    # Inbound
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _close_accepted(accepted: Iterable[asyncio.StreamWriter]) -> None:
+        """Hang up on every connection a closing server had accepted."""
+        for writer in list(accepted):
+            _close(writer)
+
+    async def _receive(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        accepted: Set[asyncio.StreamWriter],
+    ) -> None:
+        """Serve one accepted connection until EOF, error or teardown.
+
+        ``accepted`` is the owning server's set of live connections, so the
+        subclass can close them when that server goes away.
+        """
+        accepted.add(writer)
+        decoder = wire.FrameDecoder()
+        try:
+            while True:
+                chunk = await reader.read(65536)
+                if not chunk:
+                    decoder.eof()
+                    break
+                decoder.feed(chunk)
+                # A coalesced batch arrives as one read; each frame payload is
+                # decoded straight from a memoryview slice of the receive
+                # buffer — no per-frame bytes copy on the hot path.
+                for view in decoder.frames():
+                    envelope = wire.loads_frame(view)
+                    self.frames_received += 1
+                    self._inbound(envelope)
+        except WireError:
+            # Died mid-frame, oversized header or undecodable payload: the
+            # stream cannot be resynchronised, so the link is dropped and
+            # counted; the peer's next connection starts clean.
+            self.links_rejected += 1
+        except (ConnectionError, asyncio.CancelledError):
+            pass
+        finally:
+            accepted.discard(writer)
+            _close(writer)
+
+
+class TcpTransport(LinkTransport):
+    """One :class:`LinkTransport` server per node on localhost; key = pid.
+
+    Every pid gets an ``asyncio`` server on ``(host, ephemeral)``; the
+    chosen port is remembered so a killed node's endpoint reopens on the
+    *same* address at restart (peers reconnect transparently).
+
+    ``disconnect``/``reconnect`` model a node dropping off the network: the
+    server socket and its accepted connections close, the outbound link to
+    it is cut, and frames that cannot reach the peer go through the
+    network's spool-or-drop salvage path.
+    """
+
+    def __init__(self, host: str = "127.0.0.1", max_batch: int = 64) -> None:
+        super().__init__(host, max_batch)
+        self._servers: Dict["ProcessId", asyncio.AbstractServer] = {}
+        self.ports: Dict["ProcessId", int] = {}
+        self._down: Set["ProcessId"] = set()
+        self._accepted: Dict["ProcessId", Set[asyncio.StreamWriter]] = {}
         # A "generation" spans from one endpoint restart to the next; the
-        # cumulative counters above are also snapshotted per generation so a
+        # cumulative counters are also snapshotted per generation so a
         # cluster summary can attribute traffic to node lifetimes instead of
         # silently accumulating across them.
         self.generation = 0
         self._generation_closed: List[Dict[str, Any]] = []
         self._generation_base = (0, 0, 0, 0)  # frames, batches, bytes, received
 
-    def _advertised(self, pid: "ProcessId") -> int:
-        """The wire version ``pid``'s server advertises in its hello."""
-        return self.server_versions.get(pid, self.preferred_version)
+    async def _address(self, pid: "ProcessId") -> Tuple[str, int]:
+        return self.host, self.ports[pid]
+
+    def _link_down(self, pid: "ProcessId") -> bool:
+        return pid in self._down
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -261,6 +442,7 @@ class TcpTransport(Transport):
         self.frames_received = 0
         self.batches_sent = 0
         self.bytes_sent = 0
+        self.links_rejected = 0
         self.generation = 0
         self._generation_closed = []
         self._generation_base = (0, 0, 0, 0)
@@ -268,33 +450,16 @@ class TcpTransport(Transport):
             await self._open_server(pid)
 
     async def _open_server(self, pid: "ProcessId") -> None:
-        port = self.ports.get(pid, 0)
-
-        async def handle(reader: asyncio.StreamReader, writer: asyncio.StreamWriter,
-                         pid: "ProcessId" = pid) -> None:
-            # Advertise this endpoint's wire version before anything else;
-            # the client caps its codec preference at what we can decode.
-            writer.write(wire.pack_hello(self._advertised(pid)))
-            await self._serve_connection(pid, reader, writer)
-
+        accepted = self._accepted.setdefault(pid, set())
         server = await asyncio.start_server(
-            handle, sock=listening_socket(self.host, port)
+            functools.partial(self._receive, accepted=accepted),
+            sock=listening_socket(self.host, self.ports.get(pid, 0)),
         )
         self._servers[pid] = server
-        self._accepted.setdefault(pid, set())
         self.ports[pid] = server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
         await super().stop()
-        for task in self._writer_tasks.values():
-            task.cancel()
-        for task in self._writer_tasks.values():
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):  # noqa: BLE001
-                pass
-        self._writer_tasks.clear()
-        self._queues.clear()
         for pid in list(self._servers):
             self._close_server(pid)
 
@@ -302,12 +467,7 @@ class TcpTransport(Transport):
         server = self._servers.pop(pid, None)
         if server is not None:
             server.close()
-        for writer in self._accepted.pop(pid, set()):
-            try:
-                writer.close()
-            except Exception:  # noqa: BLE001 - already-broken socket
-                pass
-        self._accepted[pid] = set()
+        self._close_accepted(self._accepted.get(pid, ()))
 
     # ------------------------------------------------------------------
     # Kill / restart
@@ -316,13 +476,9 @@ class TcpTransport(Transport):
         """Close ``pid``'s server and connections; its port is remembered."""
         self._down.add(pid)
         self._close_server(pid)
-        # Sever the cached outbound connection *to* the dead peer so queued
-        # frames fail fast instead of into a half-open socket; the wire
-        # version is renegotiated when the endpoint comes back.
-        self.negotiated.pop(pid, None)
-        task = self._writer_tasks.pop(pid, None)
-        if task is not None:
-            task.cancel()
+        # Sever the outbound link *to* the dead peer so queued frames fail
+        # fast instead of into a half-open socket.
+        self._cut_link(pid)
 
     async def reconnect(self, pid: "ProcessId") -> None:
         """Reopen ``pid``'s server on its original port."""
@@ -383,121 +539,4 @@ class TcpTransport(Transport):
         if envelope.dst in self._down:
             self.runtime.network.spool_or_drop(envelope, "unreachable")
             return
-        queue = self._queues.get(envelope.dst)
-        if queue is None:
-            queue = self._queues[envelope.dst] = asyncio.Queue()
-        queue.put_nowait(envelope)
-        task = self._writer_tasks.get(envelope.dst)
-        if task is None or task.done():
-            self._writer_tasks[envelope.dst] = asyncio.get_running_loop().create_task(
-                self._drain(envelope.dst, queue)
-            )
-
-    async def _drain(self, dst: "ProcessId",
-                     queue: "asyncio.Queue[Envelope]") -> None:
-        """Outbound pump for one destination: connect, batch, write, salvage.
-
-        Each iteration blocks for one envelope, then *coalesces* everything
-        already queued behind it (up to ``max_batch``) into a single
-        writev-style buffer written and drained once.  Frames stay whole and
-        in queue order, and the receiver samples a per-message delivery
-        delay, so batching changes syscall count — not the ordering the
-        non-FIFO channel model already permits.
-        """
-        writer: Optional[asyncio.StreamWriter] = None
-        try:
-            while True:
-                batch = [await queue.get()]
-                while len(batch) < self.max_batch and not queue.empty():
-                    batch.append(queue.get_nowait())
-                if dst in self._down:
-                    for envelope in batch:
-                        self.runtime.network.spool_or_drop(envelope, "unreachable")
-                    continue
-                writer = await self._write_with_retry(dst, writer, batch)
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:  # noqa: BLE001 - surface via runtime.check()
-            self.runtime.scheduler._note_error(f"tcp drain ->P{dst}", exc)
-        finally:
-            if writer is not None:
-                writer.close()
-
-    async def _connect(self, dst: "ProcessId") -> asyncio.StreamWriter:
-        """Open a connection to ``dst`` and negotiate its wire version."""
-        reader, writer = await asyncio.open_connection(self.host, self.ports[dst])
-        advertised = await wire.read_hello(reader)
-        self.negotiated[dst] = wire.negotiate(self.preferred_version, advertised)
-        return writer
-
-    async def _write_with_retry(
-        self,
-        dst: "ProcessId",
-        writer: Optional[asyncio.StreamWriter],
-        batch: List[Envelope],
-    ) -> Optional[asyncio.StreamWriter]:
-        """Write one batch as a single buffer, reconnecting once if stale."""
-        for attempt in (0, 1):
-            if writer is None:
-                try:
-                    writer = await self._connect(dst)
-                except OSError:
-                    break
-            version = self.negotiated.get(dst, self.preferred_version)
-            buffer = wire.encode_batch(batch, version=version)
-            try:
-                writer.write(buffer)
-                await writer.drain()
-                self.frames_sent += len(batch)
-                self.batches_sent += 1
-                self.bytes_sent += len(buffer)
-                return writer
-            except (ConnectionError, OSError):
-                try:
-                    writer.close()
-                except Exception:  # noqa: BLE001
-                    pass
-                writer = None
-        for envelope in batch:
-            self.runtime.network.spool_or_drop(envelope, "unreachable")
-        return None
-
-    # ------------------------------------------------------------------
-    # Receive path
-    # ------------------------------------------------------------------
-    async def _serve_connection(
-        self,
-        pid: "ProcessId",
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        peers = self._accepted.setdefault(pid, set())
-        peers.add(writer)
-        decoder = wire.FrameDecoder()
-        try:
-            while True:
-                chunk = await reader.read(65536)
-                if not chunk:
-                    decoder.eof()
-                    break
-                decoder.feed(chunk)
-                # A coalesced batch arrives as one read; each frame payload is
-                # decoded straight from a memoryview slice of the receive
-                # buffer — no per-frame bytes copy on the hot path.
-                for view in decoder.frames():
-                    envelope = wire.loads_frame(view)
-                    self.frames_received += 1
-                    # The socket hop is real but near-instant on localhost;
-                    # the delay-model pipeline restores protocol-scale transit
-                    # times and the non-FIFO ordering contract.
-                    self._deliver_after_delay(envelope)
-        except WireError:
-            pass  # peer died mid-frame or sent garbage: a tolerated loss
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            peers.discard(writer)
-            try:
-                writer.close()
-            except Exception:  # noqa: BLE001
-                pass
+        self._enqueue(envelope.dst, envelope)

@@ -1,42 +1,27 @@
-"""Wire codecs and framing for the live runtime's transports.
+"""Wire codec and framing for the live runtime's transports.
 
 One frame = one envelope.  Framing is the classic length-prefix: a 4-byte
-big-endian unsigned length followed by that many payload bytes.  Two payload
-codecs share that framing:
+big-endian unsigned length followed by that many payload bytes.  The payload
+is a struct-packed header (format tag, body-kind code, flags, src/dst, send
+time, then the optional message id and label) followed by the body's fields
+as compact tagged values (varint ints, raw doubles, length-prefixed UTF-8).
 
-* **v1 — JSON** (the original format): UTF-8 JSON reusing the trace
-  pipeline's lossless field codec (:func:`repro.sim.trace.encode_field`), so
-  :class:`~repro.types.TreeId`, :class:`~repro.types.MessageId`, tuples and
-  nested containers round-trip exactly.
-* **v2 — binary**: a struct-packed header (format tag, body-kind code,
-  flags, src/dst, send time, then the optional message id and label) followed
-  by the body's fields as compact tagged values (varint ints, raw doubles,
-  length-prefixed UTF-8).  Roughly a third the bytes of v1 and several times
-  faster to encode/decode — E-SCALE (``BENCH_SCALE.json``) records the
-  measured ratio.
-
-The two formats are distinguishable from the first payload byte: JSON
-documents open with ``{`` (0x7B) while binary frames open with
-:data:`BINARY_TAG` (0xB2), so :func:`loads_frame` decodes either
-transparently.  Which format a *sender* uses is negotiated per connection:
-on accept, a server writes a 4-byte hello advertising its maximum supported
-version, and the client speaks ``min(preferred, advertised)``.  A peer that
-advertises v1 (or sends no hello at all — the pre-v2 transport) is fed pure
-JSON frames, so old peers and trace tooling keep working unmodified.
+There is exactly one format and no per-connection negotiation: every frame
+opens with :data:`BINARY_TAG`, and :func:`loads_frame` raises
+:class:`~repro.errors.WireError` on anything else, so a version-skewed peer
+fails loudly on its first frame.  (JSON remains the *trace* format — see
+:mod:`repro.sim.trace` — but nothing on a socket speaks it.)
 
 Bodies are serialized by *kind*: every control dataclass in
 :data:`repro.core.messages.CONTROL_KINDS` registers under its ``kind``
 class attribute, and :class:`~repro.core.messages.NormalBody` under
 ``"normal"``.  Unknown kinds raise :class:`~repro.errors.WireError` on both
-ends — a version-skewed peer fails loudly rather than corrupting protocol
-state.
+ends rather than corrupting protocol state.
 """
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
-import json
 import struct
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Type, Union
 
@@ -44,7 +29,6 @@ from repro import _native
 from repro.core.messages import CONTROL_KINDS, NormalBody
 from repro.errors import WireError
 from repro.net.message import CONTROL, NORMAL, Envelope
-from repro.sim.trace import decode_field, encode_field
 from repro.types import MessageId, TreeId
 
 #: Anything the decoders accept: the zero-copy receive path hands them
@@ -55,10 +39,6 @@ _HEADER = struct.Struct(">I")
 HEADER_SIZE = _HEADER.size
 MAX_FRAME = 16 * 1024 * 1024  # sanity bound; a control message is ~100 bytes
 
-WIRE_V1 = 1  # length-prefixed JSON
-WIRE_V2 = 2  # length-prefixed struct-packed binary
-SUPPORTED_VERSIONS = (WIRE_V1, WIRE_V2)
-
 NORMAL_KIND = "normal"
 
 BODY_REGISTRY: Dict[str, Type[Any]] = {cls.kind: cls for cls in CONTROL_KINDS}
@@ -66,76 +46,10 @@ BODY_REGISTRY[NORMAL_KIND] = NormalBody
 
 
 # ----------------------------------------------------------------------
-# Body / envelope codec — v1 (JSON)
+# Body / envelope codec
 # ----------------------------------------------------------------------
 
-def encode_body(body: Any) -> Dict[str, Any]:
-    """Encode a protocol body (control dataclass or NormalBody) to JSON."""
-    kind = NORMAL_KIND if isinstance(body, NormalBody) else getattr(body, "kind", None)
-    cls = BODY_REGISTRY.get(kind)
-    if cls is None or not isinstance(body, cls):
-        raise WireError(f"unregistered body type {type(body).__name__!r}")
-    fields = {
-        f.name: encode_field(getattr(body, f.name)) for f in dataclasses.fields(body)
-    }
-    return {"kind": kind, "fields": fields}
-
-
-def decode_body(payload: Dict[str, Any]) -> Any:
-    """Inverse of :func:`encode_body`."""
-    kind = payload.get("kind")
-    cls = BODY_REGISTRY.get(kind)
-    if cls is None:
-        raise WireError(f"unknown wire body kind {kind!r}")
-    fields = {key: decode_field(value) for key, value in payload["fields"].items()}
-    try:
-        return cls(**fields)
-    except TypeError as exc:
-        raise WireError(f"malformed {kind!r} body: {exc}") from exc
-
-
-def encode_envelope(envelope: Envelope) -> Dict[str, Any]:
-    """One JSON document for an envelope (lossless for protocol traffic).
-
-    ``deliver_time`` is deliberately not carried: the receiving kernel
-    stamps it at delivery, exactly as the simulated network does.
-    """
-    if envelope.body is None:
-        body = None
-    else:
-        body = encode_body(envelope.body)
-    return {
-        "src": envelope.src,
-        "dst": envelope.dst,
-        "category": envelope.category,
-        "body": body,
-        "msg_id": encode_field(envelope.msg_id),
-        "label": envelope.label,
-        "send_time": envelope.send_time,
-    }
-
-
-def decode_envelope(payload: Dict[str, Any]) -> Envelope:
-    """Inverse of :func:`encode_envelope`."""
-    try:
-        return Envelope(
-            src=payload["src"],
-            dst=payload["dst"],
-            category=payload["category"],
-            body=decode_body(payload["body"]) if payload["body"] is not None else None,
-            msg_id=decode_field(payload["msg_id"]),
-            label=payload["label"],
-            send_time=payload["send_time"],
-        )
-    except KeyError as exc:
-        raise WireError(f"wire envelope missing field {exc}") from exc
-
-
-# ----------------------------------------------------------------------
-# Body / envelope codec — v2 (binary)
-# ----------------------------------------------------------------------
-
-BINARY_TAG = 0xB2  # first payload byte; JSON frames start with '{' (0x7B)
+BINARY_TAG = 0xB2  # first payload byte of every frame; anything else is rejected
 
 # Stable kind codes: 0 = no body, 1 = normal, control kinds in registration
 # order after that.  Both ends derive the table from the same CONTROL_KINDS
@@ -163,7 +77,6 @@ _PACK_MSGID = _V2_MSGID.pack
 _UNPACK_MSGID = _V2_MSGID.unpack_from
 _PACK_LABEL = _V2_LABEL.pack
 _UNPACK_LABEL = _V2_LABEL.unpack_from
-_PACK_HEADER = _HEADER.pack
 _PACK_HEADER_INTO = _HEADER.pack_into
 _UNPACK_HEADER_FROM = _HEADER.unpack_from
 
@@ -172,9 +85,8 @@ _F_LABEL = 0x02
 _F_CONTROL = 0x04
 
 # Value tags for the payload section (a minimal schema-free binary codec
-# covering exactly the vocabulary the JSON field codec handles, so the two
-# paths decode to identical objects — including the repr degradation for
-# unknown types).
+# covering exactly the vocabulary the trace's JSON field codec handles,
+# including its repr degradation for unknown types).
 _T_NONE = 0
 _T_TRUE = 1
 _T_FALSE = 2
@@ -287,7 +199,7 @@ def _pack_value(
             _pack_value(out, key)
             _pack_value(out, item)
     else:
-        # Same lossy degradation as the JSON path's {"$repr": ...}: decodes
+        # Same lossy degradation as the trace codec's {"$repr": ...}: decodes
         # to the repr string on the other end.
         out.append(_T_REPR)
         _pack_str(out, repr(value))
@@ -395,15 +307,25 @@ def _encode_envelope_into(out: bytearray, envelope: Envelope) -> None:
         _pack_value(out, getattr(body, name))
 
 
-def _py_encode_envelope_binary(envelope: Envelope) -> bytes:
-    """The v2 payload for an envelope (no length prefix)."""
-    out = bytearray()
+def _py_dumps_frame(envelope: Envelope) -> bytes:
+    """Encode an envelope into one length-prefixed wire frame."""
+    out = bytearray(HEADER_SIZE)  # length backpatched below
     _encode_envelope_into(out, envelope)
+    payload = len(out) - HEADER_SIZE
+    if payload > MAX_FRAME:
+        raise WireError(f"frame of {payload} bytes exceeds MAX_FRAME={MAX_FRAME}")
+    _PACK_HEADER_INTO(out, 0, payload)
     return bytes(out)
 
 
-def _py_decode_envelope_binary(blob: Buffer) -> Envelope:
-    """Inverse of :func:`encode_envelope_binary`."""
+def _py_loads_frame(blob: Buffer) -> Envelope:
+    """Decode a frame *payload* (header already stripped) to an envelope.
+
+    The first byte must be :data:`BINARY_TAG`; any other format — a JSON
+    document from a pre-binary peer, say — raises, frame by frame.  Accepts
+    any bytes-like object; the zero-copy receive path passes ``memoryview``
+    slices.
+    """
     if len(blob) < _V2_FIXED.size:
         raise WireError("truncated binary envelope header")
     tag, kind_code, flags, src, dst, send_time = _UNPACK_FIXED(blob, 0)
@@ -450,97 +372,13 @@ def _py_decode_envelope_binary(blob: Buffer) -> Envelope:
     )
 
 
-# Public codec entry points.  These aliases are rebound to the compiled
-# implementations at the bottom of the module when the native codec is built
-# and passes its probe; the ``_py_`` names always stay interpreted so the
-# probe and E-NATIVE can compare backends inside one process.
-encode_envelope_binary = _py_encode_envelope_binary
-decode_envelope_binary = _py_decode_envelope_binary
-
-
-# ----------------------------------------------------------------------
-# Version negotiation (per TCP connection)
-# ----------------------------------------------------------------------
-
-HELLO_MAGIC = b"RW"
-_HELLO = struct.Struct(">2sBB")  # magic, max supported version, reserved
-HELLO_SIZE = _HELLO.size
-
-
-def pack_hello(version: int) -> bytes:
-    """The 4-byte hello a server writes on accept, advertising ``version``."""
-    if version not in SUPPORTED_VERSIONS:
-        raise WireError(f"cannot advertise unsupported wire version {version}")
-    return _HELLO.pack(HELLO_MAGIC, version, 0)
-
-
-async def read_hello(reader: asyncio.StreamReader, timeout: float = 5.0) -> int:
-    """The server's advertised version; :data:`WIRE_V1` when there is none.
-
-    A pre-v2 server writes nothing on accept, so a missing hello (timeout or
-    EOF) means "JSON-only peer" — the transparent-fallback half of the
-    negotiation.  The timeout is wall-clock seconds, deliberately generous:
-    a live server writes its hello in the accept callback, microseconds
-    after the connection lands.
-    """
-    try:
-        blob = await asyncio.wait_for(reader.readexactly(HELLO_SIZE), timeout)
-    except (asyncio.TimeoutError, asyncio.IncompleteReadError):
-        return WIRE_V1
-    magic, version, _ = _HELLO.unpack(blob)
-    if magic != HELLO_MAGIC or version < WIRE_V1:
-        return WIRE_V1
-    return version
-
-
-def negotiate(preferred: int, advertised: int) -> int:
-    """The version a client speaks: its preference capped by the server's."""
-    return max(WIRE_V1, min(preferred, advertised))
-
-
-# ----------------------------------------------------------------------
-# Framing
-# ----------------------------------------------------------------------
-
-def _py_dumps_frame(envelope: Envelope, version: int = WIRE_V2) -> bytes:
-    """Encode an envelope into one length-prefixed wire frame."""
-    if version == WIRE_V2:
-        blob = _py_encode_envelope_binary(envelope)
-    elif version == WIRE_V1:
-        blob = json.dumps(encode_envelope(envelope), separators=(",", ":")).encode()
-    else:
-        raise WireError(f"unsupported wire version {version}")
-    if len(blob) > MAX_FRAME:
-        raise WireError(f"frame of {len(blob)} bytes exceeds MAX_FRAME={MAX_FRAME}")
-    return _PACK_HEADER(len(blob)) + blob
-
-
-def _py_loads_frame(blob: Buffer) -> Envelope:
-    """Decode a frame *payload* (header already stripped) to an envelope.
-
-    Sniffs the format from the first byte — binary frames open with
-    :data:`BINARY_TAG`, JSON ones with ``{`` — so a receiver needs no
-    per-connection state to decode a mixed stream.  Accepts any bytes-like
-    object; the zero-copy receive path passes ``memoryview`` slices.
-    """
-    if not len(blob):
-        raise WireError("empty wire frame")
-    if blob[0] == BINARY_TAG:
-        return _py_decode_envelope_binary(blob)
-    try:
-        payload = json.loads(str(blob, "utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise WireError(f"undecodable wire frame: {exc}") from exc
-    return decode_envelope(payload)
-
-
-def _py_roundtrip(envelope: Envelope, version: int = WIRE_V2) -> Envelope:
-    """Serialize + deserialize an envelope through a full wire codec.
+def _py_roundtrip(envelope: Envelope) -> Envelope:
+    """Serialize + deserialize an envelope through the full wire codec.
 
     The loopback transport runs every message through this by default, so
     even socket-free tests prove the traffic is wire-serializable.
     """
-    return _py_loads_frame(_py_dumps_frame(envelope, version=version)[HEADER_SIZE:])
+    return _py_loads_frame(_py_dumps_frame(envelope)[HEADER_SIZE:])
 
 
 # Reused batch-assembly buffer: one allocation per process instead of one
@@ -550,15 +388,13 @@ def _py_roundtrip(envelope: Envelope, version: int = WIRE_V2) -> Envelope:
 _BATCH_BUF = bytearray()
 
 
-def _py_encode_batch(envelopes: Sequence[Envelope], version: int = WIRE_V2) -> bytes:
+def _py_encode_batch(envelopes: Sequence[Envelope]) -> bytes:
     """One contiguous buffer of length-prefixed frames for a whole batch.
 
-    Byte-identical to ``b"".join(dumps_frame(e, version=version) ...)`` —
-    the TCP transport's coalescing write path — without the per-frame bytes
-    objects and the final join copy.
+    Byte-identical to ``b"".join(dumps_frame(e) for e in envelopes)`` — the
+    links' coalescing write path — without the per-frame bytes objects and
+    the final join copy.
     """
-    if version != WIRE_V2:
-        return b"".join(_py_dumps_frame(env, version=version) for env in envelopes)
     out = _BATCH_BUF
     out.clear()
     for envelope in envelopes:
@@ -573,6 +409,10 @@ def _py_encode_batch(envelopes: Sequence[Envelope], version: int = WIRE_V2) -> b
     return bytes(out)
 
 
+# Public codec entry points.  These names are rebound to the compiled
+# functions at the bottom of the module when the native codec is built and
+# passes its probe; the ``_py_`` names always stay interpreted so the probe
+# and E-NATIVE can compare backends inside one process.
 dumps_frame = _py_dumps_frame
 loads_frame = _py_loads_frame
 roundtrip = _py_roundtrip
@@ -590,9 +430,10 @@ class FrameDecoder:
     Contract: decode each yielded view before advancing the iterator, and
     never call :meth:`feed` while a ``frames()`` iteration is live — views
     are released as the iterator advances (or closes), and the buffer is
-    compacted on the next feed.  :meth:`eof` maps a connection closed
-    mid-header/mid-frame onto the same :class:`~repro.errors.WireError`\\ s
-    as :func:`read_frame`, so callers keep one error contract.
+    compacted on the next feed.  :meth:`eof` turns a connection closed
+    mid-header or mid-frame into a :class:`~repro.errors.WireError` (the
+    peer died between header and payload — the caller decides whether that
+    is a tolerated crash or a bug); a close between frames is clean.
     """
 
     __slots__ = ("_buf", "_pos")
@@ -645,28 +486,6 @@ class FrameDecoder:
         if remaining < HEADER_SIZE:
             raise WireError("connection closed mid-header")
         raise WireError("connection closed mid-frame")
-
-
-async def read_frame(reader: asyncio.StreamReader) -> Optional[bytes]:
-    """Read one frame payload off ``reader``; None on clean EOF.
-
-    A connection closed mid-frame raises :class:`~repro.errors.WireError`
-    (the peer died between header and payload — the caller decides whether
-    that is a tolerated crash or a bug).
-    """
-    try:
-        header = await reader.readexactly(HEADER_SIZE)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None  # clean EOF between frames
-        raise WireError("connection closed mid-header") from exc
-    (length,) = _HEADER.unpack(header)
-    if length > MAX_FRAME:
-        raise WireError(f"incoming frame of {length} bytes exceeds MAX_FRAME={MAX_FRAME}")
-    try:
-        return await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise WireError("connection closed mid-frame") from exc
 
 
 # ----------------------------------------------------------------------
@@ -758,55 +577,27 @@ def _probe_native(module: Any) -> Optional[str]:
     miscompiled build degrades to the interpreted codec instead of shipping
     different bytes than the rest of the fleet.
     """
-    for envelope in _probe_corpus():
-        expected = _py_encode_envelope_binary(envelope)
-        if module.encode_envelope_binary(envelope) != expected:
-            return f"encode mismatch for {envelope.category} envelope"
-        decoded = module.decode_envelope_binary(expected)
-        if type(decoded) is not Envelope or decoded != _py_decode_envelope_binary(expected):
+    corpus = _probe_corpus()
+    for envelope in corpus:
+        expected = _py_dumps_frame(envelope)
+        if module.dumps_frame(envelope) != expected:
+            return f"frame mismatch for {envelope.category} envelope"
+        payload = expected[HEADER_SIZE:]
+        decoded = module.decode_envelope_binary(payload)
+        if type(decoded) is not Envelope or decoded != _py_loads_frame(payload):
             return "decode mismatch"
-        if module.encode_envelope_binary(decoded) != expected:
+        if module.dumps_frame(decoded) != expected:
             return "re-encode mismatch after native decode"
-        if module.dumps_frame(envelope) != _py_dumps_frame(envelope):
-            return "frame mismatch"
-    sample = _probe_corpus()[:3]
-    if module.encode_frames(sample) != _py_encode_batch(sample):
+        if module.roundtrip(envelope) != decoded:
+            return "roundtrip mismatch"
+    if module.encode_frames(corpus[:3]) != _py_encode_batch(corpus[:3]):
         return "batch mismatch"
     return None
 
 
-def _native_dumps_frame(envelope: Envelope, version: int = WIRE_V2) -> bytes:
-    """Encode an envelope into one length-prefixed wire frame."""
-    if version == WIRE_V2:
-        return _NATIVE.dumps_frame(envelope)
-    return _py_dumps_frame(envelope, version=version)
-
-
-def _native_loads_frame(blob: Buffer) -> Envelope:
-    """Decode a frame payload (header stripped); native for binary frames."""
-    if len(blob) and blob[0] == BINARY_TAG:
-        return _NATIVE.decode_envelope_binary(blob)
-    return _py_loads_frame(blob)
-
-
-def _native_roundtrip(envelope: Envelope, version: int = WIRE_V2) -> Envelope:
-    """Serialize + deserialize an envelope through a full wire codec."""
-    if version == WIRE_V2:
-        return _NATIVE.roundtrip(envelope)
-    return _py_roundtrip(envelope, version=version)
-
-
-def _native_encode_batch(envelopes: Sequence[Envelope], version: int = WIRE_V2) -> bytes:
-    """One contiguous buffer of length-prefixed frames for a whole batch."""
-    if version == WIRE_V2:
-        return _NATIVE.encode_frames(envelopes)
-    return _py_encode_batch(envelopes, version=version)
-
-
 def _install_native() -> None:
     """Load, configure, probe and (on success) switch in the compiled codec."""
-    global _NATIVE, encode_envelope_binary, decode_envelope_binary
-    global dumps_frame, loads_frame, roundtrip, encode_batch
+    global _NATIVE, dumps_frame, loads_frame, roundtrip, encode_batch
     module = _native.load("wirecodec")
     if module is None:
         return
@@ -847,12 +638,10 @@ def _install_native() -> None:
         _native.reject("wirecodec", problem)
         return
     _NATIVE = module
-    encode_envelope_binary = module.encode_envelope_binary
-    decode_envelope_binary = module.decode_envelope_binary
-    dumps_frame = _native_dumps_frame
-    loads_frame = _native_loads_frame
-    roundtrip = _native_roundtrip
-    encode_batch = _native_encode_batch
+    dumps_frame = module.dumps_frame
+    loads_frame = module.decode_envelope_binary
+    roundtrip = module.roundtrip
+    encode_batch = module.encode_frames
 
 
 _install_native()

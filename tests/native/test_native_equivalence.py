@@ -115,8 +115,8 @@ def test_probe_corpus_frames_are_byte_identical():
     # The import-time self-check corpus, re-asserted explicitly: native and
     # interpreted encoders produce the same bytes, and cross-decoding agrees.
     for env in wire._probe_corpus():
-        py_frame = wire._py_dumps_frame(env, version=wire.WIRE_V2)
-        nat_frame = wire.dumps_frame(env, version=wire.WIRE_V2)
+        py_frame = wire._py_dumps_frame(env)
+        nat_frame = wire.dumps_frame(env)
         assert nat_frame == py_frame
         blob = py_frame[wire.HEADER_SIZE:]
         nat = wire.loads_frame(blob)
@@ -151,10 +151,8 @@ def test_native_and_python_encoders_agree_on_arbitrary_payloads(
 ):
     env = normal(1, 2, MessageId(1, 7), label=label, body=M.NormalBody(payload=payload))
     env.send_time = send_time
-    assert wire.dumps_frame(env, version=wire.WIRE_V2) == wire._py_dumps_frame(
-        env, version=wire.WIRE_V2
-    )
-    blob = wire.dumps_frame(env, version=wire.WIRE_V2)[wire.HEADER_SIZE:]
+    assert wire.dumps_frame(env) == wire._py_dumps_frame(env)
+    blob = wire.dumps_frame(env)[wire.HEADER_SIZE:]
     assert wire.loads_frame(blob).body == wire._py_loads_frame(blob).body
 
 

@@ -209,32 +209,3 @@ def test_live_cluster_grows_and_shrinks_mid_run(tmp_path):
         assert 1 in cluster.procs[pid].engine.departed_peers
     check_c1_from_trace(index)
     assert cluster.summary()["timer_errors"] == 0
-
-
-def test_mixed_version_cluster_commits_consistent_checkpoint(tmp_path):
-    # A rolling-upgrade cluster: node 0's endpoint only speaks the JSON v1
-    # wire format while the others advertise binary v2.  Senders negotiate
-    # per connection, so traffic to node 0 goes as JSON and everything else
-    # as binary — and the mixed cluster still commits a C1-consistent line.
-    from repro.runtime import wire
-    from repro.runtime.transport import TcpTransport
-
-    transport = TcpTransport(codec="binary", server_versions={0: wire.WIRE_V1})
-    cluster = build(tmp_path, transport=transport)
-
-    async def scenario():
-        await cluster.start()
-        await cluster.wait_until(
-            lambda: everyone_committed_twice(cluster),
-            timeout=120.0,
-            what="committed checkpoints",
-        )
-        await cluster.shutdown()
-
-    run(scenario())
-    check_c1_from_trace(cluster.merged_index(), pids=list(cluster.procs))
-    # Both formats were genuinely on the wire.
-    negotiated = cluster.summary()["negotiated"]
-    assert negotiated["0"] == wire.WIRE_V1
-    assert all(v == wire.WIRE_V2 for pid, v in negotiated.items() if pid != "0")
-    assert cluster.summary()["timer_errors"] == 0

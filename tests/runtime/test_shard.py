@@ -2,18 +2,31 @@
 
 The acceptance scenario for multi-process operation: pids placed by
 consistent hashing across worker OS processes, intra-shard traffic on the
-loopback fast path, inter-shard traffic on wire-v2 TCP links — and the
+loopback fast path, inter-shard traffic on batched TCP links — and the
 merged per-shard traces still satisfy the paper's C1 recovery-line
 consistency after a mid-run kill and restart, exactly as a single-kernel
 run does.
 """
 
+import asyncio
+
 import pytest
 
 from repro.analysis import check_c1_from_trace
 from repro.core import ProtocolConfig
-from repro.errors import SimulationError
-from repro.runtime.shard import HashRing, ShardedCluster
+from repro.errors import SimulationError, TransportError
+from repro.net.delay import FixedDelay
+from repro.net.message import normal
+from repro.runtime import Cluster, LoopbackTransport, wire
+from repro.runtime.shard import (
+    HashRing,
+    ShardedCluster,
+    ShardNetwork,
+    ShardRuntime,
+    ShardTransport,
+)
+from repro.sim.node import Node
+from repro.types import MessageId
 
 
 # ----------------------------------------------------------------------
@@ -53,6 +66,88 @@ def test_ring_rejects_degenerate_shapes():
         HashRing(0)
     with pytest.raises(SimulationError):
         HashRing(2, replicas=0)
+
+
+# ----------------------------------------------------------------------
+# The inter-shard link (two shard kernels in this process, real sockets)
+# ----------------------------------------------------------------------
+
+class Sink(Node):
+    def __init__(self, node_id):
+        super().__init__(node_id)
+        self.received = []
+
+    def on_envelope(self, envelope):
+        self.received.append(envelope)
+
+
+def shard_kernel(shard, ring, pids):
+    transport = ShardTransport(shard, ring)
+    runtime = ShardRuntime(
+        pids, seed=0, transport=transport, time_scale=0.01,
+        network=ShardNetwork(transport, pids, delay_model=FixedDelay(0.0)),
+    )
+    nodes = {pid: runtime.add_node(Sink(pid)) for pid in ring.assignment(pids)[shard]}
+    return transport, runtime, nodes
+
+
+def test_inter_shard_burst_is_written_as_encode_batch_buffers(monkeypatch):
+    # The shard link is the same batched link TcpTransport uses: a queued
+    # burst leaves as wire.encode_batch buffers (never per-frame joins), and
+    # what the sender counts out the receiver counts in.
+    ring, pids, burst = HashRing(2), list(range(8)), 48
+    (out, sender, local), (into, receiver, remote) = (
+        shard_kernel(shard, ring, pids) for shard in (0, 1)
+    )
+    src, dst = min(local), min(remote)
+    written = []  # (frames, bytes) per encode_batch call
+
+    def encode_batch(batch, real=wire.encode_batch):
+        buffer = real(batch)
+        written.append((len(batch), len(buffer)))
+        return buffer
+
+    def dumps_frame(envelope):
+        raise AssertionError("per-frame encode on a shard link")
+
+    monkeypatch.setattr(wire, "encode_batch", encode_batch)
+    monkeypatch.setattr(wire, "dumps_frame", dumps_frame)
+
+    async def scenario():
+        addrs = {0: (out.host, await out.listen()), 1: (into.host, await into.listen())}
+        for transport in (out, into):
+            transport.set_peers(addrs)
+        await sender.start()
+        await receiver.start()
+        for i in range(burst):
+            local[src].send(normal(src, dst, MessageId(src, i), label=1, body=None))
+        await receiver.wait_until(
+            lambda: len(remote[dst].received) == burst, timeout=60.0, what="the burst"
+        )
+        await sender.shutdown()
+        await receiver.shutdown()
+
+    asyncio.run(asyncio.wait_for(scenario(), 60))
+    assert out.frames_sent == into.frames_received == burst
+    assert out.batches_sent == len(written) < out.frames_sent
+    assert sum(frames for frames, _ in written) == burst
+    assert out.bytes_sent == sum(size for _, size in written)
+    assert out.intra_delivered == 0 and into.misrouted == 0 and into.links_rejected == 0
+    assert [e.msg_id.send_index for e in remote[dst].received] == list(range(burst))
+
+
+def test_retired_json_codec_is_rejected_by_name(tmp_path):
+    # The knob that used to select wire v1 names its removal instead of
+    # failing as an unknown value; the surviving values keep working.
+    with pytest.raises(TransportError, match="'json' was removed"):
+        LoopbackTransport(codec="json")
+    for transport in ("tcp", "loopback"):
+        with pytest.raises(TransportError, match="'json' was removed"):
+            Cluster(n=2, root=str(tmp_path / "json"), transport=transport, codec="json")
+    for codec in ("binary", True, False):
+        assert LoopbackTransport(codec=codec).codec is (codec is not False)
+        Cluster(n=2, root=str(tmp_path / f"ok-{codec}"), transport="loopback", codec=codec)
+    Cluster(n=2, root=str(tmp_path / "tcp"), transport="tcp", codec="binary")
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,21 @@
 """Transport semantics: loopback and TCP carry the same traffic contract."""
 
 import asyncio
+import struct
 
 import pytest
 
 from repro.errors import TransportError
 from repro.net.delay import FixedDelay, UniformDelay
 from repro.net.message import normal
-from repro.runtime import AsyncRuntime, LoopbackTransport, TcpTransport
+from repro.runtime import (
+    AsyncRuntime,
+    HashRing,
+    LoopbackTransport,
+    ShardTransport,
+    TcpTransport,
+    wire,
+)
 from repro.sim.node import Node
 from repro.types import MessageId
 
@@ -85,8 +93,8 @@ def test_loopback_delivery_respects_crash_policy():
 
 
 def test_loopback_codec_roundtrips_bodies():
-    # codec=True (default) pushes every envelope through the JSON wire
-    # codec; a non-serializable body must fail loudly at send time.
+    # codec=True (default) pushes every envelope through the wire codec;
+    # a non-serializable body must fail loudly at send time.
     from repro.errors import WireError
 
     runtime, nodes = build(LoopbackTransport())
@@ -224,35 +232,82 @@ def test_tcp_batched_drain_coalesces_writes():
     assert {e.msg_id.send_index for e in nodes[1].received} == set(range(64))
 
 
-def test_tcp_negotiates_down_to_json_only_peer():
-    # Node 1's server advertises v1 (a JSON-only peer); node 2's speaks v2.
-    # The same binary-preferring sender must talk JSON to one and binary to
-    # the other, transparently.
-    from repro.runtime import wire
-
-    transport = TcpTransport(codec="binary", server_versions={1: wire.WIRE_V1})
-    runtime, nodes = build(transport, n=3, delay=FixedDelay(0.0))
+def test_tcp_disconnect_salvages_the_batch_its_pump_holds():
+    # Section 6 assumes traffic for a killed peer reaches its spoolers.  The
+    # pump may already have dequeued a batch (here: suspended in its connect)
+    # when disconnect() cancels it; that batch must be salvaged, not lost.
+    transport = TcpTransport()
+    runtime, nodes = build(transport, n=3)
+    runtime.network.install_spoolers(1, [0, 2])
 
     async def scenario():
         await runtime.start()
+        entered, release = asyncio.Event(), asyncio.Event()
+        real_connect = transport._connect
+
+        async def blocked_connect(dst):
+            entered.set()
+            await release.wait()
+            return await real_connect(dst)
+
+        transport._connect = blocked_connect
         nodes[0].send(envelope(0, 1, 0))
-        nodes[0].send(envelope(0, 2, 0))
+        await asyncio.wait_for(entered.wait(), 10)  # batch in hand, not yet written
+        runtime.crash(1)
+        transport.disconnect(1)
         await runtime.wait_until(
-            lambda: runtime.network.delivered == 2, timeout=60.0, what="deliveries"
+            lambda: runtime.network.spooled == 1, timeout=30.0, what="the salvage"
         )
         await runtime.shutdown()
 
     run(scenario())
-    assert transport.negotiated[1] == wire.WIRE_V1
-    assert transport.negotiated[2] == wire.WIRE_V2
-    assert len(nodes[1].received) == 1 and len(nodes[2].received) == 1
+    salvaged = runtime.network.spooler_for(1).drain(runtime.is_alive)
+    assert [e.msg_id.send_index for e in salvaged] == [0]
+    assert runtime.network.dropped == 0
+    assert transport.frames_sent == 0
+
+
+@pytest.mark.parametrize("kind", ["tcp", "shard"])
+def test_undecodable_payload_costs_only_its_connection(kind):
+    # A well-framed payload that does not decode (a version-skewed or hostile
+    # peer) cannot be skipped — the link is closed and counted, nothing
+    # escapes into the kernel's error list, and the next connection is served.
+    if kind == "tcp":
+        transport = TcpTransport()
+        port = lambda: transport.ports[1]  # noqa: E731
+    else:
+        transport = ShardTransport(0, HashRing(1))  # one shard: every pid is local
+        port = lambda: transport.port  # noqa: E731
+    runtime, nodes = build(transport, n=2, delay=FixedDelay(0.0))
+    good = wire.dumps_frame(envelope(0, 1, 7))
+
+    async def scenario():
+        await runtime.start()
+        reader, writer = await asyncio.open_connection(transport.host, port())
+        junk = b'{"wire": "v1"}'
+        writer.write(good + struct.pack(">I", len(junk)) + junk + good)
+        assert await asyncio.wait_for(reader.read(), 10) == b""  # server hung up
+        writer.close()
+        assert transport.links_rejected == 1
+        assert transport.frames_received == 1  # the frame before the junk, only
+
+        _, writer = await asyncio.open_connection(transport.host, port())
+        writer.write(good)
+        await runtime.wait_until(
+            lambda: len(nodes[1].received) == 2, timeout=30.0, what="both good frames"
+        )
+        writer.close()
+        runtime.check()
+        await runtime.shutdown()
+
+    run(scenario())
+    assert transport.links_rejected == 1
+    assert [e.msg_id.send_index for e in nodes[1].received] == [7, 7]
 
 
 def test_tcp_rejects_bad_knobs():
     with pytest.raises(TransportError):
         TcpTransport(max_batch=0)
-    with pytest.raises(TransportError):
-        TcpTransport(codec=None)
     with pytest.raises(TransportError):
         LoopbackTransport(codec="morse")
 

@@ -53,22 +53,24 @@ def _equal(a, b):
     assert type(a.body) is type(b.body)
 
 
-@pytest.mark.parametrize("version", [wire.WIRE_V1, wire.WIRE_V2])
+@pytest.mark.parametrize("frames", [1, 2])
 @pytest.mark.parametrize("env", CORPUS, ids=lambda e: type(e.body).__name__)
-def test_view_and_bytes_decode_agree(env, version):
-    blob = wire.dumps_frame(env, version=version)[wire.HEADER_SIZE:]
+def test_view_and_bytes_decode_agree(env, frames):
+    """A payload decodes the same from ``bytes`` and from a view into a
+    receive buffer holding ``frames`` coalesced frames (it is the last)."""
+    blob = wire.dumps_frame(env)[wire.HEADER_SIZE:]
+    buffer = wire.encode_batch([env] * frames)
+    view = memoryview(buffer)[len(buffer) - len(blob):]
+    assert view == blob
     via_bytes = wire.loads_frame(blob)
-    via_view = wire.loads_frame(memoryview(blob))
+    via_view = wire.loads_frame(view)
     _equal(via_bytes, via_view)
     _equal(via_bytes, env)
-    # And a view over a *larger* buffer (the receive-buffer shape).
-    padded = memoryview(b"\xff" * 3 + blob + b"\xff" * 5)[3 : 3 + len(blob)]
-    _equal(wire.loads_frame(padded), env)
 
 
 @pytest.mark.parametrize("env", CORPUS[:3], ids=lambda e: type(e.body).__name__)
 def test_truncated_view_and_bytes_raise_the_same_error(env):
-    blob = wire.dumps_frame(env, version=wire.WIRE_V2)[wire.HEADER_SIZE:]
+    blob = wire.dumps_frame(env)[wire.HEADER_SIZE:]
     for cut in (1, 5, len(blob) // 2, len(blob) - 1):
         with pytest.raises(WireError):
             wire.loads_frame(blob[:cut])
@@ -97,18 +99,18 @@ _payloads = st.recursive(
 def test_view_decode_matches_bytes_decode_for_arbitrary_payloads(payload, label):
     env = normal(3, 4, MessageId(3, 11), label=label, body=M.NormalBody(payload=payload))
     env.send_time = 2.25
-    blob = wire.dumps_frame(env, version=wire.WIRE_V2)[wire.HEADER_SIZE:]
+    blob = wire.dumps_frame(env)[wire.HEADER_SIZE:]
     via_view = wire.loads_frame(memoryview(blob))
     _equal(via_view, wire.loads_frame(blob))
     # Re-encoding what the view path decoded reproduces the exact bytes.
-    assert wire.dumps_frame(via_view, version=wire.WIRE_V2)[wire.HEADER_SIZE:] == blob
+    assert wire.dumps_frame(via_view)[wire.HEADER_SIZE:] == blob
 
 
 # ----------------------------------------------------------------------
 # FrameDecoder: the sans-IO splitter behind the TCP receive loop
 # ----------------------------------------------------------------------
-def _frames_bytes(envs, version=wire.WIRE_V2):
-    return b"".join(wire.dumps_frame(e, version=version) for e in envs)
+def _frames_bytes(envs):
+    return b"".join(wire.dumps_frame(e) for e in envs)
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 7, 64, 10**6])
@@ -129,8 +131,16 @@ def test_frame_decoder_reassembles_across_reads(chunk):
 
 
 def test_frame_decoder_eof_contract_matches_read_frame():
+    """The close contract, stated on its own: a stream may end between
+    frames and nowhere else.  (``read_frame`` is gone; this is what any
+    reader of frames — today the links' receive loop — relies on.)"""
     decoder = wire.FrameDecoder()
     decoder.eof()  # empty stream: clean
+
+    decoder = wire.FrameDecoder()
+    decoder.feed(wire.dumps_frame(CORPUS[0]))
+    assert len(list(decoder.frames())) == 1
+    decoder.eof()  # closed right after a whole frame: clean
 
     decoder = wire.FrameDecoder()
     decoder.feed(b"\x00\x00")
@@ -163,20 +173,17 @@ def test_frame_decoder_abandoned_iteration_releases_views():
 # ----------------------------------------------------------------------
 # encode_batch: the coalesced send buffer
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("version", [wire.WIRE_V1, wire.WIRE_V2])
-def test_encode_batch_is_byte_identical_to_joined_frames(version):
-    assert wire.encode_batch([], version=version) == b""
-    batch = CORPUS
-    joined = _frames_bytes(batch, version=version)
-    assert wire.encode_batch(batch, version=version) == joined
-    # And the buffer reuse does not corrupt a second batch.
-    assert wire.encode_batch(batch[:5], version=version) == _frames_bytes(
-        batch[:5], version=version
-    )
+@pytest.mark.parametrize("repeats", [1, 2])
+def test_encode_batch_is_byte_identical_to_joined_frames(repeats):
+    assert wire.encode_batch([]) == b""
+    batch = CORPUS * repeats
+    assert wire.encode_batch(batch) == _frames_bytes(batch)
+    # And the buffer reuse does not corrupt a second, shorter batch.
+    assert wire.encode_batch(batch[:5]) == _frames_bytes(batch[:5])
 
 
 def test_encode_batch_splits_back_into_the_same_envelopes():
-    buffer = wire.encode_batch(CORPUS, version=wire.WIRE_V2)
+    buffer = wire.encode_batch(CORPUS)
     decoder = wire.FrameDecoder()
     decoder.feed(buffer)
     decoded = [wire.loads_frame(view) for view in decoder.frames()]
