@@ -1,21 +1,18 @@
-"""Loader for the optional native (compiled) hot-path modules.
+"""Loader for the optional native (compiled) wire codec.
 
-The ROADMAP's compile-the-hot-path item rests on a guarantee PR 5 already
-enforces: the wire codec and the snapshot freeze/diff path are pure
-(no kernel or IO imports), so they can be swapped for compiled versions
-without touching any caller.  This package is the single place that swap
-happens:
+The wire codec is pure (no kernel or IO imports), so it can be swapped for a
+compiled version without touching any caller.  This package is the single
+place that swap happens:
 
-* ``build`` (``python -m repro._native build``) compiles the hand-written
-  CPython extensions in this directory — ``_wirecodec.c`` (the wire-v2
-  binary envelope codec) and ``_snapshot.c`` (freeze/thaw/content-hash/diff)
-  — using only a C compiler and the Python headers.  mypyc/Cython were the
-  first candidates, but the reference container ships neither (and nothing
-  may be pip-installed there), so the native layer is written directly
-  against the CPython API; the build needs exactly ``cc`` + ``Python.h``.
-  The engine event loop stays interpreted: compiling it means compiling the
-  whole protocol stack, which needs the mypyc toolchain — the loader
-  reports it as a fallback rather than pretending (see DESIGN.md §14).
+* ``build`` (``python -m repro._native build``) compiles the one hand-written
+  CPython extension in this directory — ``_wirecodec.c``, the binary
+  envelope codec — using only a C compiler and the Python headers.
+  mypyc/Cython were the first candidates, but the reference container ships
+  neither (and nothing may be pip-installed there), so the native layer is
+  written directly against the CPython API; the build needs exactly ``cc`` +
+  ``Python.h``.  The engine event loop stays interpreted: compiling it means
+  compiling the whole protocol stack, which needs the mypyc toolchain — the
+  loader reports it as a fallback rather than pretending (see DESIGN.md §14).
 * ``load`` imports a compiled module if present and ABI-compatible, else
   returns ``None`` — the consumer keeps its interpreted implementation.
   Selection is controlled by ``REPRO_NATIVE``:
@@ -32,9 +29,9 @@ happens:
   ==========  =========================================================
 
 Correctness is gated the same way PR 5 gated the engine extraction: the
-compiled and interpreted builds must produce bit-identical golden figure
-2/3/4 traces and identical wire frames (``tests/native``), and each consumer
-runs a self-check probe at import time before trusting a compiled module.
+compiled and interpreted codecs must produce identical wire frames
+(``tests/native``), and the consumer runs a self-check probe at import time
+before trusting a compiled module.
 """
 
 from __future__ import annotations
@@ -45,7 +42,7 @@ from typing import Any, Dict, Optional
 
 #: Bumped whenever the Python<->C interface of any extension changes; a
 #: compiled module with a different ABI is ignored (stale build on disk).
-NATIVE_ABI = 1
+NATIVE_ABI = 2
 
 #: name -> imported module (or None after a failed/disabled load).
 _MODULES: Dict[str, Optional[Any]] = {}
@@ -53,7 +50,7 @@ _MODULES: Dict[str, Optional[Any]] = {}
 _FALLBACK_REASONS: Dict[str, str] = {}
 
 #: Extension modules this package knows how to build/load.
-EXTENSIONS = ("wirecodec", "snapshot")
+EXTENSIONS = ("wirecodec",)
 
 
 def mode() -> str:
@@ -121,7 +118,7 @@ def reject(name: str, reason: str) -> None:
 
 
 def status() -> Dict[str, Dict[str, Any]]:
-    """Per-hot-path backend report (what E-NATIVE records per row).
+    """Per-hot-path backend report.
 
     The engine row is always interpreted for now — honest fallback until a
     mypyc-capable toolchain lands — so the report names the gate instead of

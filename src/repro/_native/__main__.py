@@ -43,9 +43,8 @@ def main(argv: List[str]) -> int:
             return 1
         return 0
 
-    # status: importing the consumers wires (and self-checks) the extensions.
+    # status: importing the consumer wires (and self-checks) the extension.
     import repro.runtime.wire  # noqa: F401
-    import repro.stable.snapshot  # noqa: F401
     from repro._native import status
 
     report = status()

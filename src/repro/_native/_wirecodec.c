@@ -21,7 +21,7 @@
 #include <stdint.h>
 #include <string.h>
 
-#define NATIVE_ABI_VERSION 1
+#define NATIVE_ABI_VERSION 2
 
 /* Value tags — must mirror wire.py. */
 #define T_NONE 0
@@ -1177,7 +1177,8 @@ decode_from_reader(Reader *r)
     unsigned char kind_code = r->data[1];
     unsigned char flags = r->data[2];
     if (tag != cfg.binary_tag) {
-        PyErr_Format(cfg.wire_error, "bad binary frame tag 0x%02X", (int)tag);
+        const char *hex = "0123456789ABCDEF"; /* PyErr_Format has no %X before 3.12 */
+        PyErr_Format(cfg.wire_error, "bad binary frame tag 0x%c%c", hex[tag >> 4], hex[tag & 15]);
         return NULL;
     }
     int32_t src = read_be32(r->data + 3);

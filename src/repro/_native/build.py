@@ -1,4 +1,4 @@
-"""Build the native hot-path extensions with nothing but ``cc`` + headers.
+"""Build the native wire codec with nothing but ``cc`` + headers.
 
 Deliberately not a setuptools build: the reference environment has no build
 frontend and nothing may be installed into it, so this module shells out to
@@ -105,9 +105,13 @@ def build(
 
 
 def clean(names: Optional[Sequence[str]] = None) -> List[str]:
-    """Remove built artifacts; returns the paths removed."""
+    """Remove built artifacts; returns the paths removed.
+
+    ``snapshot`` is the retired extension: an old checkout's ``.so`` must
+    not outlive its source.
+    """
     removed = []
-    for name in names or EXTENSIONS:
+    for name in names or (*EXTENSIONS, "snapshot"):
         out = artifact_path(name)
         if os.path.exists(out):
             os.unlink(out)

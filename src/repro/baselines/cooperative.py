@@ -121,7 +121,7 @@ class CoopState:
     closed: bool = False
 
 
-class CooperativeSnapshotEngine(ProtocolEngine):
+class CooperativeEngine(ProtocolEngine):
     """Dependency-scoped snapshots with cooperative instance sharing."""
 
     #: Initiator-side deadline before an instance is presumed wedged
@@ -400,7 +400,7 @@ class CooperativeSnapshotEngine(ProtocolEngine):
 
 
 class CooperativeProcess(BaselineProcess):
-    """Adapter driving :class:`CooperativeSnapshotEngine`."""
+    """Adapter driving :class:`CooperativeEngine`."""
 
     algorithm_name = "cooperative"
-    engine_class = CooperativeSnapshotEngine
+    engine_class = CooperativeEngine

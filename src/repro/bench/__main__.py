@@ -25,10 +25,6 @@ from repro.bench import ablations as A
 from repro.bench import app as APP
 from repro.bench import churn as CH
 from repro.bench import experiments as E
-from repro.bench import live as L
-from repro.bench import native as N
-from repro.bench import perf as P
-from repro.bench import shards as SH
 from repro.bench.harness import format_table, print_experiment, rows_to_json, write_json
 from repro.bench.parallel import run_registry_parallel
 
@@ -40,7 +36,6 @@ REGISTRY: Dict[str, Tuple[str, Callable[[], List[Dict[str, Any]]]]] = {
     "abl-freq": ("Checkpoint frequency trade-off", lambda: A.experiment_checkpoint_frequency()),
     "abl-detect": ("Detection latency vs. blocking", lambda: A.experiment_detection_latency()),
     "abl-topology": ("Workload topology vs. tree shape", lambda: A.experiment_topology()),
-    "observability": ("Trace pipeline: streaming + index at scale", lambda: A.experiment_observability()),
     "fig1": ("Fig. 1 — inconsistency prevented", lambda: [E.experiment_fig1()]),
     "fig2": ("Fig. 2 — message labels", lambda: E.experiment_fig2()),
     "fig3": ("Fig. 3 / Example 1 — chain tree", lambda: [E.experiment_fig3()]),
@@ -53,10 +48,6 @@ REGISTRY: Dict[str, Tuple[str, Callable[[], List[Dict[str, Any]]]]] = {
     "nonfifo": ("Non-FIFO channels", lambda: [E.experiment_nonfifo()]),
     "extension": ("Section 3.5.3 extension", lambda: E.experiment_extension()),
     "domino": ("Domino effect (motivation)", lambda: E.experiment_domino()),
-    "perf": ("E-PERF — snapshot engine + parallel sweeps", lambda: P.experiment_perf()),
-    "live": ("E-LIVE — live kernel vs. simulator", lambda: L.experiment_live()),
-    "enative": ("E-NATIVE — compiled vs interpreted hot paths", lambda: N.experiment_native()),
-    "escale-shards": ("E-SCALE — sharded runtime scaling", lambda: SH.experiment_shards()),
     "eapp": ("E-APP — checkpoint-as-a-service job workload", lambda: APP.experiment_app()),
     "echurn": ("E-CHURN — checkpointing under membership churn", lambda: CH.experiment_churn()),
 }

@@ -10,24 +10,18 @@ DESIGN.md calls out several design dimensions worth quantifying:
 * **E-ABL-DETECT** — failure-detection latency vs. how long survivors stay
   blocked on a crashed peer (the Section 6 rules fire on detection);
 * **E-ABL-TOPOLOGY** — how the workload's communication shape (random,
-  client-server, pipeline, ring) molds the checkpoint trees;
-* **E-OBSERVABILITY** — the trace pipeline itself at scale: streaming sinks
-  keep resident trace memory at zero while the incremental index answers
-  the analysis-layer query mix far faster than full-trace scans.
+  client-server, pipeline, ring) molds the checkpoint trees.
 """
 
 from __future__ import annotations
 
-import os
-import tempfile
-import time
 from typing import Any, Dict, List
 
 from repro.analysis import check_recovery_line, collect, reconstruct_trees
 from repro.core import ProtocolConfig
 from repro.failure import FailureInjector
 from repro.net import UniformDelay
-from repro.sim import JsonlStreamSink, MetricsSink, trace as T
+from repro.sim import trace as T
 from repro.testing import build_sim, run_random_workload
 from repro.workloads import (
     ClientServerWorkload,
@@ -83,79 +77,6 @@ def experiment_scale(sizes=(4, 8, 16, 32), seeds: int = 3) -> List[Dict[str, Any
                 sum(long_forced) / len(long_forced) if long_forced else 0.0
             ),
         })
-    return rows
-
-
-def experiment_observability(
-    sizes=(32, 64), seed: int = 0, duration: float = 6.0, repeats: int = 50
-) -> List[Dict[str, Any]]:
-    """E-OBSERVABILITY: the trace pipeline itself, at 2x the E-SCALE sizes.
-
-    For each n, the same seeded workload runs twice: once with the default
-    in-memory sink (every event retained, index attached for analysis), and
-    once streaming to jsonl + rolling metrics (no event retained).  The
-    runs are deterministic, so the streamed line count must equal the
-    in-memory event count — the table shows memory boundedness directly.
-
-    The analysis-speed column times the consumers' common query mix —
-    by-kind lookups over commits, rollbacks, sends and instance lifecycle —
-    as a naive full-trace scan vs. the incremental ``TraceIndex``.
-    """
-    kinds = (
-        T.K_CHKPT_COMMIT, T.K_ROLLBACK, T.K_SEND,
-        T.K_INSTANCE_START, T.K_INSTANCE_COMMIT,
-    )
-    rows = []
-    for n in sizes:
-        def workload(sim, procs):
-            RandomPeerWorkload(message_rate=1.0, duration=duration,
-                               checkpoint_rate=0.05, locality=2).install(sim, procs)
-            sim.scheduler.at(duration, lambda p=procs, k=n // 2: p[k].initiate_checkpoint())
-            sim.run(max_events=2000000)
-
-        # Run 1: default in-memory pipeline + incremental index.
-        sim, procs = build_sim(n=n, seed=seed, delay=UniformDelay(0.4, 0.9))
-        workload(sim, procs)
-        events = len(sim.trace)
-        snapshot = sim.trace.events  # the naive scans' input
-        index = sim.trace.index
-
-        begin = time.perf_counter()
-        for _ in range(repeats):
-            for kind in kinds:
-                scan_hits = len([e for e in snapshot if e.kind == kind])
-        scan_ms = (time.perf_counter() - begin) * 1000.0
-
-        begin = time.perf_counter()
-        for _ in range(repeats):
-            for kind in kinds:
-                index_hits = index.count(kind)
-        indexed_ms = (time.perf_counter() - begin) * 1000.0
-        assert scan_hits == index_hits  # same answers, different cost
-
-        # Run 2: identical seed, streaming pipeline — nothing retained.
-        handle, path = tempfile.mkstemp(suffix=".jsonl")
-        os.close(handle)
-        try:
-            stream = JsonlStreamSink(path)
-            metrics = MetricsSink()
-            sim2, procs2 = build_sim(n=n, seed=seed, delay=UniformDelay(0.4, 0.9),
-                                     sinks=[stream, metrics])
-            workload(sim2, procs2)
-            sim2.trace.close()
-            rows.append({
-                "n": n,
-                "events": events,
-                "inmemory_retained": sim.trace.retained_events,
-                "stream_retained": sim2.trace.retained_events,
-                "stream_written": stream.written,
-                "stream_commits": metrics.checkpoints_committed,
-                "scan_ms": scan_ms,
-                "indexed_ms": indexed_ms,
-                "speedup": scan_ms / indexed_ms if indexed_ms else float("inf"),
-            })
-        finally:
-            os.unlink(path)
     return rows
 
 

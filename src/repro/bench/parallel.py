@@ -1,41 +1,29 @@
-"""Parallel sweep runner for the benchmark CLI.
+"""Parallel runner for the benchmark CLI (``--parallel N``).
 
 Experiments in the registry are independent of each other (each builds its
-own simulations from explicit seeds), so a sweep over experiment names is
-embarrassingly parallel.  This module fans the work out over a
+own simulations from explicit seeds), so running a list of experiment names
+is embarrassingly parallel.  This module fans the work out over a
 :class:`~concurrent.futures.ProcessPoolExecutor`:
 
 * **Processes, not threads** — experiments are pure-Python CPU work, so
   threads would serialise on the GIL.
-* **Honest worker counts** — requested workers are capped by
-  :func:`effective_workers` at the number of points *and* the number of
-  visible CPUs: fanning 2 processes out on a 1-core container is strictly
-  slower than the serial loop (process spawn + pickling with zero extra
-  compute), which is exactly the ``speedup: 0.75`` regression an early
-  BENCH_PERF.json recorded.  When the cap resolves to one worker the sweep
-  short-circuits to a plain in-process loop.
-* **One pool, chunked work** — the executor is created once and reused
-  across sweeps and registry entries (worker start-up is the dominant fixed
-  cost), and sweep points are submitted as one contiguous chunk per worker
-  instead of one task per point, so a point costs one pickle round-trip per
-  *chunk* rather than per point.
-* **Deterministic seeding** — workers never draw fresh entropy.  Every
-  sweep point derives its seed from the sweep's base seed and the point's
-  *index* via :func:`point_seed` (a stable blake2 derivation), so results
-  are identical whether a point runs in the parent, in worker 1, or in
-  worker 7 — and identical run-to-run for any worker count.
-* **Order-stable merging** — chunks are contiguous slices collected with
-  ``executor.map`` (submission order), so concatenating their rows
-  reproduces the serial order exactly.  The merged artifact (tables,
-  ``--json`` output) is byte-identical to a serial run.
+* **Honest worker counts** — requested workers are capped at the number of
+  names *and* the number of visible CPUs: fanning 2 processes out on a
+  1-core container is strictly slower than the serial loop (process spawn +
+  pickling with zero extra compute).  When the cap resolves to one worker
+  the run short-circuits to a plain in-process loop.
+* **One pool** — the executor is created once and reused (worker start-up
+  is the dominant fixed cost).
+* **Order-stable merging** — results are collected with ``executor.map``
+  (submission order), so the merged artifact (tables, ``--json`` output) is
+  byte-identical to a serial run.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 _POOL: Optional[ProcessPoolExecutor] = None
 _POOL_WORKERS = 0
@@ -46,21 +34,11 @@ def _visible_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def effective_workers(workers: int, points: int) -> int:
-    """Worker processes that can actually help for ``points`` work items.
-
-    Capped at the point count (idle workers cost start-up for nothing) and
-    at the visible CPU count (pure-CPU work cannot go faster than the
-    cores it runs on — oversubscription only adds pickling overhead).
-    """
-    return max(1, min(workers, points, _visible_cpus()))
-
-
 def get_pool(workers: int) -> ProcessPoolExecutor:
     """The shared executor, grown (never shrunk) to ``workers`` processes.
 
-    Reused across sweeps and registry entries so each benchmark pays worker
-    start-up once per process lifetime, not once per measurement.
+    Reused across calls so a benchmark session pays worker start-up once
+    per process lifetime, not once per measurement.
     """
     global _POOL, _POOL_WORKERS
     if _POOL is None or _POOL_WORKERS < workers:
@@ -78,18 +56,6 @@ def shutdown_pool() -> None:
         _POOL.shutdown()
         _POOL = None
         _POOL_WORKERS = 0
-
-
-def point_seed(base_seed: int, index: int) -> int:
-    """Deterministic per-point seed, independent of scheduling.
-
-    Derived by hashing ``(base_seed, index)`` so neighbouring points get
-    uncorrelated streams (consecutive integer seeds can correlate in
-    simple generators) while remaining reproducible across runs, worker
-    counts, and platforms.
-    """
-    payload = f"{base_seed}:{index}".encode()
-    return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "big")
 
 
 def _run_named(name: str) -> Tuple[str, List[Dict[str, Any]]]:
@@ -113,45 +79,7 @@ def run_registry_parallel(
     completion order), so callers print and serialise the same artifact a
     serial run produces.
     """
-    workers = effective_workers(workers, len(names))
+    workers = min(workers, len(names), _visible_cpus())
     if workers <= 1:
         return [_run_named(name) for name in names]
     return list(get_pool(workers).map(_run_named, names))
-
-
-def _run_chunk(
-    packed: Tuple[Callable[..., Dict[str, Any]], List[Tuple[Any, ...]]],
-) -> List[Dict[str, Any]]:
-    """Worker entry point: run one contiguous chunk of sweep points."""
-    worker, chunk = packed
-    return [worker(*args) for args in chunk]
-
-
-def run_sweep(
-    worker: Callable[..., Dict[str, Any]],
-    points: Sequence[Any],
-    workers: int = 1,
-    base_seed: Optional[int] = None,
-) -> List[Dict[str, Any]]:
-    """Map a sweep ``worker`` over ``points``, optionally in parallel.
-
-    ``worker`` must be a module-level function (picklability).  When
-    ``base_seed`` is given, the worker is called as ``worker(point, seed)``
-    with a :func:`point_seed`-derived seed; otherwise ``worker(point)``.
-    Rows come back in point order for any worker count.
-    """
-    if base_seed is not None:
-        args: List[Tuple[Any, ...]] = [
-            (point, point_seed(base_seed, i)) for i, point in enumerate(points)
-        ]
-    else:
-        args = [(point,) for point in points]
-    workers = effective_workers(workers, len(args))
-    if workers <= 1:
-        return [worker(*a) for a in args]
-    size = -(-len(args) // workers)  # ceil: one contiguous chunk per worker
-    chunks = [args[i : i + size] for i in range(0, len(args), size)]
-    rows: List[Dict[str, Any]] = []
-    for chunk_rows in get_pool(workers).map(_run_chunk, [(worker, c) for c in chunks]):
-        rows.extend(chunk_rows)
-    return rows

@@ -25,16 +25,11 @@ import os
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Type
 
 from repro.core import CheckpointProcess, ProtocolConfig
-from repro.errors import SimulationError
+from repro.errors import SimulationError, TransportError
 from repro.failure import FailureDetector
 from repro.net.delay import FixedDelay
 from repro.runtime.loop import AsyncRuntime
-from repro.runtime.transport import (
-    LoopbackTransport,
-    TcpTransport,
-    Transport,
-    _codec_enabled,
-)
+from repro.runtime.transport import LoopbackTransport, TcpTransport, Transport
 from repro.sim.trace import JsonlStreamSink, TraceEvent, TraceSink
 from repro.stable.storage import WriteBehindFileStableStorage
 from repro.types import ProcessId, SimTime
@@ -109,6 +104,11 @@ class Cluster:
     ) -> None:
         if n < 2:
             raise SimulationError("a cluster needs at least 2 nodes")
+        if codec is not True and codec != "binary":
+            raise TransportError(
+                f"unknown codec {codec!r}: there is one wire format, 'binary' "
+                "(JSON wire v1 was removed), and every transport encodes with it"
+            )
         self.root = str(root)
         os.makedirs(self.root, exist_ok=True)
         self.router = PidRouterSink(
@@ -117,10 +117,9 @@ class Cluster:
         if isinstance(transport, Transport):
             self.transport = transport
         elif transport == "tcp":
-            _codec_enabled(codec)  # rejects retired/unknown names; sockets always encode
             self.transport = TcpTransport()
         else:
-            self.transport = LoopbackTransport(codec=codec)
+            self.transport = LoopbackTransport()
         self.runtime = AsyncRuntime(
             seed=seed,
             transport=self.transport,

@@ -49,24 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.trace import TraceSink
 
 
-def install_uvloop() -> bool:
-    """Install ``uvloop`` as the asyncio event-loop policy, if importable.
-
-    Returns whether uvloop is now driving new event loops.  The dependency
-    is strictly optional — the interpreted and compiled builds both run on
-    stock asyncio — so an absent package is a normal ``False``, never an
-    error.  Protocol behaviour is loop-implementation independent (the
-    scheduler orders same-instant callbacks itself); uvloop only changes
-    how fast the TCP transport moves bytes.
-    """
-    try:
-        import uvloop  # optional accelerator; strictly a gated import
-    except ImportError:
-        return False
-    uvloop.install()
-    return True
-
-
 class AsyncTimer:
     """A :class:`repro.kernel.TimerHandle` on the scheduler's timer heap.
 
@@ -312,7 +294,6 @@ class AsyncRuntime(KernelCore):
         trace: Optional[Trace] = None,
         time_scale: float = 0.05,
         network: Optional["RuntimeNetwork"] = None,
-        use_uvloop: bool = False,
     ) -> None:
         super().__init__()
         from repro.runtime.network import RuntimeNetwork
@@ -337,13 +318,6 @@ class AsyncRuntime(KernelCore):
         self.network.bind(self)
         self.transport.bind(self)
         self._started = False
-        # ``use_uvloop`` applies when *this runtime* owns the loop (the
-        # synchronous :meth:`run` facade); callers driving their own loop
-        # call :func:`install_uvloop` before creating it instead.
-        self.use_uvloop = use_uvloop
-        #: Whether uvloop actually drove the last :meth:`run` (False when
-        #: the knob is off or the package is not installed).
-        self.uvloop_active = False
 
     # ------------------------------------------------------------------
     # KernelLike
@@ -429,8 +403,6 @@ class AsyncRuntime(KernelCore):
     # ------------------------------------------------------------------
     def run(self, duration: SimTime, join: bool = False, timeout: SimTime = 60.0) -> SimTime:
         """Boot, run for ``duration`` units, optionally join, shut down."""
-        if self.use_uvloop:
-            self.uvloop_active = install_uvloop()
         return asyncio.run(self._session(duration, join, timeout))
 
     async def _session(self, duration: SimTime, join: bool, timeout: SimTime) -> SimTime:

@@ -1,8 +1,7 @@
 """Sharded multi-process cluster runtime: many cores, one protocol.
 
-E-SCALE showed the whole system saturating a single core: one
-:class:`~repro.runtime.loop.AsyncRuntime` drives every engine, so adding
-processes adds contention, not throughput.  The paper's protocol is
+One :class:`~repro.runtime.loop.AsyncRuntime` drives every engine on a
+single core, so adding processes adds contention, not throughput.  The paper's protocol is
 decentralized — concurrent checkpoint/recovery instances across autonomous
 processes — and the sans-IO engine makes hosts cheap, so the fix is to run
 *many kernels*: partition the protocol processes across worker OS processes
@@ -65,16 +64,15 @@ from repro.core import CheckpointProcess, ProtocolConfig
 from repro.errors import NetworkError, SimulationError, TransportError
 from repro.failure import FailureDetector
 from repro.net.delay import FixedDelay
-from repro.net.message import Envelope, normal
+from repro.net.message import Envelope
 from repro.runtime import wire
 from repro.runtime.cluster import PidRouterSink
 from repro.runtime.loop import AsyncRuntime
 from repro.runtime.network import RuntimeNetwork
 from repro.runtime.transport import LinkTransport, listening_socket
 from repro.sim.event import PRIORITY_TIMER
-from repro.sim.node import Node
 from repro.stable.storage import WriteBehindFileStableStorage
-from repro.types import MessageId, ProcessId, SimTime
+from repro.types import ProcessId, SimTime
 from repro.workloads import RandomPeerWorkload
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -393,40 +391,6 @@ class ShardTransport(LinkTransport):
 
 
 # ----------------------------------------------------------------------
-# Bench nodes (the shards axis of E-SCALE)
-# ----------------------------------------------------------------------
-
-class ShardBenchNode(Node):
-    """Closed-burst sender/receiver for aggregate-throughput measurement.
-
-    Each burst sends ``count`` normal envelopes to peers chosen round-robin
-    over the *global* pid population, so the traffic is a deterministic
-    intra/inter-shard mix fixed by the hash ring, and every delivery stamps
-    a wall-clock ``last_delivery`` (no poll slack in the measured window).
-    """
-
-    def __init__(self, pid: ProcessId, all_pids: List[ProcessId]) -> None:
-        super().__init__(pid)
-        self.peers = [p for p in all_pids if p != pid]
-        self.sent = 0
-        self.received = 0
-        self.last_delivery: Optional[float] = None
-
-    def burst(self, count: int) -> None:
-        for i in range(count):
-            dst = self.peers[(self.node_id + self.sent + i) % len(self.peers)]
-            self.send(
-                normal(self.node_id, dst, MessageId(self.node_id, self.sent + i),
-                       label=1, body=None)
-            )
-        self.sent += count
-
-    def on_envelope(self, envelope: Envelope) -> None:
-        self.received += 1
-        self.last_delivery = time.perf_counter()
-
-
-# ----------------------------------------------------------------------
 # Worker process
 # ----------------------------------------------------------------------
 
@@ -455,7 +419,6 @@ class WorkerSpec:
     trace_flush_every: int = 64
     workload: Optional[Dict[str, Any]] = None
     app: Optional[Dict[str, Any]] = None
-    bench: bool = False
     ring_replicas: int = 64
 
 
@@ -483,33 +446,21 @@ class ShardWorker:
             ),
         )
         self.storages: Dict[ProcessId, WriteBehindFileStableStorage] = {}
-        self.procs: Dict[ProcessId, Node] = {}
+        self.procs: Dict[ProcessId, CheckpointProcess] = {}
         self.app_traffic: Optional[Any] = None
         self.process_cls: Any = CheckpointProcess
-        if spec.bench:
-            for pid in self.local_pids:
-                self.procs[pid] = self.runtime.add_node(
-                    ShardBenchNode(pid, self.all_pids)
-                )
-        else:
-            self._build_protocol_nodes()
-
-    def _build_protocol_nodes(self) -> None:
-        spec = self.spec
-        process_cls: Any = CheckpointProcess
         if spec.app is not None:
             # Job-hosting nodes: same protocol process, AppHost application.
             from repro.app.state import AppProcess
 
-            process_cls = AppProcess
-        self.process_cls = process_cls
+            self.process_cls = AppProcess
         for pid in self.local_pids:
             storage = WriteBehindFileStableStorage(
                 os.path.join(spec.root, f"node-{pid}"), flush_every=spec.flush_every
             )
             self.storages[pid] = storage
             self.procs[pid] = self.runtime.add_node(
-                process_cls(pid, spec.config, storage=storage)
+                self.process_cls(pid, spec.config, storage=storage)
             )
         if spec.detector_latency is not None:
             ShardFailureDetector(self.runtime, detection_latency=spec.detector_latency)
@@ -690,41 +641,30 @@ class ShardWorker:
                 local_applied += 1
         return local_applied
 
-    def quiesce(self) -> int:
+    def quiesce(self) -> None:
         """Stop autonomous checkpoint initiation on every hosted engine.
 
         In-flight instances finish normally; no new trees start.  Used by
         the front door before cutting a run, so no tree is ever cut between
         the root's commit and a cohort's (which would read as a transient
-        C1 violation on the merged trace).  Returns how many engines were
-        switched; bench nodes have none.
+        C1 violation on the merged trace).
         """
-        switched = 0
         for proc in self.procs.values():
-            engine = getattr(proc, "engine", None)
-            if engine is not None:
-                engine.autonomous_checkpoints = False
-                switched += 1
-        return switched
+            proc.engine.autonomous_checkpoints = False
 
     # ------------------------------------------------------------------
     # Observation
     # ------------------------------------------------------------------
     def committed_counts(self) -> Dict[ProcessId, int]:
-        return {
-            pid: len(getattr(proc, "committed_history", ()))
-            for pid, proc in self.procs.items()
-        }
+        return {pid: len(proc.committed_history) for pid, proc in self.procs.items()}
 
     def open_instances(self) -> int:
         """Checkpoint/rollback tree rounds still open on hosted engines."""
         count = 0
         for proc in self.procs.values():
-            engine = getattr(proc, "engine", None)
-            if engine is None:
-                continue
-            count += sum(1 for s in engine.trees.all_chkpt_rounds() if not s.closed)
-            count += sum(1 for s in engine.trees.roll.values() if not s.closed)
+            trees = proc.engine.trees
+            count += sum(1 for s in trees.all_chkpt_rounds() if not s.closed)
+            count += sum(1 for s in trees.roll.values() if not s.closed)
         return count
 
     def poll(self) -> Dict[str, Any]:
@@ -750,16 +690,6 @@ class ShardWorker:
             "shard": self.spec.shard,
             "metrics": self.app_traffic.metrics(),
             "fingerprints": self.app_traffic.fingerprints(),
-        }
-
-    def bench_status(self) -> Dict[str, Any]:
-        nodes = [self.procs[pid] for pid in self.local_pids]
-        stamps = [n.last_delivery for n in nodes if n.last_delivery is not None]
-        return {
-            "sent": sum(n.sent for n in nodes),
-            "received": sum(n.received for n in nodes),
-            "last_delivery": max(stamps) if stamps else None,
-            "timer_errors": len(self.runtime.scheduler.errors),
         }
 
     def summary(self) -> Dict[str, Any]:
@@ -841,15 +771,7 @@ async def _worker_async(spec: WorkerSpec, conn: "Connection") -> None:
             elif command == "poll":
                 result = worker.poll()
             elif command == "quiesce":
-                result = worker.quiesce()
-            elif command == "burst":
-                result = {"t_first": None}
-                if worker.local_pids:
-                    result["t_first"] = time.perf_counter()
-                    for pid in worker.local_pids:
-                        worker.procs[pid].burst(payload)
-            elif command == "bench_status":
-                result = worker.bench_status()
+                worker.quiesce()
             elif command == "app_status":
                 result = worker.app_status()
             elif command == "summary":
@@ -953,7 +875,6 @@ class ShardedCluster:
         trace_flush_every: int = 64,
         workload: Optional[Dict[str, Any]] = None,
         app: Optional[Dict[str, Any]] = None,
-        bench: bool = False,
         host: str = "127.0.0.1",
         ring_replicas: int = 64,
         start_method: str = "spawn",
@@ -992,7 +913,6 @@ class ShardedCluster:
                     trace_flush_every=trace_flush_every,
                     workload=workload,
                     app=app,
-                    bench=bench,
                     ring_replicas=ring_replicas,
                 )
                 process = context.Process(
@@ -1144,12 +1064,9 @@ class ShardedCluster:
         After this returns, no checkpoint/rollback tree is mid-2PC anywhere
         in the cluster, so a subsequent :meth:`shutdown` never cuts a run
         between the root's commit and a cohort's — the merged trace's
-        recovery line is a settled one.  Bench-mode clusters (no engines)
-        return immediately.
+        recovery line is a settled one.
         """
-        switched = self._broadcast("quiesce")
-        if not any(switched):
-            return
+        self._broadcast("quiesce")
         self.wait_until(
             lambda polls: sum(p["open_instances"] for p in polls) == 0,
             timeout=drain_timeout,
@@ -1255,35 +1172,6 @@ class ShardedCluster:
     ) -> None:
         """Arrange a leave at kernel time ``at`` (call before :meth:`start`)."""
         self.churn([{"kind": "leave", "pid": pid, "at": at, "successor": successor}])
-
-    # ------------------------------------------------------------------
-    # Bench drive (the E-SCALE shards axis)
-    # ------------------------------------------------------------------
-    def burst(self, count: int) -> float:
-        """Make every bench node send ``count`` envelopes; returns the
-        earliest send timestamp (``time.perf_counter`` domain, comparable
-        across processes on Linux)."""
-        stamps = [r["t_first"] for r in self._broadcast("burst", lambda w: count)]
-        stamps = [s for s in stamps if s is not None]
-        if not stamps:
-            raise SimulationError("no bench nodes sent anything")
-        return min(stamps)
-
-    def wait_drained(self, expected_total: int, timeout: float = 120.0) -> float:
-        """Block until ``expected_total`` deliveries happened cluster-wide;
-        returns the latest delivery timestamp."""
-        deadline = time.monotonic() + timeout
-        while True:
-            stats = self._broadcast("bench_status")
-            received = sum(s["received"] for s in stats)
-            if received >= expected_total:
-                stamps = [s["last_delivery"] for s in stats if s["last_delivery"]]
-                return max(stamps)
-            if time.monotonic() > deadline:
-                raise SimulationError(
-                    f"bench drain stuck at {received}/{expected_total} envelopes"
-                )
-            time.sleep(0.01)
 
     # ------------------------------------------------------------------
     # Observation

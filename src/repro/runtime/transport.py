@@ -4,8 +4,8 @@ The :class:`~repro.runtime.network.RuntimeNetwork` stamps and counts an
 outgoing envelope exactly as the simulated network does, then hands it to a
 :class:`Transport`:
 
-* :class:`LoopbackTransport` — in-process: the envelope (optionally pushed
-  through the full wire codec, binary by default) is scheduled for delivery
+* :class:`LoopbackTransport` — in-process: the envelope (round-tripped
+  through the full wire codec) is scheduled for delivery
   on the runtime's real-timer scheduler after a delay sampled from the
   network's :class:`~repro.net.delay.DelayModel` and ordered by its
   :class:`~repro.net.channel.Channel` policy — the *same* objects the
@@ -152,44 +152,17 @@ def listening_socket(host: str, port: int) -> socket.socket:
     return sock
 
 
-def _codec_enabled(codec: "bool | str | None") -> bool:
-    """Whether a codec knob turns the wire round-trip on.
-
-    There is one wire format, so the knob is on (``True`` / ``"binary"``)
-    or off (``False`` / ``None``); the retired JSON format is named in the
-    error so an old configuration fails with a pointer, not a puzzle.
-    """
-    if codec is True or codec == "binary":
-        return True
-    if codec is False or codec is None:
-        return False
-    if codec == "json":
-        raise TransportError(
-            "codec='json' was removed: the JSON wire format (v1) is retired, "
-            "use 'binary' (or False to skip serialization on loopback)"
-        )
-    raise TransportError(f"unknown codec {codec!r} (use 'binary' or False)")
-
-
 class LoopbackTransport(Transport):
     """In-process transport: real timers, no sockets.
 
-    With the codec on (the default) every envelope is round-tripped through
-    the full wire codec before delivery, so loopback tests also prove the
-    traffic is wire-serializable; ``codec=False`` skips serialization for
-    raw kernel-overhead benchmarks.
+    Every envelope is round-tripped through the full wire codec before
+    delivery, so loopback tests also prove the traffic is wire-serializable.
     """
-
-    def __init__(self, codec: "bool | str" = True) -> None:
-        super().__init__()
-        self.codec = _codec_enabled(codec)
 
     def send(self, envelope: Envelope) -> None:
         if not self.started:
             raise TransportError("loopback transport is not running")
-        if self.codec:
-            envelope = wire.roundtrip(envelope)
-        self._deliver_after_delay(envelope)
+        self._deliver_after_delay(wire.roundtrip(envelope))
 
 
 def _close(writer: Optional[asyncio.StreamWriter]) -> None:

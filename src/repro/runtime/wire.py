@@ -412,7 +412,7 @@ def _py_encode_batch(envelopes: Sequence[Envelope]) -> bytes:
 # Public codec entry points.  These names are rebound to the compiled
 # functions at the bottom of the module when the native codec is built and
 # passes its probe; the ``_py_`` names always stay interpreted so the probe
-# and E-NATIVE can compare backends inside one process.
+# and the equivalence tests can compare backends inside one process.
 dumps_frame = _py_dumps_frame
 loads_frame = _py_loads_frame
 roundtrip = _py_roundtrip

@@ -1,19 +1,8 @@
-"""Stable storage, the snapshot engine, and the checkpoint slots."""
+"""Stable storage, frozen snapshots, and the checkpoint slots."""
 
 from repro.stable.checkpoint import CheckpointStore, MultiCheckpointStore
-from repro.stable.snapshot import (
-    ChunkStore,
-    FrozenDict,
-    FrozenList,
-    SnapshotEngine,
-    diff,
-    digest,
-    freeze,
-    patch,
-    thaw,
-)
+from repro.stable.snapshot import FrozenDict, FrozenList, freeze, thaw
 from repro.stable.storage import (
-    DeepCopyStableStorage,
     FileStableStorage,
     InMemoryStableStorage,
     StableStorage,
@@ -24,21 +13,15 @@ from repro.stable.storage import (
 
 __all__ = [
     "CheckpointStore",
-    "ChunkStore",
-    "DeepCopyStableStorage",
     "FileStableStorage",
     "FrozenDict",
     "FrozenList",
     "InMemoryStableStorage",
     "MultiCheckpointStore",
-    "SnapshotEngine",
     "StableStorage",
     "WriteBehindFileStableStorage",
-    "diff",
-    "digest",
     "escape_key",
     "freeze",
-    "patch",
     "thaw",
     "unescape_key",
 ]

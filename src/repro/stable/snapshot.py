@@ -1,41 +1,25 @@
-"""Immutable, structurally-shared snapshots for stable storage.
+"""Immutable snapshots for stable storage.
 
-The deep-copy stable storage pays O(state) on *every* ``put`` and ``get``:
-each checkpoint operation copies the full application state twice, which
-caps the scale sweeps long before the hardware does.  This module replaces
-copying with *freezing*:
+A deep-copying store pays O(state) on every ``put`` *and* every ``get``.
+This module replaces copying with *freezing*:
 
 * :func:`freeze` converts a JSON-shaped value (dicts, lists, tuples,
   scalars) into an immutable view — :class:`FrozenDict` / :class:`FrozenList`
-  nodes whose mutating operations raise.  Freezing an already-frozen node is
-  O(1), so states that reuse unchanged sub-trees pay only for what changed
-  (copy-on-write).  A frozen value can be handed out by ``get`` without any
-  copy: readers cannot corrupt the "disk".
+  nodes whose mutating operations raise.  Mutable containers are converted,
+  never aliased, so a caller's later mutation cannot reach "disk"; anything
+  that is not JSON-shaped raises :class:`~repro.errors.StableStorageError`
+  (the input check the file backends get from JSON encoding).  Freezing an
+  already-frozen node is O(1), so states that reuse unchanged sub-trees pay
+  only for what changed.  A frozen value can be handed out by ``get``
+  without any copy: readers cannot corrupt the store.
 * :func:`thaw` is the explicit escape hatch: it produces a plain, mutable
   deep copy for callers that really want to edit a snapshot.
-* :class:`ChunkStore` interns frozen chunks by content hash, so equal
-  sub-trees — across checkpoints, slots and processes sharing a backend —
-  collapse to one shared representation.
-* :func:`diff` / :func:`patch` delta-encode between successive snapshots of
-  the same key (the paper's two-slot ``oldchkpt``/``newchkpt`` discipline
-  makes consecutive checkpoints of one process natural delta partners).
-* :class:`SnapshotEngine` bundles the above behind the two calls the storage
-  layer makes (``store``/``load``) and keeps the dedup/delta statistics the
-  E-PERF benchmark reports.
-
-Content hashes are Python-hash based (equality-consistent, cached per node)
-and therefore valid within one process — exactly the lifetime of an
-in-memory backend.  :func:`digest` provides a process-independent canonical
-digest for artifacts and tests.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any
 
-from repro import _native
 from repro.errors import StableStorageError
 
 _SCALARS = (str, int, float, bool, type(None))
@@ -57,7 +41,6 @@ class FrozenDict(dict):
 
     Subclasses ``dict`` so it stays JSON-serialisable, ``**``-unpackable and
     equality-compatible with plain dicts; every mutator raises instead.
-    Hashable (content hash, cached), so frozen chunks can key intern pools.
     """
 
     __setitem__ = _blocked("__setitem__")
@@ -68,13 +51,6 @@ class FrozenDict(dict):
     popitem = _blocked("popitem")
     setdefault = _blocked("setdefault")
     update = _blocked("update")
-
-    def __hash__(self) -> int:  # type: ignore[override]
-        cached = self.__dict__.get("_content_hash")
-        if cached is None:
-            cached = hash(frozenset((hash(k), content_hash(v)) for k, v in self.items()))
-            self.__dict__["_content_hash"] = cached
-        return cached
 
     def __reduce__(self):
         return (FrozenDict, (dict(self),))
@@ -102,13 +78,6 @@ class FrozenList(list):
     reverse = _blocked("reverse")
     sort = _blocked("sort")
 
-    def __hash__(self) -> int:  # type: ignore[override]
-        cached = self.__dict__.get("_content_hash")
-        if cached is None:
-            cached = hash(("frozen-list",) + tuple(content_hash(v) for v in self))
-            self.__dict__["_content_hash"] = cached
-        return cached
-
     def __reduce__(self):
         return (FrozenList, (list(self),))
 
@@ -122,7 +91,7 @@ class FrozenList(list):
 def freeze(value: Any) -> Any:
     """Return an immutable view of ``value`` (already-frozen nodes pass through).
 
-    The pass-through is what makes the engine copy-on-write: a caller that
+    The pass-through is what makes storage copy-on-write: a caller that
     rebuilds only the changed part of a state and reuses frozen sub-trees
     pays O(changed), not O(state).  Mutable containers are converted (never
     aliased), so later mutation of the original cannot leak into storage.
@@ -165,278 +134,3 @@ def thaw(value: Any) -> Any:
     if isinstance(value, list):
         return [thaw(v) for v in value]
     return value
-
-
-def content_hash(value: Any) -> int:
-    """Equality-consistent structural hash, cached on frozen nodes."""
-    if isinstance(value, (FrozenDict, FrozenList)):
-        return hash(value)
-    if isinstance(value, tuple):
-        return hash(tuple(content_hash(v) for v in value))
-    try:
-        return hash(value)
-    except TypeError:
-        raise StableStorageError(
-            f"cannot content-hash mutable {type(value).__name__!r}; freeze() it first"
-        ) from None
-
-
-def digest(value: Any) -> str:
-    """Process-independent canonical digest (blake2b over canonical JSON)."""
-    payload = json.dumps(value, sort_keys=True, separators=(",", ":"), default=_digest_default)
-    return hashlib.blake2b(payload.encode("utf-8"), digest_size=16).hexdigest()
-
-
-def _digest_default(value: Any) -> Any:  # pragma: no cover - defensive
-    raise StableStorageError(f"cannot digest {type(value).__name__!r}")
-
-
-class ChunkStore:
-    """Content-hash interning pool for frozen chunks.
-
-    ``intern`` maps an equal chunk to one canonical instance, so successive
-    checkpoints carrying mostly-unchanged state collapse to shared memory.
-    Interning an already-canonical instance is a pure dict hit (the content
-    hash is cached on the node).
-    """
-
-    def __init__(self) -> None:
-        self._pool: Dict[Any, Any] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._pool)
-
-    def intern(self, frozen: Any) -> Any:
-        if not isinstance(frozen, (FrozenDict, FrozenList)):
-            return frozen  # scalars and tuples are cheap enough to not pool
-        canonical = self._pool.get(frozen)
-        if canonical is not None:
-            self.hits += 1
-            return canonical
-        self._pool[frozen] = frozen
-        self.misses += 1
-        return frozen
-
-    def clear(self) -> None:
-        self._pool.clear()
-
-
-# ----------------------------------------------------------------------
-# Delta encoding between successive snapshots
-# ----------------------------------------------------------------------
-# Deltas are JSON-able tagged tuples:
-#   ("=",)                          — unchanged
-#   ("!", value)                    — full replacement
-#   ("d", {key: delta}, [deleted])  — dict edit (added keys use ("!", v))
-#   ("l", prefix, suffix, [items])  — list edit: keep prefix/suffix, replace middle
-
-def diff(base: Any, target: Any) -> Tuple:
-    """Structural delta turning ``base`` into ``target`` (see :func:`patch`)."""
-    if base is target or base == target:
-        return ("=",)
-    if isinstance(base, dict) and isinstance(target, dict):
-        edits = {}
-        for key, value in target.items():
-            if key not in base:
-                edits[key] = ("!", value)
-            elif base[key] != value:
-                edits[key] = diff(base[key], value)
-        deleted = sorted(k for k in base if k not in target)
-        return ("d", edits, deleted)
-    if isinstance(base, (list, tuple)) and isinstance(target, (list, tuple)):
-        limit = min(len(base), len(target))
-        prefix = 0
-        while prefix < limit and base[prefix] == target[prefix]:
-            prefix += 1
-        suffix = 0
-        while suffix < limit - prefix and base[-1 - suffix] == target[-1 - suffix]:
-            suffix += 1
-        middle = list(target[prefix:len(target) - suffix])
-        return ("l", prefix, suffix, middle)
-    return ("!", target)
-
-
-def patch(base: Any, delta) -> Any:
-    """Apply a :func:`diff` delta to ``base``; returns a frozen value."""
-    op = delta[0]
-    if op == "=":
-        return freeze(base)
-    if op == "!":
-        return freeze(delta[1])
-    if op == "d":
-        _, edits, deleted = delta
-        if not isinstance(base, dict):
-            raise StableStorageError("dict delta applied to non-dict base")
-        dropped = set(deleted)
-        merged = {k: v for k, v in base.items() if k not in dropped and k not in edits}
-        for key, sub in edits.items():
-            merged[key] = patch(base.get(key), sub)
-        return freeze(merged)
-    if op == "l":
-        _, prefix, suffix, middle = delta
-        if not isinstance(base, (list, tuple)):
-            raise StableStorageError("list delta applied to non-list base")
-        tail = list(base[len(base) - suffix:]) if suffix else []
-        return freeze(list(base[:prefix]) + list(middle) + tail)
-    raise StableStorageError(f"unknown delta op {op!r}")
-
-
-def delta_size(delta) -> int:
-    """Size of a delta's canonical JSON encoding, in bytes."""
-    return len(json.dumps(delta, sort_keys=True, separators=(",", ":")))
-
-
-class SnapshotEngine:
-    """Freeze + intern + (optionally) delta-account values per storage key.
-
-    The engine is the single integration point the in-memory backend needs:
-    ``store`` returns the canonical frozen value to keep, ``load`` is the
-    zero-copy read.  With ``track_deltas`` on, each overwrite of a key is
-    also diffed against the previous snapshot and the encoded sizes
-    accumulated — the measurement E-PERF reports as the incremental-
-    checkpoint win (the stored representation itself stays a full, directly
-    restorable snapshot: recovery never needs to replay a delta chain).
-    """
-
-    def __init__(self, intern: bool = True, track_deltas: bool = False):
-        self.chunks = ChunkStore() if intern else None
-        self.track_deltas = track_deltas
-        self._last: Dict[str, Any] = {}
-        self.full_bytes = 0
-        self.delta_bytes = 0
-
-    def store(self, key: str, value: Any) -> Any:
-        frozen = freeze(value)
-        if self.chunks is not None:
-            frozen = self.chunks.intern(frozen)
-        if self.track_deltas:
-            previous = self._last.get(key)
-            if previous is not None:
-                self.full_bytes += delta_size(("!", frozen))
-                self.delta_bytes += delta_size(diff(previous, frozen))
-            self._last[key] = frozen
-        return frozen
-
-    def forget(self, key: str) -> None:
-        self._last.pop(key, None)
-
-    def stats(self) -> Dict[str, Any]:
-        stats: Dict[str, Any] = {
-            "full_bytes": self.full_bytes,
-            "delta_bytes": self.delta_bytes,
-        }
-        if self.chunks is not None:
-            stats.update(
-                chunk_hits=self.chunks.hits,
-                chunk_misses=self.chunks.misses,
-                chunks=len(self.chunks),
-            )
-        return stats
-
-
-def iter_chunks(value: Any) -> Iterator[Any]:
-    """Yield every frozen container node in ``value`` (root first).
-
-    Debugging/measurement helper: the chunk census behind the structural-
-    sharing numbers.
-    """
-    stack: List[Any] = [value]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (FrozenDict, FrozenList)):
-            yield node
-            children: Optional[Any] = node.values() if isinstance(node, dict) else node
-            stack.extend(children)
-        elif isinstance(node, tuple):
-            stack.extend(node)
-
-
-# ----------------------------------------------------------------------
-# Native freeze/diff selection (see repro._native and DESIGN.md §14)
-# ----------------------------------------------------------------------
-
-# Interpreted implementations under stable names: the probe compares against
-# them and E-NATIVE benchmarks both backends in one process.  Everything that
-# calls ``freeze``/``diff``/``content_hash`` through this module's globals —
-# patch(), FrozenDict.__hash__, SnapshotEngine, the storage backends — picks
-# up the compiled versions automatically after the rebind below.
-_py_freeze = freeze
-_py_thaw = thaw
-_py_content_hash = content_hash
-_py_diff = diff
-
-_NATIVE: Optional[Any] = None
-
-
-def native_active() -> bool:
-    """True when the compiled snapshot path passed its probe and is in use."""
-    return _NATIVE is not None
-
-
-def _probe_native(module: Any) -> Optional[str]:
-    """Self-check the compiled path against the interpreted one; None = OK."""
-    sample = {
-        "a": [1, 2.5, "x", None, True, False],
-        "b": {"nested": (1, (2, [3, {}])), "empty": {}},
-        "c": [[], {}, (), "s", -(2**70)],
-    }
-    frozen_py = _py_freeze(sample)
-    frozen_nat = module.freeze(sample)
-    if frozen_nat != frozen_py or type(frozen_nat) is not FrozenDict:
-        return "freeze mismatch"
-    if type(frozen_nat["a"]) is not FrozenList or type(frozen_nat["b"]["nested"]) is not tuple:
-        return "freeze container-type mismatch"
-    if module.freeze(frozen_nat) is not frozen_nat:
-        return "frozen pass-through mismatch"
-    if module.content_hash(frozen_nat) != _py_content_hash(frozen_py):
-        return "content-hash mismatch"
-    if hash(frozen_nat) != hash(frozen_py):  # via the shared _content_hash cache
-        return "cached-hash mismatch"
-    thawed = module.thaw(frozen_nat)
-    if thawed != sample or type(thawed) is not dict or type(thawed["a"]) is not list:
-        return "thaw mismatch"
-    base = _py_freeze({"x": [1, 2, 3], "y": {"k": 1}, "z": "keep"})
-    target = _py_freeze({"x": [1, 5, 3, 4], "y": {"k": 2}, "w": 9})
-    if module.diff(base, target) != _py_diff(base, target):
-        return "diff mismatch"
-    if module.diff(base, base) != ("=",):
-        return "diff identity mismatch"
-    if patch(base, module.diff(base, target)) != target:
-        return "patch round-trip mismatch"
-    try:
-        module.freeze({1, 2})
-    except StableStorageError:
-        pass
-    else:
-        return "freeze error-contract mismatch"
-    return None
-
-
-def _install_native() -> None:
-    """Load, configure, probe and (on success) switch in the compiled path."""
-    global _NATIVE, freeze, thaw, content_hash, diff
-    module = _native.load("snapshot")
-    if module is None:
-        return
-    try:
-        module.configure(
-            frozen_dict=FrozenDict,
-            frozen_list=FrozenList,
-            storage_error=StableStorageError,
-        )
-        problem = _probe_native(module)
-    except Exception as exc:  # noqa: BLE001 - any probe failure means fallback
-        problem = f"{type(exc).__name__}: {exc}"
-    if problem is not None:
-        _native.reject("snapshot", problem)
-        return
-    _NATIVE = module
-    freeze = module.freeze
-    thaw = module.thaw
-    content_hash = module.content_hash
-    diff = module.diff
-
-
-_install_native()

@@ -9,13 +9,12 @@ after a crash see the last completed write.  Backends:
 
 * :class:`InMemoryStableStorage` — the default for simulations; "stable"
   simply means it lives outside the node object that gets reset on crash.
-  Backed by the :mod:`repro.stable.snapshot` engine: ``put`` freezes the
-  value (O(changed) when unchanged sub-trees are reused) and ``get`` returns
-  the frozen view without copying — callers :func:`~repro.stable.snapshot.thaw`
-  explicitly if they need to mutate.
-* :class:`DeepCopyStableStorage` — the historical copy-on-every-access
-  backend, kept as the baseline the E-PERF benchmark and the equivalence
-  property tests measure the snapshot engine against.
+  ``put`` freezes the value (:func:`~repro.stable.snapshot.freeze`: no deep
+  copy, O(changed) when unchanged frozen sub-trees are reused) and ``get``
+  returns the frozen view without copying — callers
+  :func:`~repro.stable.snapshot.thaw` explicitly if they need to mutate.
+  It holds exactly what its keys reach: an overwritten or deleted value is
+  garbage as soon as its readers let go.
 * :class:`FileStableStorage` — JSON-per-key on disk, with atomic rename
   writes; used by the file-backed examples and to demonstrate that the
   checkpoint records round-trip through real persistence.
@@ -23,9 +22,9 @@ after a crash see the last completed write.  Backends:
   memory and a group-commit ``flush`` writes them all, each through the same
   tmp-file + atomic-rename path, so flushed records are never torn.
 
-Values must be JSON-shaped (dicts, lists, tuples, scalars) — the snapshot
-engine enforces for the in-memory backend what JSON encoding enforces for
-the file backends.
+Values must be JSON-shaped (dicts, lists, tuples, scalars) — ``freeze``
+enforces for the in-memory backend what JSON encoding enforces for the file
+backends.
 
 Log keys
 --------
@@ -44,15 +43,13 @@ raises :class:`~repro.errors.StableStorageError`.
 
 from __future__ import annotations
 
-import copy
 import json
 import os
 import tempfile
-from typing import Any, Dict, Iterator, List, Optional, Set
+from typing import Any, Dict, Iterator, List, Set
 
 from repro.errors import StableStorageError
-from repro.stable import snapshot
-from repro.stable.snapshot import SnapshotEngine
+from repro.stable.snapshot import freeze
 
 _KEY_SAFE = frozenset(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-."
@@ -88,53 +85,12 @@ class StableStorage:
 
 
 class InMemoryStableStorage(StableStorage):
-    """Dictionary-backed stable storage over the snapshot engine.
+    """Dictionary-backed stable storage holding frozen values.
 
     ``put`` freezes (no deep copy; caller mutations cannot leak in because
     mutable containers are converted, not aliased).  ``get`` hands out the
     stored frozen view directly — an O(1) read; mutation attempts raise and
-    ``thaw()`` is the explicit escape hatch.  Identical sub-trees are
-    interned by content hash, so the two checkpoint slots and successive
-    checkpoints share structure instead of duplicating it.
-    """
-
-    def __init__(self, engine: Optional[SnapshotEngine] = None) -> None:
-        self._data: Dict[str, Any] = {}
-        self._logs: Dict[str, List[Any]] = {}
-        self.engine = engine or SnapshotEngine()
-
-    def put(self, key: str, value: Any) -> None:
-        self._data[key] = self.engine.store(key, value)
-
-    def get(self, key: str, default: Any = None) -> Any:
-        return self._data.get(key, default)
-
-    def delete(self, key: str) -> None:
-        self._data.pop(key, None)
-        self._logs.pop(key, None)
-        self.engine.forget(key)
-
-    def keys(self) -> Iterator[str]:
-        return iter(sorted(self._data.keys() | self._logs.keys()))
-
-    def append(self, key: str, record: Any) -> None:
-        # Only the new record is frozen; records are small and unique, so
-        # they bypass the interning pool (which never evicts).
-        self._logs.setdefault(key, []).append(snapshot.freeze(record))
-
-    def read_log(self, key: str) -> List[Any]:
-        return list(self._logs.get(key, ()))
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._data
-
-
-class DeepCopyStableStorage(StableStorage):
-    """The pre-snapshot-engine backend: deep copy on every put *and* get.
-
-    Semantically interchangeable with :class:`InMemoryStableStorage` (the
-    equivalence property tests assert identical protocol traces); kept as
-    the measured baseline for the E-PERF checkpoint-throughput comparison.
+    ``thaw()`` is the explicit escape hatch.
     """
 
     def __init__(self) -> None:
@@ -142,12 +98,10 @@ class DeepCopyStableStorage(StableStorage):
         self._logs: Dict[str, List[Any]] = {}
 
     def put(self, key: str, value: Any) -> None:
-        self._data[key] = copy.deepcopy(value)
+        self._data[key] = freeze(value)
 
     def get(self, key: str, default: Any = None) -> Any:
-        if key not in self._data:
-            return default
-        return copy.deepcopy(self._data[key])
+        return self._data.get(key, default)
 
     def delete(self, key: str) -> None:
         self._data.pop(key, None)
@@ -157,10 +111,10 @@ class DeepCopyStableStorage(StableStorage):
         return iter(sorted(self._data.keys() | self._logs.keys()))
 
     def append(self, key: str, record: Any) -> None:
-        self._logs.setdefault(key, []).append(copy.deepcopy(record))
+        self._logs.setdefault(key, []).append(freeze(record))
 
     def read_log(self, key: str) -> List[Any]:
-        return copy.deepcopy(self._logs.get(key, []))
+        return list(self._logs.get(key, ()))
 
     def __contains__(self, key: str) -> bool:
         return key in self._data

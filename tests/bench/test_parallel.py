@@ -1,55 +1,7 @@
-"""Unit tests for the parallel sweep runner."""
+"""Unit tests for the parallel registry runner."""
 
-import pytest
-
-from repro.bench.parallel import point_seed, run_registry_parallel, run_sweep
-
-
-def double(point):
-    return {"point": point, "value": point * 2}
-
-
-def seeded(point, seed):
-    return {"point": point, "seed": seed}
-
-
-def boom(point):
-    raise ValueError(f"bad point {point}")
-
-
-def test_point_seed_is_deterministic_and_spread():
-    assert point_seed(7, 0) == point_seed(7, 0)
-    seeds = {point_seed(7, i) for i in range(50)}
-    assert len(seeds) == 50  # no collisions across a sweep
-    assert point_seed(8, 0) != point_seed(7, 0)  # base seed matters
-
-
-def test_run_sweep_serial_matches_parallel():
-    points = list(range(8))
-    serial = run_sweep(double, points, workers=1)
-    parallel = run_sweep(double, points, workers=2)
-    assert serial == parallel
-    assert [row["point"] for row in parallel] == points  # order-stable
-
-
-def test_run_sweep_derives_per_point_seeds():
-    rows = run_sweep(seeded, ["a", "b"], workers=1, base_seed=5)
-    assert rows == [
-        {"point": "a", "seed": point_seed(5, 0)},
-        {"point": "b", "seed": point_seed(5, 1)},
-    ]
-    # The same derivation regardless of worker count.
-    assert rows == run_sweep(seeded, ["a", "b"], workers=2, base_seed=5)
-
-
-def test_run_sweep_single_point_stays_in_process():
-    # One point never pays for a pool, whatever the worker count.
-    assert run_sweep(double, [3], workers=8) == [{"point": 3, "value": 6}]
-
-
-def test_run_sweep_propagates_worker_errors():
-    with pytest.raises(ValueError, match="bad point"):
-        run_sweep(boom, [1, 2], workers=2)
+from repro.bench import parallel as P
+from repro.bench.parallel import get_pool, run_registry_parallel, shutdown_pool
 
 
 def test_registry_parallel_matches_serial():
@@ -64,51 +16,34 @@ def test_registry_parallel_matches_serial():
 # Honest worker clamping + the real pool path (forced via a fake CPU count)
 # ----------------------------------------------------------------------
 
-from repro.bench import parallel as P  # noqa: E402
-from repro.bench.parallel import effective_workers, get_pool, shutdown_pool  # noqa: E402
+def test_registry_parallel_clamps_workers_to_cpus_and_names(monkeypatch):
+    asked = []
 
+    class Pool:
+        def map(self, fn, names):
+            return [(name, []) for name in names]
 
-def test_effective_workers_caps_at_cpus_and_points(monkeypatch):
-    monkeypatch.setattr(P, "_visible_cpus", lambda: 4)
-    assert effective_workers(8, 10) == 4  # CPU cap
-    assert effective_workers(2, 10) == 2  # request honored under the cap
-    assert effective_workers(8, 3) == 3  # idle workers cost start-up for nothing
-    assert effective_workers(0, 10) == 1  # floor
+    monkeypatch.setattr(P, "get_pool", lambda workers: asked.append(workers) or Pool())
+    monkeypatch.setattr(P, "_run_named", lambda name: (name, []))
+    names = ["fig1", "fig2", "fig3"]
+    monkeypatch.setattr(P, "_visible_cpus", lambda: 2)
+    run_registry_parallel(names, workers=8)  # CPU cap
+    monkeypatch.setattr(P, "_visible_cpus", lambda: 16)
+    run_registry_parallel(names, workers=8)  # idle workers cost start-up for nothing
+    run_registry_parallel(names, workers=2)  # request honored under the caps
+    assert asked == [2, 3, 2]
+    # One worker is the serial loop — never a pool.
     monkeypatch.setattr(P, "_visible_cpus", lambda: 1)
-    assert effective_workers(8, 10) == 1  # the 1-core-container regression case
+    run_registry_parallel(names, workers=8)  # the 1-core-container regression case
+    run_registry_parallel(names, workers=0)
+    run_registry_parallel(names[:1], workers=8)
+    assert asked == [2, 3, 2]
 
 
-def test_run_sweep_pool_path_matches_serial(monkeypatch):
-    # The other sweep tests silently short-circuit to the serial loop on a
-    # 1-core box; faking the CPU count forces the actual executor path.
-    monkeypatch.setattr(P, "_visible_cpus", lambda: 2)
-    try:
-        points = list(range(5))
-        serial = run_sweep(double, points, workers=1)
-        parallel = run_sweep(double, points, workers=2)
-        assert serial == parallel
-        assert [row["point"] for row in parallel] == points  # order-stable merge
-        assert run_sweep(seeded, ["a", "b", "c"], workers=2, base_seed=5) == run_sweep(
-            seeded, ["a", "b", "c"], workers=1, base_seed=5
-        )
-    finally:
-        shutdown_pool()
-
-
-def test_run_sweep_pool_path_propagates_errors(monkeypatch):
-    monkeypatch.setattr(P, "_visible_cpus", lambda: 2)
-    try:
-        with pytest.raises(ValueError, match="bad point"):
-            run_sweep(boom, [1, 2], workers=2)
-    finally:
-        shutdown_pool()
-
-
-def test_pool_is_shared_and_grow_only(monkeypatch):
-    monkeypatch.setattr(P, "_visible_cpus", lambda: 4)
+def test_pool_is_shared_and_grow_only():
     try:
         pool2 = get_pool(2)
-        assert get_pool(2) is pool2  # reused across sweeps
+        assert get_pool(2) is pool2  # reused across calls
         pool4 = get_pool(4)
         assert pool4 is not pool2  # grown when more workers are needed
         assert get_pool(3) is pool4  # never shrunk back down

@@ -1,18 +1,58 @@
-"""Snapshot-backed storage is observationally equivalent to deep-copy storage.
+"""Frozen-snapshot storage is observationally equivalent to deep-copy storage.
 
-The copy-on-write engine must preserve protocol semantics bit-for-bit: the
-same workload on the same seeds has to produce the identical trace (every
-event, in order, with every field) and the identical committed-checkpoint
-ledger whether stable storage deep-copies values or freezes them.  Hypothesis
-drives the workload parameters; any divergence would mean frozen views leak
-semantics into the protocol.
+Freezing must preserve protocol semantics bit-for-bit: the same workload on
+the same seeds has to produce the identical trace (every event, in order,
+with every field) and the identical committed-checkpoint ledger whether
+stable storage deep-copies values or freezes them.  Hypothesis drives the
+workload parameters; any divergence would mean frozen views leak semantics
+into the protocol.
 """
+
+import copy
+from typing import Any, Dict, Iterator, List
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.stable import DeepCopyStableStorage, InMemoryStableStorage
+from repro.stable import InMemoryStableStorage, StableStorage
 from repro.testing import build_sim, run_random_workload
+
+
+class DeepCopyStableStorage(StableStorage):
+    """The reference backend: deep copy on every put *and* get.
+
+    Semantically interchangeable with :class:`InMemoryStableStorage`, with
+    no sharing to get wrong; ``tests/stable/test_storage.py`` holds it to
+    the same contract as the real backends.
+    """
+
+    def __init__(self) -> None:
+        self._data: Dict[str, Any] = {}
+        self._logs: Dict[str, List[Any]] = {}
+
+    def put(self, key: str, value: Any) -> None:
+        self._data[key] = copy.deepcopy(value)
+
+    def get(self, key: str, default: Any = None) -> Any:
+        if key not in self._data:
+            return default
+        return copy.deepcopy(self._data[key])
+
+    def delete(self, key: str) -> None:
+        self._data.pop(key, None)
+        self._logs.pop(key, None)
+
+    def keys(self) -> Iterator[str]:
+        return iter(sorted(self._data.keys() | self._logs.keys()))
+
+    def append(self, key: str, record: Any) -> None:
+        self._logs.setdefault(key, []).append(copy.deepcopy(record))
+
+    def read_log(self, key: str) -> List[Any]:
+        return copy.deepcopy(self._logs.get(key, []))
+
+    def __contains__(self, key: str) -> bool:
+        return key in self._data
 
 
 def observe(storage_factory, n, seed, duration, error_rate):

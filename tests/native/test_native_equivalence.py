@@ -1,13 +1,13 @@
-"""The native build's contract: same bytes, same traces, honest fallback.
+"""The native build's contract: same bytes, honest fallback.
 
-Three layers:
+Two layers:
 
 * loader/build units — always run, toolchain or not;
-* native-vs-interpreted equality — byte-identical frames, equal snapshot
-  values — skipped with a reason when the extensions are not built;
-* whole-run equivalence — the golden figure 2/3/4 workloads produce
-  JSON-identical summaries under ``REPRO_NATIVE=0`` and the native build,
-  exercised through subprocesses because the backend is import-time.
+* native-vs-interpreted equality — byte-identical frames — skipped with a
+  reason when the extension is not built.
+
+The simulator runs no codec, so there is no whole-run A/B here: the golden
+figure traces are pinned by ``tests/golden`` under whichever backend is on.
 """
 
 import json
@@ -25,12 +25,11 @@ from repro._native import build as B
 from repro.core import messages as M
 from repro.net.message import normal
 from repro.runtime import wire
-from repro.stable import snapshot as snap
 from repro.types import MessageId
 
 needs_native = pytest.mark.skipif(
-    not (wire.native_active() and snap.native_active()),
-    reason="native extensions not built (no C toolchain); interpreted fallback in use",
+    not wire.native_active(),
+    reason="native codec not built (no C toolchain); interpreted fallback in use",
 )
 
 SRC_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -56,17 +55,17 @@ def _run_child(code: str, native: bool) -> str:
 # ----------------------------------------------------------------------
 def test_status_reports_every_hot_path_and_engine_is_honest():
     report = _native.status()
-    assert set(report) == {"engine", "wirecodec", "snapshot"}
+    assert set(report) == {"engine", "wirecodec"}
     # The engine is never compiled in this environment; the loader must say
     # so rather than pretend.
     assert report["engine"]["backend"] == "interpreted"
     assert "mypyc" in report["engine"]["reason"]
-    for name in ("wirecodec", "snapshot"):
-        assert report[name]["backend"] in ("cext", "interpreted")
-        if report[name]["backend"] == "cext":
-            assert report[name]["abi"] == _native.NATIVE_ABI
-        else:
-            assert report[name]["reason"]
+    codec = report["wirecodec"]
+    assert codec["backend"] in ("cext", "interpreted")
+    if codec["backend"] == "cext":
+        assert codec["abi"] == _native.NATIVE_ABI
+    else:
+        assert codec["reason"]
 
 
 def test_build_paths_and_command_shape():
@@ -77,20 +76,29 @@ def test_build_paths_and_command_shape():
     compiler = B.find_compiler()
     if compiler is not None:
         cmd = B.compile_command(
-            compiler, B.source_path("snapshot"), B.artifact_path("snapshot")
+            compiler, B.source_path("wirecodec"), B.artifact_path("wirecodec")
         )
         assert "-O2" in cmd and "-shared" in cmd and "-fPIC" in cmd
-        assert cmd[-1] == B.artifact_path("snapshot")
+        assert cmd[-1] == B.artifact_path("wirecodec")
+
+
+def test_clean_also_removes_the_retired_snapshot_artifact(tmp_path, monkeypatch):
+    # An old checkout's _snapshot.so must not outlive its (deleted) source.
+    monkeypatch.setattr(B, "HERE", str(tmp_path))
+    stale = [B.artifact_path("wirecodec"), B.artifact_path("snapshot")]
+    for path in stale:
+        open(path, "w").close()
+    assert sorted(B.clean()) == sorted(stale)
+    assert os.listdir(tmp_path) == []
 
 
 def test_env_knob_forces_interpreted_mode_in_subprocess():
     out = _run_child(
         "from repro.runtime import wire\n"
-        "from repro.stable import snapshot\n"
-        "print(wire.native_active(), snapshot.native_active())",
+        "print(wire.native_active())",
         native=False,
     )
-    assert out.split() == ["False", "False"]
+    assert out.split() == ["False"]
 
 
 @needs_native
@@ -104,7 +112,7 @@ def test_require_mode_activates_native_in_subprocess():
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["wirecodec"]["backend"] == "cext"
-    assert report["snapshot"]["backend"] == "cext"
+    assert "snapshot" not in report
 
 
 # ----------------------------------------------------------------------
@@ -154,73 +162,3 @@ def test_native_and_python_encoders_agree_on_arbitrary_payloads(
     assert wire.dumps_frame(env) == wire._py_dumps_frame(env)
     blob = wire.dumps_frame(env)[wire.HEADER_SIZE:]
     assert wire.loads_frame(blob).body == wire._py_loads_frame(blob).body
-
-
-# ----------------------------------------------------------------------
-# Snapshot value equality + hash interop
-# ----------------------------------------------------------------------
-@needs_native
-def test_native_snapshot_values_equal_interpreted_ones():
-    state = {
-        "a": [1, 2, {"x": (True, None)}],
-        "b": {"nested": {"deep": [3.5, "s"]}},
-        "c": "plain",
-    }
-    nat, py = snap.freeze(state), snap._py_freeze(state)
-    assert nat == py
-    assert type(nat) is type(py) is snap.FrozenDict
-    assert snap.content_hash(nat) == snap._py_content_hash(py)
-    # The cached hash lives in the same slot either way, so native-frozen and
-    # python-frozen values interoperate as dict keys / set members.
-    assert hash(nat) == hash(py)
-    assert {nat: 1}[py] == 1
-
-    changed = {"a": [1, 2, {"x": (True, None)}], "b": {"nested": {}}, "c": "plain"}
-    target = snap._py_freeze(changed)
-    assert snap.diff(nat, target) == snap._py_diff(py, target)
-    assert snap.thaw(nat) == snap._py_thaw(py) == state
-
-
-# ----------------------------------------------------------------------
-# Whole-run equivalence: golden figure workloads, subprocess A/B
-# ----------------------------------------------------------------------
-_GOLDEN_CHILD = r"""
-import json
-from repro.core import CheckpointProcess
-from repro.net import FixedDelay
-from repro.sim import Simulation
-from repro.workloads import (
-    ScriptedWorkload, figure2_steps, figure3_steps, figure4_steps,
-)
-
-out = {}
-for name, (steps, pids) in {
-    "figure2": (figure2_steps, (0, 1)),
-    "figure3": (figure3_steps, (1, 4)),
-    "figure4": (figure4_steps, (1, 4)),
-}.items():
-    sim = Simulation(seed=1, delay_model=FixedDelay(0.5))
-    procs = {i: sim.add_node(CheckpointProcess(i)) for i in range(pids[0], pids[1] + 1)}
-    ScriptedWorkload(steps()).install(sim, procs)
-    sim.run(until=40.0)
-    out[name] = {
-        "events": [
-            [e.time, e.kind, e.pid, sorted(e.fields.items(), key=repr)]
-            for e in sim.trace
-        ],
-        "final_seq": {pid: proc.store.oldchkpt.seq for pid, proc in procs.items()},
-        "normal_sent": sim.network.normal_sent,
-        "control_sent": sim.network.control_sent,
-        "delivered": sim.network.delivered,
-    }
-print(json.dumps(out, sort_keys=True, default=repr))
-"""
-
-
-@needs_native
-def test_golden_figures_are_bit_identical_across_backends():
-    interpreted = _run_child(_GOLDEN_CHILD, native=False)
-    native = _run_child(_GOLDEN_CHILD, native=True)
-    assert json.loads(native) == json.loads(interpreted)
-    # Byte-level too: same serialization of the same trace, no float drift.
-    assert native == interpreted

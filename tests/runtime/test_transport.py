@@ -93,7 +93,7 @@ def test_loopback_delivery_respects_crash_policy():
 
 
 def test_loopback_codec_roundtrips_bodies():
-    # codec=True (default) pushes every envelope through the wire codec;
+    # Loopback pushes every envelope through the wire codec;
     # a non-serializable body must fail loudly at send time.
     from repro.errors import WireError
 
@@ -308,8 +308,8 @@ def test_undecodable_payload_costs_only_its_connection(kind):
 def test_tcp_rejects_bad_knobs():
     with pytest.raises(TransportError):
         TcpTransport(max_batch=0)
-    with pytest.raises(TransportError):
-        LoopbackTransport(codec="morse")
+    with pytest.raises(TypeError):
+        LoopbackTransport(codec=False)  # loopback always round-trips the codec
 
 
 def test_tcp_rapid_restart_cycles_reuse_the_endpoint():

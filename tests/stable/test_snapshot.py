@@ -1,4 +1,4 @@
-"""Unit tests for the copy-on-write snapshot engine."""
+"""Unit tests for frozen snapshots: freeze, the frozen views, thaw."""
 
 import copy
 import json
@@ -8,17 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import StableStorageError
-from repro.stable import (
-    ChunkStore,
-    FrozenDict,
-    FrozenList,
-    SnapshotEngine,
-    diff,
-    digest,
-    freeze,
-    patch,
-    thaw,
-)
+from repro.stable import FrozenDict, FrozenList, freeze, thaw
 
 # ----------------------------------------------------------------------
 # freeze / thaw
@@ -119,59 +109,6 @@ def test_copy_of_frozen_is_self():
     assert copy.deepcopy(frozen) is frozen
 
 
-# ----------------------------------------------------------------------
-# Hashing / interning
-# ----------------------------------------------------------------------
-
-def test_equal_values_hash_equal():
-    assert hash(freeze({"a": [1, 2]})) == hash(freeze({"a": [1, 2]}))
-    assert hash(freeze([1, 2])) == hash(freeze([1, 2]))
-
-
-def test_chunk_store_interns_equal_chunks():
-    chunks = ChunkStore()
-    first = chunks.intern(freeze({"a": [1, 2]}))
-    second = chunks.intern(freeze({"a": [1, 2]}))
-    assert second is first
-    assert chunks.hits == 1 and chunks.misses == 1
-    assert len(chunks) == 1
-
-
-def test_digest_is_structural_and_order_independent():
-    assert digest({"a": 1, "b": 2}) == digest({"b": 2, "a": 1})
-    assert digest(freeze({"a": [1]})) == digest({"a": [1]})
-    assert digest({"a": 1}) != digest({"a": 2})
-
-
-# ----------------------------------------------------------------------
-# diff / patch
-# ----------------------------------------------------------------------
-
-def test_diff_unchanged_is_tiny():
-    value = {"a": list(range(100))}
-    assert diff(value, value) == ("=",)
-
-
-def test_diff_patch_dict_edit():
-    base = {"keep": [1, 2], "edit": {"x": 1}, "drop": 3}
-    target = {"keep": [1, 2], "edit": {"x": 2}, "new": 4}
-    delta = diff(base, target)
-    assert patch(base, delta) == target
-
-
-def test_diff_patch_list_middle_replacement():
-    base = [1, 2, 3, 4, 5]
-    target = [1, 2, 9, 4, 5]
-    op, prefix, suffix, middle = diff(base, target)
-    assert (op, prefix, suffix, middle) == ("l", 2, 2, [9])
-    assert patch(base, diff(base, target)) == target
-
-
-def test_delta_is_json_encodable():
-    delta = diff({"a": [1, 2, 3]}, {"a": [1, 9, 3], "b": None})
-    json.dumps(delta)  # must not raise
-
-
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-1000, 1000) | st.text(max_size=8),
     lambda children: st.lists(children, max_size=4)
@@ -181,41 +118,7 @@ json_values = st.recursive(
 
 
 @settings(max_examples=60, deadline=None)
-@given(base=json_values, target=json_values)
-def test_patch_of_diff_reconstructs_target(base, target):
-    assert patch(base, diff(base, target)) == target
-
-
-@settings(max_examples=60, deadline=None)
 @given(value=json_values)
 def test_freeze_thaw_roundtrip(value):
     assert thaw(freeze(value)) == value
     assert json.loads(json.dumps(freeze(value))) == json.loads(json.dumps(value))
-
-
-# ----------------------------------------------------------------------
-# SnapshotEngine
-# ----------------------------------------------------------------------
-
-def test_engine_returns_frozen_canonical_values():
-    engine = SnapshotEngine()
-    stored = engine.store("k", {"a": [1]})
-    assert isinstance(stored, FrozenDict)
-    assert engine.store("j", {"a": [1]}) is stored  # interned across keys
-
-
-def test_engine_delta_accounting():
-    engine = SnapshotEngine(track_deltas=True)
-    base = {"blocks": {str(i): list(range(8)) for i in range(32)}, "hot": 0}
-    frozen = engine.store("k", base)
-    engine.store("k", {"blocks": frozen["blocks"], "hot": 1})
-    stats = engine.stats()
-    assert 0 < stats["delta_bytes"] < stats["full_bytes"]
-
-
-def test_engine_forget_resets_delta_base():
-    engine = SnapshotEngine(track_deltas=True)
-    engine.store("k", {"a": 1})
-    engine.forget("k")
-    engine.store("k", {"a": 2})
-    assert engine.stats()["delta_bytes"] == 0  # no base to diff against

@@ -1,12 +1,14 @@
 """Unit tests for stable storage backends."""
 
+import gc
 import os
+import sys
+import weakref
 
 import pytest
 
 from repro.errors import StableStorageError
 from repro.stable import (
-    DeepCopyStableStorage,
     FileStableStorage,
     InMemoryStableStorage,
     WriteBehindFileStableStorage,
@@ -14,6 +16,11 @@ from repro.stable import (
     thaw,
     unescape_key,
 )
+
+# The deep-copy reference backend lives beside the equivalence test that
+# compares against it; it is held to the same contract as the real ones.
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "integration"))
+from test_equivalence import DeepCopyStableStorage  # noqa: E402
 
 
 @pytest.fixture(params=["memory", "deepcopy", "file", "write-behind"])
@@ -88,6 +95,24 @@ def test_memory_storage_returns_frozen_views():
 def test_memory_storage_rejects_unfreezable():
     with pytest.raises(StableStorageError):
         InMemoryStableStorage().put("k", object())
+
+
+def test_memory_storage_retains_only_what_its_keys_reach():
+    """Overwritten and deleted values die with their last reader: the store
+    holds exactly one frozen root per live key, nothing pooled behind it."""
+    storage = InMemoryStableStorage()
+    superseded = []
+    for round_ in range(200):
+        storage.put("state", {"round": round_, "blob": [f"{round_}:{i}" for i in range(1000)]})
+        superseded.append(weakref.ref(storage.get("state")))
+    live = superseded.pop()  # the last put is still reachable through its key
+    storage.put("doomed", {"blob": ["x" * 10] * 1000})
+    superseded.append(weakref.ref(storage.get("doomed")))
+    storage.delete("doomed")
+    gc.collect()
+    assert sum(ref() is not None for ref in superseded) == 0
+    assert live() is storage.get("state")
+    assert live()["round"] == 199
 
 
 def test_deepcopy_storage_is_copy_on_access():
