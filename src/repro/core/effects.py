@@ -14,27 +14,19 @@ effect                    simulation / live-runtime interpretation
 ``CancelTimer``           cancel the named timer
 ``EmitTrace``             record a trace event (the adapter stamps the kernel
                           time and this process's pid)
-``SaveCheckpoint``        write a checkpoint to stable storage ("initial"
-                          committed slot, uncommitted "new" slot, or a stack
-                          "push" for the Section 3.5.3 extension)
-``CommitThrough``         promote the uncommitted checkpoint (slot commit, or
-                          stack commit-through-``seq``)
-``DiscardCheckpoints``    drop uncommitted checkpoints (slot discard, or
-                          stack discard-from-``from_seq``)
-``PersistMeta``           persist small protocol metadata (the recoverable
-                          commit set of Section 6) by overwriting its key
-``AppendLog``             append one record to a stable log key (the
-                          Section 6 decision log: one record per decision)
 ``ObserveDecision``       let the spooler replicas record a decision
 ``Redeliver``             synchronously re-inject a spooled envelope
-``Rollback``              informational: the state was restored to ``to_seq``
-                          (no kernel action; consumed by analysis harnesses)
 ``Handoff``               wrap the departing engine's obligations into a
                           ``HandoffMsg`` control message to its successor
 ========================  ====================================================
 
 The engine state already reflects each effect when it is emitted; adapters
-only mirror the world, they never answer back.
+only mirror the world, they never answer back.  Stable storage is not in the
+table: like the hosted application it is a *port* — a host object the engine
+holds and calls synchronously (:class:`~repro.stable.checkpoint.CheckpointStore`
+writes each checkpoint transition through, the commit set is a ``put`` and the
+Section 6 decision log an ``append``) — because rule 3 has to read it back.
+An effect is for what needs a clock, a network, an RNG or a trace sink.
 """
 
 from __future__ import annotations
@@ -45,12 +37,6 @@ from repro.compat import slotted_dataclass
 from repro.net.message import Envelope
 from repro.priorities import PRIORITY_TIMER
 from repro.types import ProcessId, Seq, SimTime, TreeId
-
-#: SaveCheckpoint/CommitThrough/DiscardCheckpoints target the two-slot store
-#: of the base algorithm ("slot") or the pending stack of the extension
-#: ("stack").
-SLOT = "slot"
-STACK = "stack"
 
 
 @slotted_dataclass(frozen=True)
@@ -102,58 +88,6 @@ class EmitTrace:
 
 
 @slotted_dataclass(frozen=True)
-class SaveCheckpoint:
-    """Write a checkpoint record to stable storage.
-
-    ``kind`` — "initial" (committed birth checkpoint), "new" (the two-slot
-    uncommitted ``newchkpt``) or "push" (extension stack entry).
-    """
-
-    kind: str
-    seq: Seq
-    state: Any
-    made_at: SimTime
-    meta: Dict[str, Any]
-    store: str = SLOT
-
-
-@slotted_dataclass(frozen=True)
-class CommitThrough:
-    """``oldchkpt := newchkpt`` (slot), or commit the stack through ``seq``."""
-
-    seq: Seq
-    store: str = SLOT
-
-
-@slotted_dataclass(frozen=True)
-class DiscardCheckpoints:
-    """Discard the uncommitted slot, or stack entries with seq >= from_seq."""
-
-    from_seq: Optional[Seq] = None
-    store: str = SLOT
-
-
-@slotted_dataclass(frozen=True)
-class PersistMeta:
-    """Persist a small metadata value under ``key`` ("commit_set" etc.)."""
-
-    key: str
-    value: Any
-
-
-@slotted_dataclass(frozen=True)
-class AppendLog:
-    """Append ``record`` to the stable log ``key`` ("decisions").
-
-    Unlike :class:`PersistMeta` the effect carries only what is new, so its
-    cost does not grow with the history already persisted.
-    """
-
-    key: str
-    record: Any
-
-
-@slotted_dataclass(frozen=True)
 class ObserveDecision:
     """Expose a (kind, tree) decision to the spooler replicas (rule 3)."""
 
@@ -166,14 +100,6 @@ class Redeliver:
     """Synchronously re-inject a spooled envelope into this process."""
 
     envelope: Envelope
-
-
-@slotted_dataclass(frozen=True)
-class Rollback:
-    """The engine restored its application state to checkpoint ``to_seq``."""
-
-    to_seq: Seq
-    tree: Optional[TreeId] = None
 
 
 @slotted_dataclass(frozen=True)
@@ -206,21 +132,13 @@ class Handoff:
 Effect = Any  # any of the classes above; kept loose for Python 3.9
 
 __all__ = [
-    "AppendLog",
     "Broadcast",
     "CancelTimer",
-    "CommitThrough",
-    "DiscardCheckpoints",
     "Effect",
     "EmitTrace",
     "Handoff",
     "ObserveDecision",
-    "PersistMeta",
     "Redeliver",
-    "Rollback",
-    "SLOT",
-    "STACK",
-    "SaveCheckpoint",
     "Send",
     "SetTimer",
 ]

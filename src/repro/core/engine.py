@@ -4,14 +4,23 @@
 events of :mod:`repro.core.events` through a single entrypoint —
 ``handle(event) -> list[Effect]`` — and describes every externally visible
 action as a typed effect from :mod:`repro.core.effects`.  It holds **zero**
-references to ``Node``, ``Scheduler``, ``Trace`` or stable storage; the same
-engine instance runs unchanged under the discrete-event simulation, the live
-asyncio runtime, and the :mod:`repro.mc` interleaving explorer.
+references to ``Node``, ``Scheduler`` or ``Trace``; the same engine instance
+runs unchanged under the discrete-event simulation, the live asyncio runtime,
+and the :mod:`repro.mc` interleaving explorer.
+
+The engine does hold two *ports* — host objects it calls synchronously: the
+hosted application (``app``) and stable storage (``storage``).  Checkpoints
+live in the one :class:`~repro.stable.checkpoint.CheckpointStore` the engine
+builds over that storage (every transition written through), and the
+Section 6 commit set and decision log are put/appended there and read back on
+``Recover`` — the paper keeps all three "in stable storage" and restarts from
+it.  Everything that needs a clock, a network, an RNG or a trace sink is
+still an effect.
 
 Layering:
 
-* this module — engine state, the event loop, the effect plumbing, the
-  normal-message plane, and the pure checkpoint stores;
+* this module — engine state, the event loop, the effect plumbing and the
+  normal-message plane;
 * :mod:`repro.core.checkpoint_protocol` — procedures b1-b4 (mixin);
 * :mod:`repro.core.rollback_protocol` — procedures b5-b8 (mixin);
 * :mod:`repro.core.recovery` — the Section 6 failure rules (mixin);
@@ -52,9 +61,11 @@ from repro.core.membership_protocol import MembershipMixin
 from repro.core.recovery import RecoveryMixin
 from repro.core.rollback_protocol import RollProtocolMixin
 from repro.core.trees import TreeRegistry
-from repro.errors import ProtocolError, StableStorageError
+from repro.errors import ProtocolError
 from repro.net.message import Envelope, control, normal
 from repro.priorities import PRIORITY_NORMAL, PRIORITY_TIMER
+from repro.stable.checkpoint import CheckpointStore
+from repro.stable.storage import InMemoryStableStorage, StableStorage
 from repro.tracekinds import (
     K_CTRL_RECEIVE,
     K_CTRL_SEND,
@@ -66,7 +77,7 @@ from repro.tracekinds import (
     K_SUSPEND_ALL,
     K_SUSPEND_SEND,
 )
-from repro.types import CheckpointRecord, MessageId, ProcessId, Seq, SimTime, TreeId
+from repro.types import MessageId, ProcessId, SimTime, TreeId
 
 
 @slotted_dataclass(frozen=True)
@@ -108,144 +119,6 @@ class ProtocolConfig:
                 raise ValueError(f"{name} must be >= 0, got {value}")
 
 
-class CheckpointSlots:
-    """Pure in-engine mirror of the two-slot ``oldchkpt``/``newchkpt`` store.
-
-    Mutations emit the matching storage effect through the owning engine, so
-    an adapter can replay them onto a real
-    :class:`repro.stable.checkpoint.CheckpointStore` while the engine reasons
-    over plain records.
-    """
-
-    def __init__(self, engine: "EngineBase") -> None:
-        self._engine = engine
-        self.oldchkpt: Optional[CheckpointRecord] = None
-        self.newchkpt: Optional[CheckpointRecord] = None
-
-    @property
-    def has_new(self) -> bool:
-        return self.newchkpt is not None
-
-    def initialize(
-        self, state: Any, made_at: SimTime = 0.0, seq: Seq = 1, meta: Optional[Dict[str, Any]] = None
-    ) -> CheckpointRecord:
-        record = CheckpointRecord(
-            seq=seq, state=state, committed=True, made_at=made_at, meta=dict(meta or {})
-        )
-        self.oldchkpt = record
-        self.newchkpt = None
-        self._engine._emit(
-            FX.SaveCheckpoint(
-                kind="initial", seq=seq, state=state, made_at=made_at,
-                meta=record.meta, store=FX.SLOT,
-            )
-        )
-        return record
-
-    def take_new(self, seq: Seq, state: Any, made_at: SimTime = 0.0, **meta: Any) -> CheckpointRecord:
-        if self.has_new:
-            raise StableStorageError("newchkpt already exists; commit or discard it first")
-        record = CheckpointRecord(seq=seq, state=state, committed=False, made_at=made_at, meta=meta)
-        self.newchkpt = record
-        self._engine._emit(
-            FX.SaveCheckpoint(
-                kind="new", seq=seq, state=state, made_at=made_at, meta=meta, store=FX.SLOT
-            )
-        )
-        return record
-
-    def commit_new(self) -> CheckpointRecord:
-        pending = self.newchkpt
-        if pending is None:
-            raise StableStorageError("no newchkpt to commit")
-        pending.committed = True
-        self.oldchkpt = pending
-        self.newchkpt = None
-        self._engine._emit(FX.CommitThrough(seq=pending.seq, store=FX.SLOT))
-        return pending
-
-    def discard_new(self) -> None:
-        self.newchkpt = None
-        self._engine._emit(FX.DiscardCheckpoints(from_seq=None, store=FX.SLOT))
-
-
-class CheckpointStack:
-    """Pure mirror of the Section 3.5.3 pending-checkpoint stack."""
-
-    def __init__(self, engine: "EngineBase") -> None:
-        self._engine = engine
-        self.oldchkpt: Optional[CheckpointRecord] = None
-        self._pending: List[CheckpointRecord] = []
-
-    @property
-    def pending(self) -> List[CheckpointRecord]:
-        return list(self._pending)
-
-    @property
-    def pending_seqs(self) -> List[Seq]:
-        return [r.seq for r in self._pending]
-
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending)
-
-    @property
-    def newest(self) -> Optional[CheckpointRecord]:
-        return self._pending[-1] if self._pending else None
-
-    def find(self, seq: Seq) -> Optional[CheckpointRecord]:
-        for record in self._pending:
-            if record.seq == seq:
-                return record
-        return None
-
-    def initialize(
-        self, state: Any, made_at: SimTime = 0.0, seq: Seq = 1, meta: Optional[Dict[str, Any]] = None
-    ) -> CheckpointRecord:
-        record = CheckpointRecord(
-            seq=seq, state=state, committed=True, made_at=made_at, meta=dict(meta or {})
-        )
-        self.oldchkpt = record
-        self._pending = []
-        self._engine._emit(
-            FX.SaveCheckpoint(
-                kind="initial", seq=seq, state=state, made_at=made_at,
-                meta=record.meta, store=FX.STACK,
-            )
-        )
-        return record
-
-    def push(self, seq: Seq, state: Any, made_at: SimTime = 0.0, **meta: Any) -> CheckpointRecord:
-        if self._pending and seq <= self._pending[-1].seq:
-            raise StableStorageError(
-                f"checkpoint seq {seq} not newer than pending seq {self._pending[-1].seq}"
-            )
-        record = CheckpointRecord(seq=seq, state=state, committed=False, made_at=made_at, meta=meta)
-        self._pending.append(record)
-        self._engine._emit(
-            FX.SaveCheckpoint(
-                kind="push", seq=seq, state=state, made_at=made_at, meta=meta, store=FX.STACK
-            )
-        )
-        return record
-
-    def commit_through(self, seq: Seq) -> CheckpointRecord:
-        target = self.find(seq)
-        if target is None:
-            raise StableStorageError(f"no pending checkpoint with seq {seq}")
-        target.committed = True
-        self.oldchkpt = target
-        self._pending = [r for r in self._pending if r.seq > seq]
-        self._engine._emit(FX.CommitThrough(seq=seq, store=FX.STACK))
-        return target
-
-    def discard_from(self, seq: Seq) -> List[CheckpointRecord]:
-        dropped = [r for r in self._pending if r.seq >= seq]
-        self._pending = [r for r in self._pending if r.seq < seq]
-        self._engine._emit(FX.DiscardCheckpoints(from_seq=seq, store=FX.STACK))
-        return dropped
-
-
 class EngineBase:
     """Engine state, event dispatch and effect plumbing shared by variants."""
 
@@ -254,11 +127,13 @@ class EngineBase:
         pid: ProcessId,
         config: Optional[ProtocolConfig] = None,
         app: Optional[Application] = None,
+        storage: Optional[StableStorage] = None,
     ) -> None:
         self.node_id = pid
         self.config = config or ProtocolConfig()
         self.app: Application = app or CounterApp(pid)
-        self.store = CheckpointSlots(self)
+        self.storage: StableStorage = storage or InMemoryStableStorage()
+        self.store = CheckpointStore(self.storage)
         self.ledger = LabelLedger(pid)
         self.trees = TreeRegistry()
         self.chkpt_commit_set: set = set()
@@ -298,10 +173,6 @@ class EngineBase:
         self._spool_decisions: Optional[Tuple[Any, ...]] = None
         self._timer_actions: Dict[str, Callable[[], None]] = {}
         self._counters: Dict[str, int] = {}
-        # Mirrors of the PersistMeta / AppendLog effects, so recovery never
-        # reads storage: the last commit set put, every decision appended.
-        self._persisted_commit_set: List[Any] = []
-        self._persisted_decisions: List[Any] = []
         # Effect plumbing: eager per-effect sink + per-handle collection list.
         self._sink: Optional[Callable[[Any], None]] = None
         self._effects: Optional[List[Any]] = None
@@ -331,22 +202,11 @@ class EngineBase:
         self._down = getattr(event, "down", None)
         self._status_down = getattr(event, "status_down", None)
         self.last_result = None
-        # Exact-class table lookup replaces the historical isinstance chain:
-        # one dict probe instead of up-to-twelve type checks per event.  A
-        # subclass (not used by the repo itself, but allowed) falls back to
-        # the isinstance walk once and is then cached in the table.
+        # Exact-class table lookup: one dict probe per event.
         name = _EVENT_DISPATCH.get(event.__class__)
         if name is None:
-            name = self._dispatch_event_slow(event)
+            raise ProtocolError(f"unknown engine event {event!r}")
         getattr(self, name)(event)
-
-    def _dispatch_event_slow(self, event: EV.Event) -> str:
-        """Subclass fallback: resolve via isinstance (chain order) and cache."""
-        for cls, name in _EVENT_DISPATCH.items():
-            if isinstance(event, cls):
-                _EVENT_DISPATCH[event.__class__] = name
-                return name
-        raise ProtocolError(f"unknown engine event {event!r}")
 
     # Per-event adapters bound through _EVENT_DISPATCH (uniform signature).
     def _ev_deliver(self, event: EV.Deliver) -> None:
@@ -632,19 +492,8 @@ class EngineBase:
             K_CTRL_RECEIVE, src=src, msg_type=body.kind, tree=getattr(body, "tree", None)
         )
         name = _CONTROL_DISPATCH.get(body.__class__)
-        if name is None:
-            name = self._dispatch_control_slow(body)
-            if name is None:
-                return  # unknown control bodies are ignored, as before
-        getattr(self, name)(src, body)
-
-    def _dispatch_control_slow(self, body: Any) -> Optional[str]:
-        """Subclass fallback: resolve via isinstance (chain order) and cache."""
-        for cls, name in _CONTROL_DISPATCH.items():
-            if isinstance(body, cls):
-                _CONTROL_DISPATCH[body.__class__] = name
-                return name
-        return None
+        if name is not None:  # unknown control bodies are ignored
+            getattr(self, name)(src, body)
 
     def _send_control(self, dst: ProcessId, body: Any) -> None:
         fields = {"dst": dst, "msg_type": body.kind, "tree": getattr(body, "tree", None)}
@@ -672,21 +521,22 @@ class EngineBase:
             return
         self.decisions_seen[tree_id] = decision
         if self.config.failure_resilience:
-            record = [tree_id.initiator, tree_id.initiation_seq, decision]
-            self._persisted_decisions.append(record)
-            self._emit(FX.AppendLog(key="decisions", record=record))
+            self.storage.append(
+                "decisions", [tree_id.initiator, tree_id.initiation_seq, decision]
+            )
 
     def _load_decisions(self) -> Dict[TreeId, str]:
-        return {TreeId(i, s): d for i, s, d in self._persisted_decisions}
+        return {TreeId(i, s): d for i, s, d in self.storage.read_log("decisions")}
 
     def _persist_commit_set(self) -> None:
         """Keep chkpt_commit_set recoverable: rule 3 needs it after a crash."""
-        value = sorted((t.initiator, t.initiation_seq) for t in self.chkpt_commit_set)
-        self._persisted_commit_set = value
-        self._emit(FX.PersistMeta(key="commit_set", value=value))
+        self.storage.put(
+            "commit_set",
+            sorted((t.initiator, t.initiation_seq) for t in self.chkpt_commit_set),
+        )
 
     def _load_commit_set(self) -> set:
-        return {TreeId(i, s) for i, s in self._persisted_commit_set}
+        return {TreeId(i, s) for i, s in self.storage.get("commit_set", [])}
 
     # Overridden by the protocol mixins; declared so the base class is
     # complete for the event dispatcher.
@@ -719,8 +569,7 @@ class EngineBase:
 #: Exact-class → handler-name tables for the two dispatch hot paths.  Names
 #: (not bound methods) so the protocol handlers, which live on the mixins
 #: rather than :class:`EngineBase`, resolve through the instance at call
-#: time.  Insertion order mirrors the historical isinstance chains — the
-#: subclass fallback walks it in that order before caching.
+#: time.
 _EVENT_DISPATCH: Dict[type, str] = {
     EV.Deliver: "_ev_deliver",
     EV.TimerFired: "_ev_timer_fired",
@@ -767,8 +616,6 @@ class ProtocolEngine(
 
 
 __all__ = [
-    "CheckpointSlots",
-    "CheckpointStack",
     "EngineBase",
     "ProtocolConfig",
     "ProtocolEngine",

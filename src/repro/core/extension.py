@@ -24,10 +24,11 @@ pending checkpoint's boundary; we implement the general covering rule (the
 earliest pending checkpoint with ``seq > label`` serves the request) of
 which the paper's cases are instances — see DESIGN.md §5.
 
-Split like the base algorithm: :class:`ExtendedProtocolEngine` is the pure
-sans-IO variant (safe to import from :mod:`repro.core.engine` consumers),
-:class:`ExtendedCheckpointProcess` the kernel adapter that mirrors the pure
-checkpoint stack onto a real :class:`~repro.stable.checkpoint.MultiCheckpointStore`.
+Split like the base algorithm: :class:`ExtendedProtocolEngine` is the
+sans-IO variant (safe to import from :mod:`repro.core.engine` consumers) and
+owns the pending stack, a :class:`~repro.stable.checkpoint.MultiCheckpointStore`
+over the engine's stable storage; :class:`ExtendedCheckpointProcess` is the
+kernel adapter that drives it.
 """
 
 from __future__ import annotations
@@ -37,10 +38,11 @@ from typing import Dict, Optional, Set, Tuple
 from repro import tracekinds as T
 from repro.core import messages as M
 from repro.core.app import Application
-from repro.core.engine import CheckpointStack, ProtocolConfig, ProtocolEngine
+from repro.core.engine import ProtocolConfig, ProtocolEngine
 from repro.core.process import CheckpointProcess
 from repro.core.trees import ChkptTreeState
 from repro.stable.checkpoint import MultiCheckpointStore
+from repro.stable.storage import StableStorage
 from repro.types import CheckpointRecord, ProcessId, Seq, TreeId
 
 
@@ -52,9 +54,10 @@ class ExtendedProtocolEngine(ProtocolEngine):
         pid: ProcessId,
         config: Optional[ProtocolConfig] = None,
         app: Optional[Application] = None,
+        storage: Optional[StableStorage] = None,
     ) -> None:
-        super().__init__(pid, config=config, app=app)
-        self.multi_store = CheckpointStack(self)
+        super().__init__(pid, config=config, app=app, storage=storage)
+        self.multi_store = MultiCheckpointStore(self.storage, namespace="mckpt")
         # Per-pending-checkpoint commit sets: seq -> {tree timestamps}.
         self.commit_sets: Dict[Seq, Set[TreeId]] = {}
         self.tree_to_seq: Dict[TreeId, Seq] = {}
@@ -384,15 +387,6 @@ class ExtendedProtocolEngine(ProtocolEngine):
 
 
 class ExtendedCheckpointProcess(CheckpointProcess):
-    """Adapter for :class:`ExtendedProtocolEngine` with a real pending stack."""
+    """Adapter for :class:`ExtendedProtocolEngine`."""
 
     engine_class = ExtendedProtocolEngine
-
-    def _hydrate_engine(self, engine: ExtendedProtocolEngine) -> None:
-        # The real stack must exist before the engine starts emitting stack
-        # effects; created here because this runs inside the base __init__
-        # (the ``engine`` slot is still None, so the assignment stays local).
-        self.multi_store = MultiCheckpointStore(self.storage, namespace="mckpt")
-        super()._hydrate_engine(engine)
-        engine.multi_store.oldchkpt = self.multi_store.oldchkpt
-        engine.multi_store._pending = list(self.multi_store.pending)

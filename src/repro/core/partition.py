@@ -105,7 +105,7 @@ class PartitionCoordinator:
     def _wake(self, node: "CheckpointProcess") -> None:
         """On merge, a minority process follows rule 3 (restart protocol)."""
         self.sim.set_crashed(node, False)
-        node.on_recover(None)
+        node.on_recover()
         if self.sim.failure_detector is not None:
             self.sim.failure_detector.report_recovery(node.node_id)
 

@@ -10,15 +10,17 @@ class is the thin glue that lets a kernel (the discrete-event simulation via
   to ``engine.handle``;
 * the engine's typed :mod:`repro.core.effects` are interpreted eagerly, the
   moment each is emitted, against the kernel: sends go to the network,
-  traces to the trace sink, ``SaveCheckpoint``/``CommitThrough`` to the real
-  :class:`~repro.stable.checkpoint.CheckpointStore`, timers to the node's
-  timer table (with the RNG jitter drawn from the kernel's seeded stream).
+  traces to the trace sink, timers to the node's timer table (with the RNG
+  jitter drawn from the kernel's seeded stream).
 
-Attribute access is forwarded to the engine, so tests and analysis code can
-keep reading ``proc.ledger`` / ``proc.chkpt_commit_set`` — and monkey-patch
-engine hooks through the process — without knowing about the split.  The
-adapter keeps only the kernel-facing state: the real stable store, the node
-timer table, and the ``crashed`` flag the kernel toggles.
+The engine owns all protocol state, including the checkpoint store and the
+stable storage it writes through (``storage=`` is handed straight to the
+engine).  Attribute *reads* that miss on the adapter fall through to the
+engine, so tests and analysis code can keep reading ``proc.ledger`` /
+``proc.store`` / ``proc.storage`` / ``proc.chkpt_commit_set``; writes do not —
+set protocol state or patch engine hooks on ``proc.engine``.  The adapter
+keeps only the kernel-facing state: the node timer table and the ``crashed``
+flag the kernel toggles.
 """
 
 from __future__ import annotations
@@ -34,8 +36,7 @@ from repro.errors import ProtocolError
 from repro.net.message import Envelope, control
 from repro.sim import trace as T
 from repro.sim.node import Node
-from repro.stable.checkpoint import CheckpointStore
-from repro.stable.storage import InMemoryStableStorage, StableStorage
+from repro.stable.storage import StableStorage
 from repro.types import ProcessId, TreeId
 
 
@@ -52,31 +53,12 @@ class CheckpointProcess(Node):
         app: Optional[Application] = None,
         storage: Optional[StableStorage] = None,
     ) -> None:
-        # ``engine`` must exist (as None) before anything else so that
-        # __setattr__/__getattr__ can probe it during construction.
-        object.__setattr__(self, "engine", None)
         super().__init__(pid)
-        self.storage = storage or InMemoryStableStorage()
-        self.store = CheckpointStore(self.storage)
-        engine = self.engine_class(pid, config=config, app=app)
-        self._hydrate_engine(engine)
-        engine._sink = self._apply_effect
-        self.engine = engine
-
-    def _hydrate_engine(self, engine: ProtocolEngine) -> None:
-        """Mirror pre-existing stable state into the pure engine stores.
-
-        Matters only when the process is constructed over a non-empty
-        storage (e.g. file-backed restarts); effects are not emitted — the
-        real store already holds this state.
-        """
-        engine.store.oldchkpt = self.store.oldchkpt
-        engine.store.newchkpt = self.store.newchkpt
-        engine._persisted_commit_set = self.storage.get("commit_set", [])
-        engine._persisted_decisions = self.storage.read_log("decisions")
+        self.engine = self.engine_class(pid, config=config, app=app, storage=storage)
+        self.engine._sink = self._apply_effect
 
     # ------------------------------------------------------------------
-    # Attribute forwarding: the engine owns the protocol state
+    # Read-only view: the engine owns the protocol state
     # ------------------------------------------------------------------
     def __getattr__(self, name: str) -> Any:
         engine = object.__getattribute__(self, "__dict__").get("engine")
@@ -88,17 +70,6 @@ class CheckpointProcess(Node):
         raise AttributeError(
             f"{type(self).__name__!r} object has no attribute {name!r}"
         )
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        d = object.__getattribute__(self, "__dict__")
-        engine = d.get("engine")
-        if name in d or engine is None or name == "engine":
-            object.__setattr__(self, name, value)
-        elif hasattr(engine, name):
-            # Protocol state (and monkey-patched hooks) live on the engine.
-            setattr(engine, name, value)
-        else:
-            object.__setattr__(self, name, value)
 
     # ------------------------------------------------------------------
     # Kernel callbacks -> engine events
@@ -160,7 +131,7 @@ class CheckpointProcess(Node):
     def on_crash(self) -> None:
         self.engine.handle(EV.Fail(at=self.now))
 
-    def on_recover(self, stable_state: Any) -> None:
+    def on_recover(self) -> None:
         group = self.sim.network.spooler_for(self.node_id)
         if group is None:
             spooled = None
@@ -240,24 +211,6 @@ class CheckpointProcess(Node):
     def _fx_cancel_timer(self, eff: FX.CancelTimer) -> None:
         self.cancel_timer(eff.name)
 
-    def _fx_commit_through(self, eff: FX.CommitThrough) -> None:
-        if eff.store == FX.SLOT:
-            self.store.commit_new()
-        else:
-            self.multi_store.commit_through(eff.seq)
-
-    def _fx_discard_checkpoints(self, eff: FX.DiscardCheckpoints) -> None:
-        if eff.store == FX.SLOT:
-            self.store.discard_new()
-        else:
-            self.multi_store.discard_from(eff.from_seq)
-
-    def _fx_persist_meta(self, eff: FX.PersistMeta) -> None:
-        self.storage.put(eff.key, eff.value)
-
-    def _fx_append_log(self, eff: FX.AppendLog) -> None:
-        self.storage.append(eff.key, eff.record)
-
     def _fx_observe_decision(self, eff: FX.ObserveDecision) -> None:
         self.sim.network.observe_decision((eff.kind, eff.tree))
 
@@ -293,19 +246,6 @@ class CheckpointProcess(Node):
             )
         )
 
-    def _fx_rollback(self, eff: FX.Rollback) -> None:
-        """Informational; the engine already restored its app state."""
-
-    def _apply_save_checkpoint(self, eff: FX.SaveCheckpoint) -> None:
-        store = self.store if eff.store == FX.SLOT else self.multi_store
-        if eff.kind == "initial":
-            record = store.initialize(eff.state, made_at=eff.made_at)
-            record.meta.update(eff.meta)
-        elif eff.kind == "new":
-            store.take_new(eff.seq, eff.state, made_at=eff.made_at, **eff.meta)
-        else:  # "push" — extension stack entry
-            store.push(eff.seq, eff.state, made_at=eff.made_at, **eff.meta)
-
 
 #: Exact-class → interpreter table for the effect hot path: one dict probe
 #: per effect, whichever it is.  Plain functions (not names): the adapter's
@@ -315,14 +255,8 @@ _EFFECT_DISPATCH: Dict[type, Callable[[CheckpointProcess, Any], None]] = {
     FX.Send: CheckpointProcess._fx_send,
     FX.SetTimer: CheckpointProcess._fx_set_timer,
     FX.CancelTimer: CheckpointProcess._fx_cancel_timer,
-    FX.SaveCheckpoint: CheckpointProcess._apply_save_checkpoint,
-    FX.CommitThrough: CheckpointProcess._fx_commit_through,
-    FX.DiscardCheckpoints: CheckpointProcess._fx_discard_checkpoints,
-    FX.PersistMeta: CheckpointProcess._fx_persist_meta,
-    FX.AppendLog: CheckpointProcess._fx_append_log,
     FX.ObserveDecision: CheckpointProcess._fx_observe_decision,
     FX.Redeliver: CheckpointProcess._fx_redeliver,
     FX.Broadcast: CheckpointProcess._fx_broadcast,
     FX.Handoff: CheckpointProcess._fx_handoff,
-    FX.Rollback: CheckpointProcess._fx_rollback,
 }

@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro import tracekinds as T
-from repro.core import effects as FX
 from repro.core import messages as M
 from repro.core.trees import RollTreeState
 from repro.types import CheckpointRecord, ProcessId, TreeId
@@ -198,7 +197,6 @@ class RollProtocolMixin:
         """
         assert target is not None, "a process always has a committed checkpoint"
         self.app.restore(target.state)
-        self._emit(FX.Rollback(to_seq=target.seq, tree=tree.tree))
         undone_sends, undone_receives = self.ledger.undo_for_rollback(target.seq)
         self._trace(
             T.K_ROLLBACK,

@@ -102,7 +102,7 @@ class KernelLike(Protocol):
 
     def crash(self, pid: ProcessId) -> None: ...
 
-    def recover(self, pid: ProcessId, stable_state: Any = None) -> None: ...
+    def recover(self, pid: ProcessId) -> None: ...
 
 
 class KernelCore:
@@ -267,7 +267,7 @@ class KernelCore:
         if self.failure_detector is not None:
             self.failure_detector.report_crash(pid)
 
-    def recover(self, pid: ProcessId, stable_state: Any = None) -> None:
+    def recover(self, pid: ProcessId) -> None:
         """Restart ``pid`` from its stable storage."""
         from repro.sim import trace as T  # deferred: repro.sim imports this module
 
@@ -276,6 +276,6 @@ class KernelCore:
             raise SimulationError(f"P{pid} is not crashed")
         self.set_crashed(node, False)
         self.trace.record(self.now, T.K_RECOVER, pid=pid)
-        node.on_recover(stable_state)
+        node.on_recover()
         if self.failure_detector is not None:
             self.failure_detector.report_recovery(pid)

@@ -142,25 +142,11 @@ class ClusterHarness:
             self.in_flight[("m", env.src, env.dst, k)] = env
         elif isinstance(eff, FX.EmitTrace):
             self.trace.record(float(self.step), eff.kind, pid=pid, **eff.fields)
-        elif isinstance(eff, (FX.SetTimer, FX.CancelTimer)):
+        elif isinstance(eff, (FX.SetTimer, FX.CancelTimer, FX.ObserveDecision)):
             # Timers never fire here: the checkpoint timer is disabled and
             # the failure rules (the only other timer users) are off in the
-            # failure-free scenarios the explorer runs.
-            pass
-        elif isinstance(
-            eff,
-            (
-                FX.SaveCheckpoint,
-                FX.CommitThrough,
-                FX.DiscardCheckpoints,
-                FX.PersistMeta,
-                FX.AppendLog,
-                FX.ObserveDecision,
-                FX.Rollback,
-            ),
-        ):
-            # The engines' pure store mirrors are authoritative; there is no
-            # stable storage, spooler, or app host behind them.
+            # failure-free scenarios the explorer runs.  Nor is there a
+            # spooler group to show a decision to.
             pass
         else:  # Redeliver / Broadcast need failure machinery we do not model
             raise SimulationError(f"effect not supported by the mc harness: {eff!r}")

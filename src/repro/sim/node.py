@@ -21,7 +21,7 @@ the simulation suppresses their timers until recovery.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.errors import SimulationError
 from repro.sim.event import PRIORITY_TIMER
@@ -127,11 +127,11 @@ class Node:
     def on_crash(self) -> None:
         """Called when the failure injector crashes this node."""
 
-    def on_recover(self, stable_state: Any) -> None:
+    def on_recover(self) -> None:
         """Called when this node restarts after a crash.
 
-        ``stable_state`` is whatever the node's stable storage holds; volatile
-        state must be reconstructed from it, per the paper's failure model.
+        Volatile state must be reconstructed from the node's stable storage,
+        per the paper's failure model.
         """
 
     def on_failure_notice(self, pid: ProcessId) -> None:

@@ -4,13 +4,15 @@
 and *newchkpt*) in stable storage.  *newchkpt* is an uncommitted checkpoint.
 *oldchkpt* represents the latest version of the committed checkpoint."
 
-:class:`CheckpointStore` wraps a :class:`~repro.stable.storage.StableStorage`
-and exposes exactly the operations the algorithm performs:
+:class:`CheckpointStore` is the one record of those checkpoints: the protocol
+engine owns it, the checkers read it, and it writes every transition through
+to the :class:`~repro.stable.storage.StableStorage` it wraps.  It exposes
+exactly the operations the algorithm performs:
 
 * :meth:`take_new` — write an uncommitted ``newchkpt``;
 * :meth:`commit_new` — ``oldchkpt := newchkpt; newchkpt := nil``;
 * :meth:`discard_new` — ``newchkpt := nil`` (abort);
-* the :attr:`oldchkpt` / :attr:`newchkpt` accessors.
+* the :attr:`oldchkpt` / :attr:`newchkpt` records.
 
 The Section 3.5.3 extension needs a *stack* of uncommitted checkpoints
 (``newchkpt_a .. newchkpt_l``); :class:`MultiCheckpointStore` provides that
@@ -18,21 +20,22 @@ generalisation while keeping the same committed-slot semantics.
 
 Fast paths
 ----------
-Slot accessors are hot (every b1 guard and every fan-out consults them), so
-decoded records are cached per slot and invalidated on transitions.  The
-cache is validated against the *identity* of the stored raw value: a
-snapshot-backed storage returns the same frozen object until the slot is
-overwritten, so even a write that bypasses this store (tests do this to
-tamper with records) is picked up.  Existence checks (:attr:`has_new`,
-:attr:`pending_count`) never deserialise state, and the multi-store keeps
-one storage record per pending checkpoint so pushing, committing or
-discarding touches only the affected stack entries — never a re-serialise
-of the whole pending stack.
+Records live in memory: a store loads what its storage holds once, at
+construction (a process restarted over the storage of an earlier run picks up
+where that run stopped), and serves every read from those records — the b1
+guards and fan-outs that consult the slots never touch the backend.  Every
+transition is written through with ``put``/``delete`` before the in-memory
+record changes.  A commit *promotes the stored record* (``get`` the pending
+entry, ``put`` it under the committed key with ``committed`` set) instead of
+re-encoding the in-memory one, so the in-memory backend re-freezes nothing —
+the state it froze at ``take_new`` passes through — and the multi-store keeps
+one storage record per pending checkpoint, so pushing, committing or
+discarding touches only the affected stack entries.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.errors import StableStorageError
 from repro.stable.storage import InMemoryStableStorage, StableStorage
@@ -61,58 +64,32 @@ def _decode(raw: Optional[dict]) -> Optional[CheckpointRecord]:
     )
 
 
-class _SlotCache:
-    """Identity-validated decode cache shared by both stores."""
-
-    def __init__(self, storage: StableStorage):
-        self._storage = storage
-        self._cache: Dict[str, Tuple[Any, CheckpointRecord]] = {}
-
-    def load(self, key: str) -> Optional[CheckpointRecord]:
-        raw = self._storage.get(key)
-        if raw is None:
-            self._cache.pop(key, None)
-            return None
-        hit = self._cache.get(key)
-        if hit is not None and hit[0] is raw:
-            return hit[1]
-        record = _decode(raw)
-        self._cache[key] = (raw, record)
-        return record
-
-    def invalidate(self, *keys: str) -> None:
-        for key in keys:
-            self._cache.pop(key, None)
+def _promote(storage: StableStorage, pending_key: str, old_key: str) -> None:
+    """Commit on storage: the stored pending record becomes ``oldchkpt``."""
+    storage.put(old_key, {**storage.get(pending_key), "committed": True})
 
 
 class CheckpointStore:
     """Two-slot stable checkpoint storage for one process."""
 
-    def __init__(self, storage: Optional[StableStorage] = None, namespace: str = "ckpt"):
+    def __init__(self, storage: Optional[StableStorage] = None, namespace: str = "ckpt") -> None:
         self._storage = storage or InMemoryStableStorage()
-        self._ns = namespace
         self._old_key = f"{namespace}.old"
         self._new_key = f"{namespace}.new"
-        self._slots = _SlotCache(self._storage)
-
-    # -- slot accessors -------------------------------------------------
-    @property
-    def oldchkpt(self) -> Optional[CheckpointRecord]:
-        """The latest committed checkpoint, or ``None`` before the first."""
-        return self._slots.load(self._old_key)
-
-    @property
-    def newchkpt(self) -> Optional[CheckpointRecord]:
-        """The pending uncommitted checkpoint, or ``None``."""
-        return self._slots.load(self._new_key)
+        #: The latest committed checkpoint, or ``None`` before the first.
+        self.oldchkpt = _decode(self._storage.get(self._old_key))
+        #: The pending uncommitted checkpoint, or ``None``.
+        self.newchkpt = _decode(self._storage.get(self._new_key))
 
     @property
     def has_new(self) -> bool:
-        """``newchkpt != nil``, without deserialising the pending state."""
-        return self._new_key in self._storage
+        """``newchkpt != nil``."""
+        return self.newchkpt is not None
 
     # -- transitions -----------------------------------------------------
-    def initialize(self, state: Any, made_at: SimTime = 0.0, seq: Seq = 1) -> CheckpointRecord:
+    def initialize(
+        self, state: Any, made_at: SimTime = 0.0, seq: Seq = 1, meta: Optional[Dict[str, Any]] = None
+    ) -> CheckpointRecord:
         """Install the initial committed checkpoint (process birth).
 
         The paper's processes always have a committed checkpoint to fall back
@@ -121,19 +98,21 @@ class CheckpointStore:
         paper's figures (message labels then start at 1, keeping label 0
         free as the "no messages received" sentinel for ``max_ij``).
         """
-        record = CheckpointRecord(seq=seq, state=state, committed=True, made_at=made_at)
+        record = CheckpointRecord(
+            seq=seq, state=state, committed=True, made_at=made_at, meta=dict(meta or {})
+        )
         self._storage.put(self._old_key, _encode(record))
         self._storage.delete(self._new_key)
-        self._slots.invalidate(self._old_key, self._new_key)
+        self.oldchkpt, self.newchkpt = record, None
         return record
 
     def take_new(self, seq: Seq, state: Any, made_at: SimTime = 0.0, **meta: Any) -> CheckpointRecord:
         """Write the uncommitted ``newchkpt`` (fails if one is pending)."""
-        if self.has_new:
+        if self.newchkpt is not None:
             raise StableStorageError("newchkpt already exists; commit or discard it first")
         record = CheckpointRecord(seq=seq, state=state, committed=False, made_at=made_at, meta=meta)
         self._storage.put(self._new_key, _encode(record))
-        self._slots.invalidate(self._new_key)
+        self.newchkpt = record
         return record
 
     def commit_new(self) -> CheckpointRecord:
@@ -141,16 +120,16 @@ class CheckpointStore:
         pending = self.newchkpt
         if pending is None:
             raise StableStorageError("no newchkpt to commit")
-        pending.committed = True
-        self._storage.put(self._old_key, _encode(pending))
+        _promote(self._storage, self._new_key, self._old_key)
         self._storage.delete(self._new_key)
-        self._slots.invalidate(self._old_key, self._new_key)
+        pending.committed = True
+        self.oldchkpt, self.newchkpt = pending, None
         return pending
 
     def discard_new(self) -> None:
         """``newchkpt := nil`` (abort); no-op if none pending."""
         self._storage.delete(self._new_key)
-        self._slots.invalidate(self._new_key)
+        self.newchkpt = None
 
 
 class MultiCheckpointStore:
@@ -170,67 +149,70 @@ class MultiCheckpointStore:
     operations re-serialise only the entries they actually touch.
     """
 
-    def __init__(self, storage: Optional[StableStorage] = None, namespace: str = "ckpt"):
+    def __init__(self, storage: Optional[StableStorage] = None, namespace: str = "ckpt") -> None:
         self._storage = storage or InMemoryStableStorage()
         self._ns = namespace
         self._old_key = f"{namespace}.old"
         self._index_key = f"{namespace}.pending"
-        self._slots = _SlotCache(self._storage)
+        self.oldchkpt = _decode(self._storage.get(self._old_key))
+        self._pending: List[CheckpointRecord] = []
+        for seq in self._storage.get(self._index_key, ()):
+            record = _decode(self._storage.get(self._entry_key(seq)))
+            if record is None:
+                raise StableStorageError(f"pending checkpoint record {seq} missing from storage")
+            self._pending.append(record)
 
     def _entry_key(self, seq: Seq) -> str:
         return f"{self._ns}.pending.{seq}"
 
     # -- accessors -------------------------------------------------------
     @property
-    def oldchkpt(self) -> Optional[CheckpointRecord]:
-        return self._slots.load(self._old_key)
+    def pending(self) -> List[CheckpointRecord]:
+        """Uncommitted checkpoints, oldest first."""
+        return list(self._pending)
 
     @property
     def pending_seqs(self) -> List[Seq]:
         """Sequence numbers of the uncommitted checkpoints, oldest first."""
-        return list(self._storage.get(self._index_key, ()))
+        return [r.seq for r in self._pending]
 
     @property
     def pending_count(self) -> int:
-        """Depth of the uncommitted stack, without decoding any state."""
-        return len(self._storage.get(self._index_key, ()))
-
-    @property
-    def pending(self) -> List[CheckpointRecord]:
-        """Uncommitted checkpoints, oldest first."""
-        return [self._entry(seq) for seq in self.pending_seqs]
-
-    def _entry(self, seq: Seq) -> CheckpointRecord:
-        record = self._slots.load(self._entry_key(seq))
-        if record is None:
-            raise StableStorageError(f"pending checkpoint record {seq} missing from storage")
-        return record
+        """Depth of the uncommitted stack."""
+        return len(self._pending)
 
     @property
     def newest(self) -> Optional[CheckpointRecord]:
         """The most recent uncommitted checkpoint (``newchkpt_l``), if any."""
-        seqs = self.pending_seqs
-        return self._entry(seqs[-1]) if seqs else None
+        return self._pending[-1] if self._pending else None
 
     def find(self, seq: Seq) -> Optional[CheckpointRecord]:
         """The pending checkpoint with sequence number ``seq``, if any."""
-        if seq not in self.pending_seqs:
-            return None
-        return self._entry(seq)
+        for record in self._pending:
+            if record.seq == seq:
+                return record
+        return None
 
     # -- transitions -----------------------------------------------------
-    def initialize(self, state: Any, made_at: SimTime = 0.0, seq: Seq = 1) -> CheckpointRecord:
-        record = CheckpointRecord(seq=seq, state=state, committed=True, made_at=made_at)
-        self._storage.put(self._old_key, _encode(record))
-        self._drop_entries(self.pending_seqs)
-        self._storage.put(self._index_key, [])
-        self._slots.invalidate(self._old_key)
-        return record
+    def _set_pending(self, keep: List[CheckpointRecord]) -> None:
+        """Shrink the stack to ``keep``: drop the other entries, rewrite the index."""
+        kept = {r.seq for r in keep}
+        for record in self._pending:
+            if record.seq not in kept:
+                self._storage.delete(self._entry_key(record.seq))
+        self._storage.put(self._index_key, [r.seq for r in keep])
+        self._pending = keep
 
-    def _drop_entries(self, seqs: List[Seq]) -> None:
-        for seq in seqs:
-            self._storage.delete(self._entry_key(seq))
-            self._slots.invalidate(self._entry_key(seq))
+    def initialize(
+        self, state: Any, made_at: SimTime = 0.0, seq: Seq = 1, meta: Optional[Dict[str, Any]] = None
+    ) -> CheckpointRecord:
+        record = CheckpointRecord(
+            seq=seq, state=state, committed=True, made_at=made_at, meta=dict(meta or {})
+        )
+        self._storage.put(self._old_key, _encode(record))
+        self._set_pending([])
+        self.oldchkpt = record
+        return record
 
     def push(self, seq: Seq, state: Any, made_at: SimTime = 0.0, **meta: Any) -> CheckpointRecord:
         """Append a new uncommitted checkpoint (must be newer than the last).
@@ -238,28 +220,25 @@ class MultiCheckpointStore:
         Touches exactly one entry record plus the (tiny) stack index; the
         existing entries are not re-serialised.
         """
-        seqs = self.pending_seqs
-        if seqs and seq <= seqs[-1]:
+        if self._pending and seq <= self._pending[-1].seq:
             raise StableStorageError(
-                f"checkpoint seq {seq} not newer than pending seq {seqs[-1]}"
+                f"checkpoint seq {seq} not newer than pending seq {self._pending[-1].seq}"
             )
         record = CheckpointRecord(seq=seq, state=state, committed=False, made_at=made_at, meta=meta)
         self._storage.put(self._entry_key(seq), _encode(record))
-        self._slots.invalidate(self._entry_key(seq))
-        self._storage.put(self._index_key, seqs + [seq])
+        self._storage.put(self._index_key, self.pending_seqs + [seq])
+        self._pending.append(record)
         return record
 
     def commit_through(self, seq: Seq) -> CheckpointRecord:
         """Commit the pending checkpoint with ``seq`` and discard older ones."""
-        seqs = self.pending_seqs
-        if seq not in seqs:
+        target = self.find(seq)
+        if target is None:
             raise StableStorageError(f"no pending checkpoint with seq {seq}")
-        target = self._entry(seq)
+        _promote(self._storage, self._entry_key(seq), self._old_key)
+        self._set_pending([r for r in self._pending if r.seq > seq])
         target.committed = True
-        self._storage.put(self._old_key, _encode(target))
-        self._drop_entries([s for s in seqs if s <= seq])
-        self._storage.put(self._index_key, [s for s in seqs if s > seq])
-        self._slots.invalidate(self._old_key)
+        self.oldchkpt = target
         return target
 
     def discard_from(self, seq: Seq) -> List[CheckpointRecord]:
@@ -268,17 +247,10 @@ class MultiCheckpointStore:
         Used by the extension's rollback cases 2.1/2.2, which abort
         ``newchkpt_h .. newchkpt_l``.  Returns the discarded records.
         """
-        seqs = self.pending_seqs
-        dropped_seqs = [s for s in seqs if s >= seq]
-        dropped = [self._entry(s) for s in dropped_seqs]
-        self._drop_entries(dropped_seqs)
-        self._storage.put(self._index_key, [s for s in seqs if s < seq])
+        dropped = [r for r in self._pending if r.seq >= seq]
+        self._set_pending([r for r in self._pending if r.seq < seq])
         return dropped
 
     def discard_all(self) -> List[CheckpointRecord]:
         """Discard every pending checkpoint."""
-        seqs = self.pending_seqs
-        dropped = [self._entry(s) for s in seqs]
-        self._drop_entries(seqs)
-        self._storage.put(self._index_key, [])
-        return dropped
+        return self.discard_from(0)

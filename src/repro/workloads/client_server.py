@@ -71,7 +71,7 @@ class ClientServerWorkload(Workload):
             server = procs[server_pid]
             app = ReplyingServerApp(server_pid, self.service_time)
             app.process = server
-            server.app = app
+            server.engine.app = app
 
         clients = [pid for pid in sorted(procs) if pid not in self.servers]
         for pid in clients:

@@ -66,7 +66,7 @@ class PipelineWorkload(Workload):
             downstream = self.stages[position + 1] if position + 1 < len(self.stages) else None
             app = ForwardingApp(pid, downstream, self.stage_delay)
             app.process = procs[pid]
-            procs[pid].app = app
+            procs[pid].engine.app = app
 
         source = procs[self.stages[0]]
         first_hop = self.stages[1]

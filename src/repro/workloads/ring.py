@@ -58,7 +58,7 @@ class RingWorkload(Workload):
             successor = pids[(position + 1) % len(pids)]
             app = TokenApp(pid, successor, self.hold_time, self.duration)
             app.process = procs[pid]
-            procs[pid].app = app
+            procs[pid].engine.app = app
 
         spacing = max(len(pids) // max(self.tokens, 1), 1)
         for k in range(self.tokens):

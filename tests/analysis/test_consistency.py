@@ -9,7 +9,6 @@ from repro.analysis import (
     check_quiescent,
 )
 from repro.errors import ConsistencyViolation
-from repro.stable import thaw
 from repro.testing import build_sim
 
 
@@ -32,14 +31,8 @@ def test_checkers_pass_on_consistent_run():
 def test_c1_detects_orphan_receive():
     """Tamper with the sender's manifest: the checker must flag it."""
     sim, procs = run_consistent_pair()
-    record = procs[0].store.oldchkpt
-    meta = thaw(record.meta)  # stored records are frozen snapshots
-    meta["sent"] = []
-    # Write the tampered record back through the store's own storage.
-    procs[0].storage.put("ckpt.old", {
-        "seq": record.seq, "state": record.state, "committed": True,
-        "made_at": record.made_at, "meta": meta,
-    })
+    # The store's records are the ones the checkers read: tamper in place.
+    procs[0].store.oldchkpt.meta["sent"] = []
     with pytest.raises(ConsistencyViolation, match="C1"):
         check_c1(procs.values())
 
@@ -54,7 +47,7 @@ def test_c2_detects_dangling_receive():
 
 def test_quiescence_detects_suspension():
     sim, procs = run_consistent_pair()
-    procs[0].send_suspended = True
+    procs[0].engine.send_suspended = True
     with pytest.raises(ConsistencyViolation, match="termination"):
         check_quiescent(procs.values())
 
@@ -63,14 +56,14 @@ def test_quiescence_detects_open_instance():
     sim, procs = run_consistent_pair()
     from repro.types import TreeId
 
-    procs[0].chkpt_commit_set = {TreeId(0, 9)}
+    procs[0].engine.chkpt_commit_set = {TreeId(0, 9)}
     with pytest.raises(ConsistencyViolation, match="termination"):
         check_quiescent(procs.values())
 
 
 def test_quiescence_skips_crashed():
     sim, procs = run_consistent_pair()
-    procs[0].send_suspended = True
+    procs[0].engine.send_suspended = True
     procs[0].crashed = True
     check_quiescent(procs.values())  # crashed processes exempt
 

@@ -1,8 +1,8 @@
 """The Section 6 decision log is an append-only log on stable storage.
 
-Each decision costs one ``AppendLog`` effect and one ``storage.append`` —
-independent of how many decisions came before — and a process constructed
-over a storage that already holds a log recovers every decision from it.
+Each decision costs one ``storage.append`` — independent of how many
+decisions came before — and a process constructed over a storage that already
+holds a log recovers every decision from it.
 """
 
 import tempfile
@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import CheckpointProcess, ProtocolConfig
-from repro.core import effects as FX
 from repro.core import messages as M
 from repro.failure import FailureDetector
 from repro.net import FixedDelay
@@ -59,27 +58,17 @@ def build(storages, seed=0):
 
 
 # ----------------------------------------------------------------------
-# One effect, one append, one mirror entry per decision
+# One append per decision, and no effect: storage is a port of the engine
 # ----------------------------------------------------------------------
-def test_each_decision_is_one_append_effect_mirrored_exactly():
+def test_each_decision_is_one_append_to_the_storage_log():
     proc = CheckpointProcess(0, CONFIG)
     emitted = []
-    apply_effect = proc.engine._sink
-
-    def recording_sink(eff):
-        emitted.append(eff)
-        apply_effect(eff)
-
-    proc.engine._sink = recording_sink
+    proc.engine._sink = emitted.append
     proc._remember_decision(TreeId(1, 4), "commit")
     proc._remember_decision(TreeId(2, 9), "abort")
     proc._remember_decision(TreeId(1, 4), "abort")  # already decided: ignored
-    assert emitted == [
-        FX.AppendLog(key="decisions", record=[1, 4, "commit"]),
-        FX.AppendLog(key="decisions", record=[2, 9, "abort"]),
-    ]
-    assert proc.engine._persisted_decisions == [[1, 4, "commit"], [2, 9, "abort"]]
-    assert proc.storage.read_log("decisions") == proc.engine._persisted_decisions
+    assert emitted == []
+    assert proc.storage.read_log("decisions") == [[1, 4, "commit"], [2, 9, "abort"]]
     assert "decisions" not in proc.storage  # no whole-list value key any more
 
 
@@ -101,7 +90,6 @@ def test_restart_over_existing_storage_recovers_and_answers_inquiries(backend, t
     run_random_workload(sim, procs, duration=30.0, checkpoint_rate=0.1, horizon=60.0)
     before = dict(procs[0].decisions_seen)
     assert len(before) >= 3
-    assert procs[0].engine._persisted_decisions == storages[0].read_log("decisions")
 
     # A brand-new process object over what the old one left behind.
     reopened = {pid: reopen(backend, storages[pid], roots[pid]) for pid in range(3)}
@@ -121,7 +109,7 @@ def test_restart_over_existing_storage_recovers_and_answers_inquiries(backend, t
     sim2.run(until=5.0)
     assert restarted.decisions_seen == before
     replies = []
-    peer._on_decision_reply = lambda src, reply: replies.append((src, reply))
+    peer.engine._on_decision_reply = lambda src, reply: replies.append((src, reply))
     wanted = {"commit": "checkpoint", "abort": "checkpoint", "restart": "rollback"}
     for tree, decision in before.items():
         peer.send(control(1, 0, M.DecisionInquiry(tree=tree, decision_kind=wanted[decision])))

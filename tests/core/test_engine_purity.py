@@ -20,6 +20,9 @@ PURE_MODULES = (
     "repro.core.events",
     "repro.core.effects",
     "repro.core.messages",
+    "repro.core.membership_protocol",
+    "repro.stable.checkpoint",
+    "repro.stable.storage",
 )
 
 FORBIDDEN_PREFIXES = ("repro.sim", "repro.runtime")

@@ -44,7 +44,7 @@ def test_uncommitted_sends_carry_markers():
         markers.append(body.markers)
         original(src, body)
 
-    procs[2]._before_consume_normal = spy
+    procs[2].engine._before_consume_normal = spy
     at(sim, 3.1, lambda: procs[1].send_app_message(2, "marked"))
     sim.run()
     assert any(m for m in markers), "markers must ride on uncommitted-era sends"

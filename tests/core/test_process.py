@@ -90,7 +90,7 @@ def test_persisted_commit_set_roundtrip():
     p = procs[0]
     from repro.types import TreeId
 
-    p.chkpt_commit_set = {TreeId(0, 5), TreeId(3, 1)}
+    p.engine.chkpt_commit_set = {TreeId(0, 5), TreeId(3, 1)}
     p._persist_commit_set()
     assert p._load_commit_set() == {TreeId(0, 5), TreeId(3, 1)}
 

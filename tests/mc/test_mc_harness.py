@@ -1,6 +1,7 @@
 """ClusterHarness: deterministic replay, stable choice keys, quiescence."""
 
 from repro.mc import ClusterHarness, make_scenario
+from repro.stable import CheckpointStore
 
 
 def drain_fifo(harness):
@@ -66,3 +67,13 @@ def test_run_reaches_quiescence_and_commits_the_checkpoint_instance():
         if engine.store.oldchkpt.seq > 1
     ]
     assert committed, "the initiated checkpoint instance never committed anywhere"
+
+
+def test_at_quiescence_every_storage_holds_exactly_what_its_store_holds():
+    harness = ClusterHarness(make_scenario("concurrent", 3))
+    drain_fifo(harness)
+    assert any(e.store.oldchkpt.seq > 1 for e in harness.engines.values())
+    for engine in harness.engines.values():
+        fresh = CheckpointStore(engine.storage)
+        assert fresh.oldchkpt == engine.store.oldchkpt
+        assert fresh.newchkpt == engine.store.newchkpt
