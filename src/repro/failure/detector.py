@@ -2,10 +2,13 @@
 
 "Operational processes are informed of process failures in finite time."
 
-The detector is an oracle attached to the simulation: when a crash or
-recovery happens it schedules a notification to every operational node after
-a configurable detection latency.  Nodes receive it through
-``Node.on_failure_notice`` / ``Node.on_recovery_notice``.
+The detector is an oracle attached to one kernel: when a crash or recovery
+is reported it schedules a notification to every operational node *that
+kernel hosts* after a configurable detection latency.  Nodes receive it
+through ``Node.on_failure_notice`` / ``Node.on_recovery_notice``.  Reports
+and beliefs cover the kernel's whole population (on a shard kernel that is
+the whole cluster — remote transitions are relayed by the parent); the
+fan-out stops at the hosted nodes, which on a single kernel is everybody.
 
 Nodes that are themselves down when the notification fires are skipped; a
 recovering process instead learns the current status snapshot via
@@ -34,9 +37,7 @@ class FailureDetector:
         self._views: Tuple[FrozenSet[ProcessId], Tuple[ProcessId, ...]] = (frozenset(), ())
         self._views_generation = -1  # no kernel generation is negative
         sim.failure_detector = self
-        membership = getattr(sim, "membership", None)
-        if membership is not None:
-            membership.subscribe(self._on_view_change)
+        sim.membership.subscribe(self._on_view_change)
 
     # ------------------------------------------------------------------
     # Reports from the simulation
@@ -66,9 +67,8 @@ class FailureDetector:
     def _notify_crash(self, pid: ProcessId) -> None:
         if self.sim.is_alive(pid):
             return  # raced with a recovery; the recovery notice supersedes
-        for other in self.sim.process_ids:
-            if other != pid and self.sim.is_alive(other):
-                self.sim.nodes[other].on_failure_notice(pid)
+        for node in self.sim.operational_nodes(but=pid):
+            node.on_failure_notice(pid)
 
     # ------------------------------------------------------------------
     # Membership plane
@@ -86,9 +86,8 @@ class FailureDetector:
     def _notify_recovery(self, pid: ProcessId) -> None:
         if not self.sim.is_alive(pid):
             return  # crashed again before the notice fired
-        for other in self.sim.process_ids:
-            if other != pid and self.sim.is_alive(other):
-                self.sim.nodes[other].on_recovery_notice(pid)
+        for node in self.sim.operational_nodes(but=pid):
+            node.on_recovery_notice(pid)
 
     # ------------------------------------------------------------------
     # Queries

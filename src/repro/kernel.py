@@ -26,7 +26,9 @@ The contract has three parts:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Protocol, runtime_checkable
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Protocol, runtime_checkable,
+)
 
 from repro.errors import SimulationError
 from repro.membership import MembershipPlane
@@ -98,6 +100,8 @@ class KernelLike(Protocol):
     @property
     def process_ids(self) -> List[ProcessId]: ...
 
+    def is_member(self, pid: ProcessId) -> bool: ...
+
     def is_alive(self, pid: ProcessId) -> bool: ...
 
     def crash(self, pid: ProcessId) -> None: ...
@@ -163,8 +167,8 @@ class KernelCore:
 
         The membership-plane sequence is identical in both kernels: the pid
         enters the view pending, the node is registered and started, the
-        join commits (bumping the view epoch and notifying subscribers —
-        network, detectors, shard rings), and finally every other live node
+        join commits (bumping the view epoch and notifying the plane's one
+        subscriber, the failure detector), and finally every other live node
         hears ``on_join_peer``.  The joiner itself learns the world through
         its ordinary ``on_start``.
         """
@@ -178,11 +182,8 @@ class KernelCore:
         self.trace.record(self.now, T.K_JOIN, pid=pid, epoch=self.membership.view.epoch + 1)
         node.on_start()
         self.membership.complete_join(pid)
-        # Iterate hosted nodes, not process_ids: a sharded kernel answers
-        # for the whole cluster but hosts (and notifies) only its slice.
-        for peer in sorted(self.nodes):
-            if peer != pid and not self.nodes[peer].crashed:
-                self.nodes[peer].on_join_peer(pid)
+        for peer in self.operational_nodes(but=pid):
+            peer.on_join_peer(pid)
         return node
 
     def leave_node(self, pid: ProcessId, successor: Optional[ProcessId] = None) -> None:
@@ -221,9 +222,8 @@ class KernelCore:
         self.membership.complete_leave(pid)
         if self.failure_detector is not None:
             self.failure_detector.forget(pid)
-        for peer in sorted(self.nodes):
-            if not self.nodes[peer].crashed:
-                self.nodes[peer].on_leave_peer(pid, successor)
+        for peer in self.operational_nodes():
+            peer.on_leave_peer(pid, successor)
 
     def node(self, pid: ProcessId) -> "Node":
         return self.nodes[pid]
@@ -235,6 +235,14 @@ class KernelCore:
             self._process_ids_generation = self.liveness_generation
         return list(self._process_ids)
 
+    def is_member(self, pid: ProcessId) -> bool:
+        """True if ``pid`` is a valid destination: hosted here, up or down.
+
+        What the live network facade asks before handing an envelope to its
+        transport; a shard kernel answers for the whole cluster instead.
+        """
+        return pid in self.nodes
+
     def is_alive(self, pid: ProcessId) -> bool:
         """True if ``pid`` exists and is not crashed."""
         node = self.nodes.get(pid)
@@ -242,6 +250,19 @@ class KernelCore:
 
     def alive_processes(self) -> List[ProcessId]:
         return [pid for pid in self.process_ids if self.is_alive(pid)]
+
+    def operational_nodes(self, but: Optional[ProcessId] = None) -> Iterator["Node"]:
+        """The nodes this kernel *hosts* that are up, in pid order, ``but``
+        excluded — whom a notice (failure, recovery, join, leave) is told to.
+
+        Hosted nodes, not ``process_ids``: a shard kernel answers for the
+        whole cluster but hosts (and notifies) only its slice.  Lazy, so a
+        node that a notice takes down is not told the next one.
+        """
+        for pid in sorted(self.nodes):
+            node = self.nodes[pid]
+            if pid != but and not node.crashed:
+                yield node
 
     # ------------------------------------------------------------------
     # Time (subclasses own the scheduler)

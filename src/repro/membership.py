@@ -5,9 +5,14 @@ assumption without touching the static-membership fast paths.  A
 :class:`MembershipPlane` is owned by every kernel
 (:class:`repro.kernel.KernelCore`) and publishes an epoch-numbered,
 immutable :class:`MembershipView` — the single source of truth about which
-processes exist.  Layers that cached a frozen pid set (the network, the
-failure detector, the shard hash ring, the engines' ``peers`` tuples)
-subscribe to the plane and are told about every transition.
+processes exist.  One layer *subscribes* and is told about every transition:
+the failure detector, which prunes its beliefs about pids that are no longer
+members.  The others *ask*: the network asks :meth:`MembershipPlane.
+is_departed` before treating an unknown destination as a routing error, and
+a shard kernel (:class:`repro.runtime.shard.ShardRuntime`), which seeds its
+plane with every pid of the cluster, answers ``process_ids`` / ``is_member``
+/ remote ``is_alive`` from it.  Engines hear of joins and leaves from their
+kernel (``on_join_peer`` / ``on_leave_peer``), not from the plane.
 
 Lifecycle of a pid:
 

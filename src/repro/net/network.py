@@ -158,8 +158,7 @@ class Network:
             self.normal_sent += 1
 
     def _is_departed(self, pid: ProcessId) -> bool:
-        membership = getattr(self.sim, "membership", None)
-        return membership is not None and membership.is_departed(pid)
+        return self.sim.membership.is_departed(pid)
 
     def transmit(self, envelope: Envelope) -> None:
         """Accept an envelope from ``envelope.src`` and schedule its delivery."""

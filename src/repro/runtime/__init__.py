@@ -7,13 +7,15 @@ The subsystem mirrors the simulator's layering:
 * :mod:`repro.runtime.transport` — the in-process loopback transport and
   the batched length-prefixed TCP links both socket transports share;
 * :mod:`repro.runtime.wire` — the wire codec and framing;
-* :mod:`repro.runtime.network` — the :class:`repro.net.network.Network`
-  subclass that transmits via a transport;
+* :mod:`repro.runtime.network` — the one :class:`repro.net.network.Network`
+  subclass, which asks its kernel who is a member and transmits via a
+  transport;
 * :mod:`repro.runtime.cluster` — the N-node harness with per-node stable
-  storage, per-node JSONL traces, and kill/restart;
+  storage, per-node JSONL traces, spooler groups, kill/restart, join/leave;
 * :mod:`repro.runtime.shard` — the multi-process sharded runtime: one
-  :class:`AsyncRuntime` per worker core, consistent-hash pid placement,
-  batched inter-shard links, and the :class:`ShardedCluster` front door;
+  worker per core, each a :class:`Cluster` over its consistent-hash slice
+  on a kernel whose membership plane is the whole cluster, batched
+  inter-shard links, and the :class:`ShardedCluster` front door;
 * ``python -m repro.runtime`` — a demo CLI that boots a cluster (optionally
   sharded via ``--shards``), injects a failure, and consistency-checks the
   merged trace.
@@ -22,7 +24,7 @@ The subsystem mirrors the simulator's layering:
 from repro.runtime.cluster import Cluster, PidRouterSink
 from repro.runtime.loop import AsyncRuntime, AsyncScheduler, AsyncTimer
 from repro.runtime.network import RuntimeNetwork
-from repro.runtime.shard import HashRing, ShardedCluster, ShardNetwork, ShardTransport
+from repro.runtime.shard import HashRing, ShardedCluster, ShardTransport
 from repro.runtime.transport import LoopbackTransport, TcpTransport, Transport
 
 __all__ = [
@@ -34,7 +36,6 @@ __all__ = [
     "LoopbackTransport",
     "PidRouterSink",
     "RuntimeNetwork",
-    "ShardNetwork",
     "ShardTransport",
     "ShardedCluster",
     "TcpTransport",

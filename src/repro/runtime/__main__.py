@@ -104,6 +104,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def schedule_events(cluster: Any, args: argparse.Namespace) -> None:
+    """Arm ``--kill/--restart/--join/--leave`` on either front door (both
+    spell the four ``schedule_*`` methods identically)."""
+    for pid, at in parse_events(args.kill):
+        cluster.schedule_kill(pid, at)
+    for pid, at in parse_events(args.restart):
+        cluster.schedule_restart(pid, at)
+    for pid, at in parse_events(args.join):
+        cluster.schedule_join(pid, at)
+    for pid, at, successor in parse_leave_events(args.leave):
+        cluster.schedule_leave(pid, at, successor)
+
+
 async def run_demo(args: argparse.Namespace) -> Dict[str, Any]:
     config = ProtocolConfig(
         checkpoint_interval=max(4.0, args.duration / 4),
@@ -120,14 +133,7 @@ async def run_demo(args: argparse.Namespace) -> Dict[str, Any]:
     RandomPeerWorkload(
         message_rate=1.0, step_rate=0.5, duration=args.duration
     ).install(cluster.runtime, cluster.procs)
-    for pid, at in parse_events(args.kill):
-        cluster.schedule_kill(pid, at)
-    for pid, at in parse_events(args.restart):
-        cluster.schedule_restart(pid, at)
-    for pid, at in parse_events(args.join):
-        cluster.schedule_join(pid, at)
-    for pid, at, successor in parse_leave_events(args.leave):
-        cluster.schedule_leave(pid, at, successor)
+    schedule_events(cluster, args)
 
     await cluster.start()
     await cluster.run_for(args.duration)
@@ -171,14 +177,7 @@ def run_sharded_demo(args: argparse.Namespace) -> Dict[str, Any]:
         workload=dict(message_rate=1.0, step_rate=0.5, duration=args.duration),
     )
     try:
-        for pid, at in parse_events(args.kill):
-            cluster.schedule_kill(pid, at)
-        for pid, at in parse_events(args.restart):
-            cluster.schedule_restart(pid, at)
-        for pid, at in parse_events(args.join):
-            cluster.schedule_join(pid, at)
-        for pid, at, successor in parse_leave_events(args.leave):
-            cluster.schedule_leave(pid, at, successor)
+        schedule_events(cluster, args)
         cluster.start()
         cluster.run_for(args.duration)
         cluster.quiesce()  # drain open 2PC rounds before the cut

@@ -12,10 +12,18 @@
   deployment would produce, stitched back together by
   :meth:`repro.analysis.index.TraceIndex.from_jsonl_files`;
 * a :class:`~repro.failure.detector.FailureDetector` and (optionally) the
-  Section 6 spooler groups, wired exactly as in the simulated benchmarks;
+  Section 6 spooler groups — each pid's spool replicated on its next two
+  hosted neighbours, never on itself;
 * :meth:`kill` / :meth:`restart` take a *live* node down — protocol crash
   plus transport disconnect — and bring it back from its storage directory,
   exercising the Section 6 exception rules against real timers and sockets.
+
+A cluster hosts the pids :meth:`Cluster._owns` claims, on the kernel
+:meth:`Cluster._kernel` builds.  Here that is every pid on an
+``AsyncRuntime``; a shard worker (:class:`~repro.runtime.shard.ShardWorker`)
+overrides the two hooks to host its ring slice on a kernel that answers for
+the whole cluster, and inherits the rest — provisioning, spooler groups,
+join/leave bookkeeping, the observation methods and the shutdown sequence.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from repro.errors import SimulationError, TransportError
 from repro.failure import FailureDetector
 from repro.net.delay import FixedDelay
 from repro.runtime.loop import AsyncRuntime
-from repro.runtime.transport import LoopbackTransport, TcpTransport, Transport
+from repro.runtime.transport import LinkTransport, LoopbackTransport, TcpTransport, Transport
 from repro.sim.trace import JsonlStreamSink, TraceEvent, TraceSink
 from repro.stable.storage import WriteBehindFileStableStorage
 from repro.types import ProcessId, SimTime
@@ -120,7 +128,8 @@ class Cluster:
             self.transport = TcpTransport()
         else:
             self.transport = LoopbackTransport()
-        self.runtime = AsyncRuntime(
+        self.runtime = self._kernel(
+            n,
             seed=seed,
             transport=self.transport,
             delay_model=delay_model or FixedDelay(0.5),
@@ -134,23 +143,54 @@ class Cluster:
         self.storages: Dict[ProcessId, WriteBehindFileStableStorage] = {}
         self.procs: Dict[ProcessId, CheckpointProcess] = {}
         for pid in range(n):
-            storage = WriteBehindFileStableStorage(
-                os.path.join(self.root, f"node-{pid}"), flush_every=flush_every
-            )
-            self.storages[pid] = storage
-            self.procs[pid] = self.runtime.add_node(
-                process_cls(pid, config, storage=storage)
-            )
+            if self._owns(pid):
+                self.runtime.add_node(self._provision(pid))
         self.detector: Optional[FailureDetector] = None
         if detector_latency is not None:
             self.detector = FailureDetector(
                 self.runtime, detection_latency=detector_latency
             )
-        if spoolers:
-            for pid in range(n):
-                self.runtime.network.install_spoolers(
-                    pid, [(pid + 1) % n, (pid + 2) % n]
-                )
+        for pid in self.procs:
+            self._install_spoolers(pid)
+
+    # ------------------------------------------------------------------
+    # What this cluster hosts, and on which kernel (the subclass hooks)
+    # ------------------------------------------------------------------
+    def _kernel(self, n: int, **kernel_args: Any) -> AsyncRuntime:
+        """Build the kernel for an ``n``-pid cluster."""
+        return AsyncRuntime(**kernel_args)
+
+    def _owns(self, pid: ProcessId) -> bool:
+        """True if this cluster hosts ``pid`` (storage, process, spoolers)."""
+        return True
+
+    def _provision(self, pid: ProcessId) -> CheckpointProcess:
+        """Create ``pid``'s storage directory and its process over it."""
+        storage = WriteBehindFileStableStorage(
+            os.path.join(self.root, f"node-{pid}"), flush_every=self.flush_every
+        )
+        self.storages[pid] = storage
+        self.procs[pid] = self.process_cls(pid, self.config, storage=storage)
+        return self.procs[pid]
+
+    def _install_spoolers(self, pid: ProcessId) -> None:
+        """Replicate ``pid``'s spool on its next two neighbours in hosted
+        order — never on ``pid`` itself: the group exists for when it is down.
+
+        Hosts are always hosted here, because the owning kernel answers the
+        liveness checks and the recovery drain.
+        """
+        if not self.spoolers:
+            return
+        hosted = sorted(self.procs)
+        at = hosted.index(pid)
+        hosts: List[ProcessId] = []
+        for step in (1, 2):
+            host = hosted[(at + step) % len(hosted)]
+            if host != pid and host not in hosts:
+                hosts.append(host)
+        if hosts:
+            self.runtime.network.install_spoolers(pid, hosts)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -170,12 +210,20 @@ class Cluster:
         return await self.runtime.wait_until(predicate, timeout=timeout, what=what)
 
     def open_instances(self) -> int:
-        """Checkpoint/rollback tree rounds still open across the cluster."""
+        """Checkpoint/rollback tree rounds still open on hosted engines."""
         return sum(
             sum(1 for s in p.engine.trees.all_chkpt_rounds() if not s.closed)
             + sum(1 for s in p.engine.trees.roll.values() if not s.closed)
             for p in self.procs.values()
         )
+
+    def stop_autonomous(self) -> None:
+        """Stop autonomous checkpoint initiation on every hosted engine.
+
+        In-flight instances finish normally; no new trees start.
+        """
+        for proc in self.procs.values():
+            proc.engine.autonomous_checkpoints = False
 
     async def quiesce(
         self, drain_timeout: SimTime = 60.0, settle: SimTime = 2.0
@@ -188,8 +236,7 @@ class Cluster:
         mid-commit snapshot (mirrors :meth:`ShardedCluster.quiesce`).
         ``settle`` lets the final decision propagation land before the cut.
         """
-        for proc in self.procs.values():
-            proc.engine.autonomous_checkpoints = False
+        self.stop_autonomous()
         await self.runtime.wait_until(
             lambda: self.open_instances() == 0,
             timeout=drain_timeout,
@@ -243,18 +290,15 @@ class Cluster:
         """
         if pid in self.procs:
             raise SimulationError(f"P{pid} is already a cluster member")
-        storage = WriteBehindFileStableStorage(
-            os.path.join(self.root, f"node-{pid}"), flush_every=self.flush_every
-        )
-        node = self.process_cls(pid, self.config, storage=storage)
         await self.transport.connect(pid)
-        self.storages[pid] = storage
-        self.procs[pid] = node
+        return self._admit(pid)
+
+    def _admit(self, pid: ProcessId) -> CheckpointProcess:
+        """The kernel half of :meth:`join`: provision ``pid``, run the
+        membership transition, give the newcomer its spooler group."""
+        node = self._provision(pid)
         self.runtime.join_node(node)
-        if self.spoolers:
-            hosts = [p for p in self.runtime.process_ids if p != pid][:2]
-            if hosts:
-                self.runtime.network.install_spoolers(pid, hosts)
+        self._install_spoolers(pid)
         return node
 
     async def leave(self, pid: ProcessId, successor: Optional[ProcessId] = None) -> None:
@@ -265,12 +309,14 @@ class Cluster:
         its storage flushed — the directory stays on disk for post-mortem
         trace analysis.
         """
-        self.runtime.leave_node(pid, successor)
+        self._retire(pid, successor)
         self.transport.disconnect(pid)
-        storage = self.storages.get(pid)
-        if storage is not None:
-            storage.flush()
-        self.procs.pop(pid, None)
+
+    def _retire(self, pid: ProcessId, successor: Optional[ProcessId] = None) -> None:
+        """The kernel half of :meth:`leave`: handoff, flush, forget."""
+        self.runtime.leave_node(pid, successor)
+        self.storages[pid].flush()
+        del self.procs[pid]
 
     def schedule_join(self, pid: ProcessId, at: SimTime) -> None:
         """Arrange :meth:`join` at kernel time ``at`` (usable pre-start)."""
@@ -310,14 +356,15 @@ class Cluster:
         """Counters a demo or CI artifact wants at end of run."""
         net = self.runtime.network
         wire_stats: Dict[str, Any] = {}
-        if isinstance(self.transport, TcpTransport):
+        if isinstance(self.transport, LinkTransport):
             wire_stats = {
                 "frames_sent": self.transport.frames_sent,
                 "batches_sent": self.transport.batches_sent,
                 "bytes_sent": self.transport.bytes_sent,
                 "links_rejected": self.transport.links_rejected,
-                "wire_generations": self.transport.generation_summary(),
             }
+        if isinstance(self.transport, TcpTransport):
+            wire_stats["wire_generations"] = self.transport.generation_summary()
         return {
             **wire_stats,
             "now": self.runtime.now,

@@ -44,7 +44,6 @@ from repro.types import SimTime
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.channel import Channel
     from repro.net.delay import DelayModel
-    from repro.runtime.network import RuntimeNetwork
     from repro.runtime.transport import Transport
     from repro.sim.trace import TraceSink
 
@@ -293,7 +292,6 @@ class AsyncRuntime(KernelCore):
         sinks: Optional[Sequence["TraceSink"]] = None,
         trace: Optional[Trace] = None,
         time_scale: float = 0.05,
-        network: Optional["RuntimeNetwork"] = None,
     ) -> None:
         super().__init__()
         from repro.runtime.network import RuntimeNetwork
@@ -305,16 +303,9 @@ class AsyncRuntime(KernelCore):
             raise SimulationError("pass either trace= or sinks=, not both")
         self.trace = trace if trace is not None else Trace(sinks=sinks)
         self.transport: "Transport" = transport or LoopbackTransport()
-        if network is not None:
-            # A pre-built facade (e.g. the sharded runtime's, which accepts
-            # remote destinations) owns its delay model and channel.
-            if delay_model is not None or channel is not None:
-                raise SimulationError("pass delay_model/channel on the network, not both")
-            self.network = network
-        else:
-            self.network = RuntimeNetwork(
-                self.transport, delay_model=delay_model, channel=channel
-            )
+        self.network = RuntimeNetwork(
+            self.transport, delay_model=delay_model, channel=channel
+        )
         self.network.bind(self)
         self.transport.bind(self)
         self._started = False

@@ -1,9 +1,11 @@
 """The live runtime's network facade: simulator policy, real transport.
 
 :class:`RuntimeNetwork` is :class:`repro.net.network.Network` with exactly
-one substitution — :meth:`transmit` hands the envelope to a
-:class:`~repro.runtime.transport.Transport` instead of scheduling a virtual
-delivery.  Everything else (partition policy, spooler registry, crash
+one substitution — :meth:`transmit` asks the kernel whether the destination
+is a member (``KernelCore.is_member``: hosted here; a shard kernel answers
+from its membership plane, for the whole cluster) and hands the envelope to
+a :class:`~repro.runtime.transport.Transport` instead of scheduling a
+virtual delivery.  Everything else (partition policy, spooler registry, crash
 filtering, the normal/CONTROL counters, delivery-time bookkeeping) is the
 inherited code, byte for byte, which is what makes the simulator's message
 accounting comparable with a live run's.
@@ -37,7 +39,7 @@ class RuntimeNetwork(Network):
 
     def transmit(self, envelope: "Envelope") -> None:
         """Stamp, count, and hand the envelope to the transport."""
-        if envelope.dst not in self.sim.nodes:
+        if not self.sim.is_member(envelope.dst):
             if self._is_departed(envelope.dst):
                 # Same salvage policy as the simulated network: a sender
                 # with a stale view of a graceful departure is not a

@@ -11,10 +11,20 @@ everywhere.
 Layout::
 
     ShardedCluster (front door, parent process)
-      ├─ worker 0: AsyncRuntime ── ShardTransport ──┐
-      ├─ worker 1: AsyncRuntime ── ShardTransport ──┼── one batched TCP
-      └─ worker k: AsyncRuntime ── ShardTransport ──┘   link per shard pair
+      ├─ worker 0: ShardRuntime ── ShardTransport ──┐
+      ├─ worker 1: ShardRuntime ── ShardTransport ──┼── one batched TCP
+      └─ worker k: ShardRuntime ── ShardTransport ──┘   link per shard pair
 
+* **a worker is a** :class:`~repro.runtime.cluster.Cluster` **over its
+  slice** (:class:`ShardWorker`): storage directories, processes, spooler
+  groups, join/leave bookkeeping, observation and shutdown are the base
+  class's; the worker adds ring ownership and a kernel that answers for
+  the whole cluster.
+* **one population per kernel**: :class:`ShardRuntime`'s
+  :class:`~repro.membership.MembershipPlane` is seeded with every cluster
+  pid; ``process_ids`` / ``is_member`` / remote ``is_alive`` are read off
+  it (plus a notice-driven down set), and the network facade and the
+  transport ask the kernel — nothing else holds a pid list.
 * **pid → shard assignment** is consistent hashing (:class:`HashRing`):
   every participant — parent and workers — derives the same map from
   ``(shards, replicas)`` alone, and future elastic membership remaps only
@@ -34,44 +44,45 @@ Layout::
   the whole analysis battery (C1, recovery line, 2PC invariant) runs
   unchanged on multi-process runs.
 
-Failure semantics: :meth:`ShardedCluster.kill` crashes the process on its
-owning shard — the shard's link server stays up, so in-flight frames for
-the dead pid still reach its kernel and take the Section 6
-spool-or-drop salvage path there (spooler hosts are always shard-local,
-because liveness checks and recovery drains are answered by the owning
-kernel).  Crash/recovery *notices* are fanned out to remote shards through
-the control plane with the same detection latency a local failure detector
-applies; spool decision observation stays shard-local, which suffices
-because a decision addressed to a down process arrives at its shard and is
-spooled there as an ordinary envelope.
+Failure and membership semantics: every kill, restart, join and leave —
+immediate or scheduled — travels as one ``churn`` batch that each worker
+receives whole and splits by ring ownership (:meth:`ShardWorker.apply_churn`).
+The owning shard runs the real transition — a kill leaves the shard's link
+server up, so in-flight frames for the dead pid still reach its kernel and
+take the Section 6 spool-or-drop salvage path there (spooler hosts are
+always shard-local, because liveness checks and recovery drains are answered
+by the owning kernel).  Every other shard applies the remote notice: a
+crash/recovery flips its down set and is reported to its own failure
+detector, which notifies the nodes that shard hosts after the same detection
+latency; a join/leave moves its plane and tells its hosted nodes.  Spool
+decision observation stays shard-local, which suffices because a decision
+addressed to a down process arrives at its shard and is spooled there as an
+ordinary envelope.
 """
 
 from __future__ import annotations
 
 import asyncio
 import bisect
-import functools
 import glob
 import hashlib
 import os
 import time
 import traceback
 from dataclasses import dataclass, field
+from functools import partial
 from multiprocessing import get_context
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core import CheckpointProcess, ProtocolConfig
-from repro.errors import NetworkError, SimulationError, TransportError
-from repro.failure import FailureDetector
+from repro.errors import SimulationError, TransportError
 from repro.net.delay import FixedDelay
 from repro.net.message import Envelope
 from repro.runtime import wire
-from repro.runtime.cluster import PidRouterSink
+from repro.runtime.cluster import Cluster
 from repro.runtime.loop import AsyncRuntime
-from repro.runtime.network import RuntimeNetwork
 from repro.runtime.transport import LinkTransport, listening_socket
 from repro.sim.event import PRIORITY_TIMER
-from repro.stable.storage import WriteBehindFileStableStorage
 from repro.types import ProcessId, SimTime
 from repro.workloads import RandomPeerWorkload
 
@@ -163,73 +174,48 @@ class HashRing:
 
 
 # ----------------------------------------------------------------------
-# Worker-side network facade and transport
+# Worker-side kernel and transport
 # ----------------------------------------------------------------------
 
-class ShardNetwork(RuntimeNetwork):
-    """A :class:`RuntimeNetwork` that accepts destinations on other shards.
-
-    The base facade rejects destinations its kernel does not host; a shard
-    hosts only its slice, so membership is checked against the *global*
-    pid population instead.  Everything else — counters, partition policy,
-    spooler registry, delivery-time enforcement — is inherited unchanged.
-    """
-
-    def __init__(
-        self,
-        transport: "ShardTransport",
-        global_pids: List[ProcessId],
-        delay_model: Optional[Any] = None,
-        channel: Optional[Any] = None,
-    ) -> None:
-        super().__init__(transport, delay_model=delay_model, channel=channel)
-        self.global_pids = set(global_pids)
-        # Pids that left the cluster gracefully (any shard); traffic to them
-        # is salvaged, not treated as a routing error.
-        self.departed_pids: set = set()
-
-    def transmit(self, envelope: "Envelope") -> None:
-        if envelope.dst not in self.global_pids:
-            if envelope.dst in self.departed_pids or self._is_departed(envelope.dst):
-                self._accept(envelope)
-                self.salvaged_departed += 1
-                self.spool_or_drop(envelope, "departed")
-                return
-            raise NetworkError(f"unknown destination P{envelope.dst}")
-        self._accept(envelope)
-        self.transport.send(envelope)
-
-
 class ShardRuntime(AsyncRuntime):
-    """An :class:`AsyncRuntime` that reports the *global* cluster view.
+    """An :class:`AsyncRuntime` that answers for the *whole* cluster.
 
-    Engine code asks its kernel two population questions — ``process_ids``
-    (who exists) and ``is_alive`` (who is up) — and the answers feed
-    protocol-visible state: the ``Start`` event's peer list, broadcast
-    fan-out (recovery inquiries!), and the failure-detector views stamped
-    on every delivery.  A shard kernel *hosts* only its slice but must
-    *answer* for the whole cluster, or a recovering process would inquire
-    only shard-local peers and stall forever.
+    Engine code asks its kernel population questions — ``process_ids`` (who
+    exists), ``is_alive`` (who is up), ``is_member`` (who may be sent to) —
+    and the answers feed protocol-visible state: the ``Start`` event's peer
+    list, broadcast fan-out (recovery inquiries!), and the failure-detector
+    views stamped on every delivery.  A shard kernel *hosts* only its slice
+    but must *answer* for the whole cluster, or a recovering process would
+    inquire only shard-local peers and stall forever.
 
-    Liveness of remote pids is tracked in a notice-driven map fed by the
-    parent's control plane; local pids use the hosted node's true state.
+    The population is the kernel's own :class:`~repro.membership.
+    MembershipPlane`, seeded with every cluster pid: a hosted join or leave
+    moves it through ``join_node``/``leave_node`` like on any kernel, one on
+    another shard through :meth:`admit_pid`/:meth:`retire_pid`.  Liveness of
+    remote pids is the notice-driven ``_remote_down`` set fed by the
+    parent's control plane; hosted pids use the node's true state.
     """
 
     def __init__(self, all_pids: List[ProcessId], **kwargs: Any) -> None:
         super().__init__(**kwargs)
-        self._all_pids = sorted(all_pids)
-        self._membership = frozenset(all_pids)
+        for pid in all_pids:
+            self.membership.seed(pid)
         self._remote_down: set = set()
 
     @property
     def process_ids(self) -> List[ProcessId]:
-        return list(self._all_pids)
+        view = self.membership.view
+        # A hosted joiner is a peer from its own on_start on, as on any kernel.
+        return sorted({*view.pids, *view.joining})
+
+    def is_member(self, pid: ProcessId) -> bool:
+        return self.membership.is_member(pid)
 
     def is_alive(self, pid: ProcessId) -> bool:
         node = self.nodes.get(pid)
         if node is not None:
             return not node.crashed
-        return pid in self._membership and pid not in self._remote_down
+        return self.membership.is_member(pid) and pid not in self._remote_down
 
     def set_remote_alive(self, pid: ProcessId, up: bool) -> None:
         """Record a control-plane report about a pid hosted elsewhere."""
@@ -240,45 +226,21 @@ class ShardRuntime(AsyncRuntime):
         self.liveness_changed()
 
     def admit_pid(self, pid: ProcessId) -> None:
-        """Extend the global population view with a newly joined pid."""
-        if pid not in self._membership:
-            self._all_pids = sorted(set(self._all_pids) | {pid})
-            self._membership = frozenset(self._all_pids)
-            self.liveness_changed()
-
-    def retire_pid(self, pid: ProcessId) -> None:
-        """Drop a gracefully departed pid from the global population view."""
-        self._all_pids = [p for p in self._all_pids if p != pid]
-        self._membership = frozenset(self._all_pids)
-        self._remote_down.discard(pid)
+        """A pid joined on another shard: extend the plane, tell residents."""
+        self.membership.begin_join(pid)
+        self.membership.complete_join(pid)
         self.liveness_changed()
+        for peer in self.operational_nodes():
+            peer.on_join_peer(pid)
 
-
-class ShardFailureDetector(FailureDetector):
-    """A failure detector that notifies only the nodes its shard hosts.
-
-    Reports cover the whole cluster (local transitions from this kernel,
-    remote ones relayed by the parent), so ``believed_down`` and
-    ``status_snapshot`` are global — but the notice fan-out must stop at
-    the shard boundary: every other shard's detector receives the same
-    report and notifies its own residents.
-    """
-
-    def _notify_crash(self, pid: ProcessId) -> None:
-        if self.sim.is_alive(pid):
-            return  # raced with a recovery; the recovery notice supersedes
-        for other in sorted(self.sim.nodes):
-            node = self.sim.nodes[other]
-            if other != pid and not node.crashed:
-                node.on_failure_notice(pid)
-
-    def _notify_recovery(self, pid: ProcessId) -> None:
-        if not self.sim.is_alive(pid):
-            return  # crashed again before the notice fired
-        for other in sorted(self.sim.nodes):
-            node = self.sim.nodes[other]
-            if other != pid and not node.crashed:
-                node.on_recovery_notice(pid)
+    def retire_pid(self, pid: ProcessId, successor: Optional[ProcessId] = None) -> None:
+        """A pid departed on another shard: shrink the plane, tell residents."""
+        self._remote_down.discard(pid)
+        self.membership.begin_leave(pid)
+        self.membership.complete_leave(pid)
+        self.liveness_changed()
+        for peer in self.operational_nodes():
+            peer.on_leave_peer(pid, successor)
 
 
 class ShardTransport(LinkTransport):
@@ -326,7 +288,7 @@ class ShardTransport(LinkTransport):
             raise TransportError(f"shard {self.shard} is already listening")
         self._peers_ready = asyncio.Event()
         self._server = await asyncio.start_server(
-            functools.partial(self._receive, accepted=self._accepted),
+            partial(self._receive, accepted=self._accepted),
             sock=listening_socket(self.host, 0),
         )
         self.port = self._server.sockets[0].getsockname()[1]
@@ -380,14 +342,13 @@ class ShardTransport(LinkTransport):
         # then salvage: re-forward via the *current* ring when it names
         # another owner, else hand it to the spool-or-drop policy.
         self.misrouted += 1
-        net = self.runtime.network
         if (
             self.ring.shard_of(envelope.dst) != self.shard
-            and envelope.dst in getattr(net, "global_pids", ())
+            and self.runtime.is_member(envelope.dst)
         ):
             self.send(envelope)
         else:
-            net.spool_or_drop(envelope, "misrouted")
+            self.runtime.network.spool_or_drop(envelope, "misrouted")
 
 
 # ----------------------------------------------------------------------
@@ -422,256 +383,117 @@ class WorkerSpec:
     ring_replicas: int = 64
 
 
-class ShardWorker:
-    """One worker's kernel: an :class:`AsyncRuntime` hosting a pid slice."""
+class ShardWorker(Cluster):
+    """One worker's slice: a :class:`Cluster` over the pids its shard owns.
+
+    Storage and process provisioning, spooler groups, join/leave
+    bookkeeping, the observation methods and the shutdown sequence are the
+    base class's; this class supplies the two hooks (a kernel that answers
+    for the whole cluster, ownership by hash ring) and the half of every
+    churn op that happens on *another* shard.
+    """
 
     def __init__(self, spec: WorkerSpec) -> None:
         self.spec = spec
         self.ring = HashRing(spec.shards, replicas=spec.ring_replicas)
-        self.all_pids: List[ProcessId] = list(range(spec.n))
-        self.local_pids = self.ring.assignment(self.all_pids)[spec.shard]
-        os.makedirs(spec.root, exist_ok=True)
-        self.router = PidRouterSink(
-            os.path.join(spec.root, "trace"), flush_every=spec.trace_flush_every
-        )
-        self.transport = ShardTransport(spec.shard, self.ring, host=spec.host)
-        self.runtime = ShardRuntime(
-            self.all_pids,
-            seed=spec.seed,
-            transport=self.transport,
-            sinks=[self.router],
-            time_scale=spec.time_scale,
-            network=ShardNetwork(
-                self.transport, self.all_pids, delay_model=FixedDelay(spec.delay)
-            ),
-        )
-        self.storages: Dict[ProcessId, WriteBehindFileStableStorage] = {}
-        self.procs: Dict[ProcessId, CheckpointProcess] = {}
-        self.app_traffic: Optional[Any] = None
-        self.process_cls: Any = CheckpointProcess
+        process_cls: Any = CheckpointProcess
         if spec.app is not None:
             # Job-hosting nodes: same protocol process, AppHost application.
             from repro.app.state import AppProcess
 
-            self.process_cls = AppProcess
-        for pid in self.local_pids:
-            storage = WriteBehindFileStableStorage(
-                os.path.join(spec.root, f"node-{pid}"), flush_every=spec.flush_every
-            )
-            self.storages[pid] = storage
-            self.procs[pid] = self.runtime.add_node(
-                self.process_cls(pid, spec.config, storage=storage)
-            )
-        if spec.detector_latency is not None:
-            ShardFailureDetector(self.runtime, detection_latency=spec.detector_latency)
-        if spec.spoolers and len(self.local_pids) >= 2:
-            # Spooler hosts must be shard-local: the owning kernel answers
-            # the liveness checks and the recovery drain.
-            for position, pid in enumerate(self.local_pids):
-                hosts = {
-                    self.local_pids[(position + 1) % len(self.local_pids)],
-                    self.local_pids[(position + 2) % len(self.local_pids)],
-                }
-                hosts.discard(pid)
-                if hosts:
-                    self.runtime.network.install_spoolers(pid, sorted(hosts))
+            process_cls = AppProcess
+        super().__init__(
+            n=spec.n,
+            root=spec.root,
+            seed=spec.seed,
+            transport=ShardTransport(spec.shard, self.ring, host=spec.host),
+            config=spec.config,
+            process_cls=process_cls,
+            time_scale=spec.time_scale,
+            detector_latency=spec.detector_latency,
+            spoolers=spec.spoolers,
+            delay_model=FixedDelay(spec.delay),
+            flush_every=spec.flush_every,
+            trace_flush_every=spec.trace_flush_every,
+        )
+        peers = self.runtime.process_ids
         if spec.workload is not None:
             RandomPeerWorkload(**spec.workload).install(
-                self.runtime, self.procs, peers=self.all_pids
+                self.runtime, self.procs, peers=peers
             )
+        self.app_traffic: Optional[Any] = None
         if spec.app is not None:
             # Every worker plans the identical global arrival schedule from
             # its identically-seeded RNG and submits only its local slice.
             from repro.app.traffic import JobTraffic
 
             self.app_traffic = JobTraffic(**spec.app)
-            self.app_traffic.install(self.runtime, self.procs, peers=self.all_pids)
+            self.app_traffic.install(self.runtime, self.procs, peers=peers)
+
+    def _kernel(self, n: int, **kernel_args: Any) -> ShardRuntime:
+        return ShardRuntime(list(range(n)), **kernel_args)
+
+    def _owns(self, pid: ProcessId) -> bool:
+        return self.ring.shard_of(pid) == self.spec.shard
 
     # ------------------------------------------------------------------
-    # Cross-shard failure notices
+    # Churn: hosted transitions and cross-shard notices
     # ------------------------------------------------------------------
-    def notice_remote(self, pid: ProcessId, up: bool, at: Optional[SimTime] = None) -> None:
+    def notice_remote(self, pid: ProcessId, up: bool) -> None:
         """Apply a control-plane report about a pid hosted on another shard.
 
         Mirrors what the owning kernel does locally: flip the liveness
-        view at the transition time, then let this shard's detector fan
-        the notice out to its residents after the detection latency.
-        ``at`` is the transition's protocol time; ``None`` means "now".
+        view, then let this shard's detector fan the notice out to its
+        residents after the detection latency.
         """
-        def transition() -> None:
-            self.runtime.set_remote_alive(pid, up)
-            detector = self.runtime.failure_detector
-            if detector is not None:
-                if up:
-                    detector.report_recovery(pid)
-                else:
-                    detector.report_crash(pid)
-
-        if at is None:
-            transition()
-        else:
-            label = f"remote {'recovery' if up else 'crash'} P{pid}"
-            self.runtime.scheduler.at(
-                at, transition, priority=PRIORITY_TIMER, label=label
-            )
-
-    # ------------------------------------------------------------------
-    # Dynamic membership (churn)
-    # ------------------------------------------------------------------
-    def _at(self, at: Optional[SimTime], action: Callable[[], None], label: str) -> None:
-        """Run ``action`` now, or at kernel time ``at`` when given."""
-        if at is None:
-            action()
-        else:
-            self.runtime.scheduler.at(at, action, priority=PRIORITY_TIMER, label=label)
-
-    def join_local(self, pid: ProcessId, at: Optional[SimTime] = None) -> None:
-        """Admit a new pid this shard owns: storage, node, membership."""
-        spec = self.spec
-
-        def transition() -> None:
-            storage = WriteBehindFileStableStorage(
-                os.path.join(spec.root, f"node-{pid}"), flush_every=spec.flush_every
-            )
-            self.storages[pid] = storage
-            node = self.process_cls(pid, spec.config, storage=storage)
-            self.procs[pid] = node
-            self.runtime.admit_pid(pid)
-            self.runtime.network.global_pids.add(pid)
-            self.local_pids = sorted(set(self.local_pids) | {pid})
-            self.runtime.join_node(node)
-
-        self._at(at, transition, f"join P{pid}")
-
-    def leave_local(
-        self,
-        pid: ProcessId,
-        successor: Optional[ProcessId] = None,
-        at: Optional[SimTime] = None,
-    ) -> None:
-        """Gracefully retire a hosted pid (handoff runs in the kernel)."""
-
-        def transition() -> None:
-            self.runtime.leave_node(pid, successor)
-            self.runtime.retire_pid(pid)
-            self.runtime.network.global_pids.discard(pid)
-            self.runtime.network.departed_pids.add(pid)
-            self.local_pids = [p for p in self.local_pids if p != pid]
-            storage = self.storages.get(pid)
-            if storage is not None:
-                storage.flush()
-            self.procs.pop(pid, None)
-
-        self._at(at, transition, f"leave P{pid}")
-
-    def notice_join(self, pid: ProcessId, at: Optional[SimTime] = None) -> None:
-        """A pid joined on another shard: extend the view, tell residents."""
-
-        def transition() -> None:
-            self.runtime.admit_pid(pid)
-            self.runtime.network.global_pids.add(pid)
-            for other in sorted(self.runtime.nodes):
-                node = self.runtime.nodes[other]
-                if not node.crashed:
-                    node.on_join_peer(pid)
-
-        self._at(at, transition, f"remote join P{pid}")
-
-    def notice_leave(
-        self,
-        pid: ProcessId,
-        successor: Optional[ProcessId] = None,
-        at: Optional[SimTime] = None,
-    ) -> None:
-        """A pid departed on another shard: shrink the view, tell residents."""
-
-        def transition() -> None:
-            self.runtime.retire_pid(pid)
-            self.runtime.network.global_pids.discard(pid)
-            self.runtime.network.departed_pids.add(pid)
-            for other in sorted(self.runtime.nodes):
-                node = self.runtime.nodes[other]
-                if not node.crashed:
-                    node.on_leave_peer(pid, successor)
-
-        self._at(at, transition, f"remote leave P{pid}")
+        self.runtime.set_remote_alive(pid, up)
+        if self.detector is not None:
+            if up:
+                self.detector.report_recovery(pid)
+            else:
+                self.detector.report_crash(pid)
 
     def apply_churn(self, ops: List[Dict[str, Any]]) -> int:
-        """Apply one batched churn command (satellite of the membership PR).
+        """Apply one batched churn command.
 
         ``ops`` is the *full* cluster-wide batch — every worker receives the
-        identical list in one pipe message and splits it locally: ops whose
-        pid this shard owns run as real transitions, the rest as remote
-        notices.  Returns how many ops were applied locally.
+        identical list in one pipe message and splits it locally: an op
+        whose pid this shard owns runs as the real transition, any other as
+        the remote notice, now or at kernel time ``op["at"]`` when given.
+        Returns how many ops were applied locally.
         """
+        runtime = self.runtime
         local_applied = 0
         for op in ops:
-            kind = op["kind"]
-            pid = op["pid"]
-            at = op.get("at")
-            local = self.ring.shard_of(pid) == self.spec.shard
-            if kind == "kill":
-                if local:
-                    self._at(
-                        at, lambda pid=pid: self.runtime.crash(pid), f"kill P{pid}"
-                    )
-                else:
-                    self.notice_remote(pid, up=False, at=at)
-            elif kind == "restart":
-                if local:
-                    self._at(
-                        at, lambda pid=pid: self.runtime.recover(pid), f"restart P{pid}"
-                    )
-                else:
-                    self.notice_remote(pid, up=True, at=at)
+            kind, pid, successor = op["kind"], op["pid"], op.get("successor")
+            local = self._owns(pid)
+            if kind in ("kill", "restart"):
+                up = kind == "restart"
+                hosted = runtime.recover if up else self.kill
+                action = partial(hosted, pid) if local else partial(self.notice_remote, pid, up)
             elif kind == "join":
-                if local:
-                    self.join_local(pid, at=at)
-                else:
-                    self.notice_join(pid, at=at)
+                action = partial(self._admit if local else runtime.admit_pid, pid)
             elif kind == "leave":
-                successor = op.get("successor")
-                if local:
-                    self.leave_local(pid, successor=successor, at=at)
-                else:
-                    self.notice_leave(pid, successor=successor, at=at)
+                action = partial(self._retire if local else runtime.retire_pid, pid, successor)
             else:
                 raise SimulationError(f"unknown churn op kind {kind!r}")
-            if local:
-                local_applied += 1
+            if op.get("at") is None:
+                action()
+            else:
+                runtime.scheduler.at(
+                    op["at"], action, priority=PRIORITY_TIMER, label=f"{kind} P{pid}"
+                )
+            local_applied += local
         return local_applied
-
-    def quiesce(self) -> None:
-        """Stop autonomous checkpoint initiation on every hosted engine.
-
-        In-flight instances finish normally; no new trees start.  Used by
-        the front door before cutting a run, so no tree is ever cut between
-        the root's commit and a cohort's (which would read as a transient
-        C1 violation on the merged trace).
-        """
-        for proc in self.procs.values():
-            proc.engine.autonomous_checkpoints = False
 
     # ------------------------------------------------------------------
     # Observation
     # ------------------------------------------------------------------
-    def committed_counts(self) -> Dict[ProcessId, int]:
-        return {pid: len(proc.committed_history) for pid, proc in self.procs.items()}
-
-    def open_instances(self) -> int:
-        """Checkpoint/rollback tree rounds still open on hosted engines."""
-        count = 0
-        for proc in self.procs.values():
-            trees = proc.engine.trees
-            count += sum(1 for s in trees.all_chkpt_rounds() if not s.closed)
-            count += sum(1 for s in trees.roll.values() if not s.closed)
-        return count
-
     def poll(self) -> Dict[str, Any]:
         payload = {
             "now": self.runtime.now,
             "committed": self.committed_counts(),
-            "alive": {pid: self.runtime.is_alive(pid) for pid in self.local_pids},
+            "alive": {pid: self.runtime.is_alive(pid) for pid in self.procs},
             "open_instances": self.open_instances(),
             "timer_errors": len(self.runtime.scheduler.errors),
         }
@@ -693,30 +515,20 @@ class ShardWorker:
         }
 
     def summary(self) -> Dict[str, Any]:
-        net = self.runtime.network
+        """The base counters plus what only a shard has (picklable)."""
         return {
+            **super().summary(),
             "shard": self.spec.shard,
-            "pids": list(self.local_pids),
-            "now": self.runtime.now,
-            "normal_sent": net.normal_sent,
-            "control_sent": net.control_sent,
-            "delivered": net.delivered,
-            "dropped": net.dropped,
-            "spooled": net.spooled,
+            "pids": sorted(self.procs),
             "committed": self.committed_counts(),
-            "trace_events": self.runtime.trace.events_recorded,
             "trace_files": self.router.paths,
             "timer_errors": [
                 f"{label or 'action'}: {exc!r}"
                 for label, exc in self.runtime.scheduler.errors
             ],
-            "frames_sent": self.transport.frames_sent,
             "frames_received": self.transport.frames_received,
-            "batches_sent": self.transport.batches_sent,
-            "bytes_sent": self.transport.bytes_sent,
             "intra_delivered": self.transport.intra_delivered,
             "misrouted": self.transport.misrouted,
-            "links_rejected": self.transport.links_rejected,
         }
 
 
@@ -731,7 +543,7 @@ async def _worker_async(spec: WorkerSpec, conn: "Connection") -> None:
     worker = ShardWorker(spec)
     loop = asyncio.get_running_loop()
     port = await worker.transport.listen()
-    conn.send(("ready", {"shard": spec.shard, "port": port, "pids": worker.local_pids}))
+    conn.send(("ready", {"shard": spec.shard, "port": port, "pids": sorted(worker.procs)}))
     running = True
     while running:
         command, payload = await loop.run_in_executor(None, conn.recv)
@@ -740,38 +552,15 @@ async def _worker_async(spec: WorkerSpec, conn: "Connection") -> None:
             if command == "peers":
                 worker.transport.set_peers(payload)
             elif command == "start":
-                await worker.runtime.start()
+                await worker.start()
                 result = {"t0": time.perf_counter()}
-            elif command == "kill":
-                worker.runtime.crash(payload)
-            elif command == "restart":
-                worker.runtime.recover(payload)
-            elif command == "schedule_kill":
-                pid, at = payload
-                worker.runtime.scheduler.at(
-                    at, lambda: worker.runtime.crash(pid), label=f"kill P{pid}"
-                )
-            elif command == "schedule_restart":
-                pid, at = payload
-                worker.runtime.scheduler.at(
-                    at, lambda: worker.runtime.recover(pid), label=f"restart P{pid}"
-                )
-            elif command == "peer_down":
-                worker.notice_remote(payload, up=False)
-            elif command == "peer_up":
-                worker.notice_remote(payload, up=True)
-            elif command == "schedule_peer_down":
-                pid, at = payload
-                worker.notice_remote(pid, up=False, at=at)
-            elif command == "schedule_peer_up":
-                pid, at = payload
-                worker.notice_remote(pid, up=True, at=at)
             elif command == "churn":
                 result = worker.apply_churn(payload)
             elif command == "poll":
                 result = worker.poll()
             elif command == "quiesce":
-                worker.quiesce()
+                # The parent drains by polling ``open_instances``.
+                worker.stop_autonomous()
             elif command == "app_status":
                 result = worker.app_status()
             elif command == "summary":
@@ -782,10 +571,7 @@ async def _worker_async(spec: WorkerSpec, conn: "Connection") -> None:
                 # teardown would make its node reply on a stopped
                 # transport and be recorded as a spurious callback error.
                 worker.runtime.scheduler.detach()
-                await worker.runtime.shutdown(raise_errors=False)
-                for storage in worker.storages.values():
-                    storage.flush()
-                worker.runtime.trace.close()
+                await worker.shutdown(raise_errors=False)
                 result = worker.summary()
                 running = False
             else:
@@ -886,14 +672,12 @@ class ShardedCluster:
         self.shards = shards
         self.time_scale = time_scale
         self.ring = HashRing(shards, replicas=ring_replicas)
-        self.assignment = self.ring.assignment(list(range(n)))
         self._pids: set = set(range(n))
         self._departed: set = set()
         os.makedirs(self.root, exist_ok=True)
         context: "BaseContext" = get_context(start_method)
         self._workers: List[_WorkerHandle] = []
         self._started = False
-        self._down: set = set()
         try:
             for shard in range(shards):
                 parent_conn, child_conn = context.Pipe()
@@ -1126,15 +910,10 @@ class ShardedCluster:
         results = self._broadcast("churn", lambda w: ops)
         for op in ops:
             kind, pid = op["kind"], op["pid"]
-            if kind == "kill":
-                self._down.add(pid)
-            elif kind == "restart":
-                self._down.discard(pid)
-            elif kind == "join":
+            if kind == "join":
                 self._pids.add(pid)
             elif kind == "leave":
                 self._pids.discard(pid)
-                self._down.discard(pid)
                 self._departed.add(pid)
         return results
 
@@ -1218,7 +997,7 @@ class ShardedCluster:
         }
         return {
             **totals,
-            "nodes": self.n,
+            "nodes": len(self._pids),
             "shards": self.shards,
             "cpus": visible_cpus(),
             "now": max(s["now"] for s in per_shard),

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.core import CheckpointProcess, PartitionCoordinator, ProtocolConfig
 from repro.failure import FailureDetector, FailureInjector, VoteRegistry
 from repro.kernel import KernelCore
-from repro.runtime.shard import ShardFailureDetector, ShardRuntime
+from repro.runtime.shard import ShardRuntime
 from repro.testing import build_sim, run_random_workload
 
 CONFIG = ProtocolConfig(failure_resilience=True)
@@ -115,7 +115,7 @@ SHARD_OPS = st.lists(
     st.tuples(
         st.sampled_from([
             "remote_down", "remote_up", "flag_down", "flag_up", "admit", "retire",
-            "crash", "recover",
+            "crash", "recover", "join", "leave",
         ]),
         st.integers(0, 11),
     ),
@@ -130,13 +130,19 @@ def test_shard_runtime_views_match_recomputation_after_every_transition(ops):
         drive_shard_runtime(ops)
 
 
-def drive_shard_runtime(ops):
+def shard_runtime():
+    """A shard kernel hosting pids 0-2 of a six-pid cluster, started."""
     runtime = ShardRuntime(all_pids=list(range(6)))
-    for pid in (0, 1, 2):  # this shard hosts half the cluster
+    for pid in (0, 1, 2):
         runtime.add_node(CheckpointProcess(pid, CONFIG))
-    detector = ShardFailureDetector(runtime, detection_latency=1.0)
+    detector = FailureDetector(runtime, detection_latency=1.0)
     for pid in sorted(runtime.nodes):  # what start() does, minus the event loop
         runtime.nodes[pid].on_start()
+    return runtime, detector
+
+
+def drive_shard_runtime(ops):
+    runtime, detector = shard_runtime()
     next_pid = 6
     detector.views()
     for op, arg in ops:
@@ -157,11 +163,39 @@ def drive_shard_runtime(ops):
             next_pid += 1
         elif op == "retire" and remote:
             runtime.retire_pid(remote[arg % len(remote)])
+        elif op == "join":
+            runtime.join_node(CheckpointProcess(next_pid, CONFIG))
+            next_pid += 1
+        elif op == "leave" and len(local) > 1 and runtime.is_alive(local[arg % len(local)]):
+            runtime.leave_node(local[arg % len(local)])
         elif op == "crash" and runtime.is_alive(local[arg % len(local)]):
             runtime.crash(local[arg % len(local)])
         elif op == "recover" and not runtime.is_alive(local[arg % len(local)]):
             runtime.recover(local[arg % len(local)])
         detector.views()
+
+
+def test_hosted_churn_on_a_shard_kernel_keeps_beliefs_about_remote_pids():
+    """The shard kernel's plane is the whole cluster: the view a hosted join
+    or leave publishes must not read every remote pid as a non-member and
+    prune it from ``believed_down``."""
+
+    class Joiner(CheckpointProcess):
+        def on_start(self):
+            self.peers_at_start = self.sim.process_ids
+            super().on_start()
+
+    runtime, detector = shard_runtime()
+    runtime.set_remote_alive(4, False)
+    detector.report_crash(4)
+    assert detector.views() == (frozenset({4}), (4,))
+    joiner = runtime.join_node(Joiner(6, CONFIG))
+    assert detector.views() == (frozenset({4}), (4,))
+    assert 6 in joiner.peers_at_start  # a peer from its own on_start on
+    runtime.leave_node(1)
+    assert detector.views() == (frozenset({4}), (4,))
+    assert runtime.process_ids == [0, 2, 3, 4, 5, 6]
+    assert runtime.membership.is_departed(1) and not runtime.is_member(1)
 
 
 def test_partition_merge_cycle_leaves_views_fresh():

@@ -21,9 +21,10 @@ from repro.runtime import Cluster, LoopbackTransport, wire
 from repro.runtime.shard import (
     HashRing,
     ShardedCluster,
-    ShardNetwork,
     ShardRuntime,
     ShardTransport,
+    ShardWorker,
+    WorkerSpec,
 )
 from repro.sim.node import Node
 from repro.types import MessageId
@@ -84,8 +85,7 @@ class Sink(Node):
 def shard_kernel(shard, ring, pids):
     transport = ShardTransport(shard, ring)
     runtime = ShardRuntime(
-        pids, seed=0, transport=transport, time_scale=0.01,
-        network=ShardNetwork(transport, pids, delay_model=FixedDelay(0.0)),
+        pids, seed=0, transport=transport, time_scale=0.01, delay_model=FixedDelay(0.0)
     )
     nodes = {pid: runtime.add_node(Sink(pid)) for pid in ring.assignment(pids)[shard]}
     return transport, runtime, nodes
@@ -147,6 +147,78 @@ def test_retired_json_codec_is_rejected_by_name(tmp_path):
     for codec in ("binary", True):
         Cluster(n=2, root=str(tmp_path / f"ok-{codec}"), transport="loopback", codec=codec)
     Cluster(n=2, root=str(tmp_path / "tcp"), transport="tcp", codec="binary")
+
+
+# ----------------------------------------------------------------------
+# The worker is a Cluster over its slice (in this process, no sockets)
+# ----------------------------------------------------------------------
+
+def worker_with_slice(tmp_path, size):
+    """A two-shard worker whose ring slice holds exactly ``size`` pids."""
+    ring = HashRing(2)
+    for n in range(2, 64):
+        for shard, pids in ring.assignment(list(range(n))).items():
+            if len(pids) == size:
+                root = str(tmp_path / f"slice-{size}")
+                return ShardWorker(WorkerSpec(
+                    shard=shard, shards=2, n=n, seed=0, root=root, time_scale=0.01
+                ))
+    raise AssertionError(f"no two-shard ring slice of {size} pid(s) below n=64")
+
+
+def spooler_hosts(cluster):
+    groups = {pid: cluster.runtime.network.spooler_for(pid) for pid in cluster.procs}
+    return {
+        pid: [replica.host for replica in group.replicas]
+        for pid, group in groups.items() if group is not None
+    }
+
+
+def test_no_spooler_group_is_hosted_by_its_owner(tmp_path):
+    # One rule for every cluster: the next two neighbours in hosted order,
+    # never the owner — its replica would answer "alive" exactly when the
+    # spool is not needed, and hide rule 3's inquire-everyone fallback when
+    # the real host is dead.
+    pair = Cluster(n=2, root=str(tmp_path / "pair"), transport="loopback")
+    assert spooler_hosts(pair) == {0: [1], 1: [0]}
+    five = Cluster(n=5, root=str(tmp_path / "five"), transport="loopback")
+    assert spooler_hosts(five) == {p: [(p + 1) % 5, (p + 2) % 5] for p in range(5)}
+    for size in (1, 2, 3):
+        worker = worker_with_slice(tmp_path, size)
+        hosted = sorted(worker.procs)
+        assert len(hosted) == size
+        hosts = spooler_hosts(worker)
+        assert sorted(hosts) == (hosted if size > 1 else [])
+        for pid, replicas in hosts.items():
+            assert pid not in replicas and set(replicas) <= set(hosted)
+            assert len(replicas) == len(set(replicas)) == min(2, size - 1)
+
+
+def test_pid_joining_a_shard_gets_a_spooler_group(tmp_path):
+    # The worker admits a joiner through Cluster's one admit path, so a
+    # message for a crashed joiner is spooled on its neighbours, not dropped.
+    worker = worker_with_slice(tmp_path, 3)
+    joiner = next(
+        pid for pid in range(worker.spec.n, 256)
+        if worker.ring.shard_of(pid) == worker.spec.shard
+    )
+    stranger = next(
+        pid for pid in range(worker.spec.n, 256)
+        if worker.ring.shard_of(pid) != worker.spec.shard
+    )
+    for pid in sorted(worker.procs):  # what start() does, minus the event loop
+        worker.procs[pid].on_start()
+    hosted_before = sorted(worker.procs)
+    assert worker.apply_churn([
+        {"kind": "join", "pid": joiner}, {"kind": "join", "pid": stranger},
+    ]) == 1
+    assert sorted(worker.procs) == sorted(hosted_before + [joiner])
+    assert {joiner, stranger} <= set(worker.runtime.process_ids)
+    hosts = spooler_hosts(worker)[joiner]
+    assert len(hosts) == 2 and set(hosts) <= set(hosted_before)
+    assert worker.runtime.network.spooler_for(stranger) is None
+    assert worker.summary()["nodes"] == len(hosted_before) + 1
+    worker.runtime.trace.close()
 
 
 # ----------------------------------------------------------------------
@@ -213,6 +285,9 @@ def test_sharded_kill_restart_recovers_and_stays_consistent(tmp_path):
         cluster.run_for(4.0)
         cluster.restart(victim)
         cluster.wait_until_committed(2, timeout=1200.0)
+        # The wait returns on a commit wave; cutting there without draining
+        # reads as a transient C1 violation about once in fifty runs.
+        cluster.quiesce()
         cluster.shutdown()
     finally:
         cluster.close()

@@ -108,6 +108,7 @@ def test_join_leave_handoff_and_restart_across_shards(tmp_path):
         # Grow by one, retire one with a handoff, and bounce one — as a
         # single batch where possible.
         cluster.join(6)
+        assert cluster.summary()["nodes"] == cluster.n + 1  # the live count, as Cluster
         cluster.churn([
             {"kind": "leave", "pid": 1, "successor": 0},
             {"kind": "kill", "pid": 2},
@@ -122,6 +123,10 @@ def test_join_leave_handoff_and_restart_across_shards(tmp_path):
     summary = cluster.summary()
     errors = [e for s in summary["per_shard"] for e in s["timer_errors"]]
     assert errors == []
+    # n + joins - leaves, and the workers' hosted counts add up to it.
+    assert summary["nodes"] == cluster.n + 1 - 1
+    assert sum(s["nodes"] for s in summary["per_shard"]) == summary["nodes"]
+    assert sorted(p for s in summary["per_shard"] for p in s["pids"]) == [0, 2, 3, 4, 5, 6]
 
     index = cluster.merged_index()
     assert index.count(K_JOIN) == 1

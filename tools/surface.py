@@ -1,0 +1,111 @@
+#!/usr/bin/env python3
+"""Print the public surface of Python modules, from their ``ast`` alone.
+
+Per module: its public top-level names — the literal ``__all__`` when the
+module has one, else every top-level class, function and assigned name that
+does not start with an underscore (imports are not definitions).  Per public
+class defined in the module: the number of settable options, i.e. ``__init__``
+parameters besides ``self`` (``*args``/``**kwargs`` count one each), or the
+annotated fields of a ``@dataclass``; a class that inherits its constructor
+shows ``-`` and adds nothing.  The last two lines total each — the public-name
+and option counts CHANGES.md quotes before -> after for subtraction PRs.
+
+    python3 tools/surface.py src/repro/runtime src/repro/failure
+    python3 tools/surface.py src/repro/runtime/shard.py
+"""
+
+from __future__ import annotations
+
+import ast
+import sys
+from pathlib import Path
+from typing import Dict, Iterator, List, Optional, Tuple
+
+
+def _literal_all(tree: ast.Module) -> Optional[List[str]]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            try:
+                return [str(name) for name in ast.literal_eval(node.value)]
+            except ValueError:
+                return None
+    return None
+
+
+def _defined(tree: ast.Module) -> Iterator[str]:
+    for node in tree.body:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    yield target.id
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+        if name == "dataclass":
+            return True
+    return False
+
+
+def options(node: ast.ClassDef) -> Optional[int]:
+    """Settable constructor options of a class, or None if it defines none."""
+    for item in node.body:
+        if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+            args = item.args
+            named = len(args.posonlyargs) + len(args.args) + len(args.kwonlyargs) - 1
+            return named + (args.vararg is not None) + (args.kwarg is not None)
+    if _is_dataclass(node):
+        return sum(
+            1 for item in node.body
+            if isinstance(item, ast.AnnAssign) and "ClassVar" not in ast.dump(item.annotation)
+        )
+    return None
+
+
+def surface(path: Path) -> Tuple[List[str], Dict[str, Optional[int]]]:
+    """One module's public names, and ``class -> options`` for those of them
+    that are classes defined in it."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = _literal_all(tree)
+    if names is None:
+        names = [name for name in _defined(tree) if not name.startswith("_")]
+    names = list(dict.fromkeys(names))
+    classes = {
+        node.name: options(node)
+        for node in tree.body if isinstance(node, ast.ClassDef) and node.name in names
+    }
+    return names, classes
+
+
+def main(argv: List[str]) -> int:
+    paths: List[Path] = []
+    for arg in argv[1:] or ["src"]:
+        root = Path(arg)
+        paths.extend(sorted(root.rglob("*.py")) if root.is_dir() else [root])
+    total_names = total_classes = total_options = 0
+    for path in paths:
+        names, classes = surface(path)
+        shown = [
+            f"{name}({'-' if classes[name] is None else classes[name]})"
+            if name in classes else name
+            for name in names
+        ]
+        print(f"{len(names):4d}  {path}: {' '.join(shown)}")
+        total_names += len(names)
+        total_classes += len(classes)
+        total_options += sum(count or 0 for count in classes.values())
+    print(f"{total_names:4d}  total public names")
+    print(f"{total_options:4d}  total __init__ parameters over {total_classes} public classes")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
