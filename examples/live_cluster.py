@@ -42,8 +42,8 @@ async def main_async(root: str) -> None:
         cluster.runtime, cluster.procs
     )
 
-    cluster.schedule_kill(2, at=7.0)
-    cluster.schedule_restart(2, at=13.0)
+    cluster.kill(2, at=7.0)
+    cluster.restart(2, at=13.0)
 
     await cluster.start()
     print(f"cluster up: {N} nodes on ports {sorted(cluster.transport.ports.values())}")

@@ -84,10 +84,6 @@ class HappensBefore:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def clock_of(self, event: TraceEvent) -> Dict[ProcessId, int]:
-        """The vector clock assigned to ``event`` (empty if untracked)."""
-        return self._clocks.get(event.index, {})
-
     def happens_before(self, first: TraceEvent, second: TraceEvent) -> bool:
         """True iff ``first`` → ``second`` under Definition 1."""
         if first.index == second.index:

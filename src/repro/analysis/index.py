@@ -315,8 +315,3 @@ def as_index(source) -> TraceIndex:
     if isinstance(source, TraceIndex):
         return source
     return source.index
-
-
-def iter_meta_pairs(pairs: Iterable) -> List[Tuple]:
-    """Normalise manifest meta pairs (lists from storage) to tuples."""
-    return [tuple(pair) for pair in pairs]

@@ -65,10 +65,6 @@ class RunStats:
     def mean_latency(self) -> float:
         return sum(self.instance_latencies) / len(self.instance_latencies) if self.instance_latencies else 0.0
 
-    @property
-    def control_per_instance(self) -> float:
-        return self.control_messages / self.instances_started if self.instances_started else 0.0
-
     def as_row(self) -> Dict[str, object]:
         """Flat dict for table printers."""
         return {

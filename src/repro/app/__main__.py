@@ -39,15 +39,8 @@ from repro.app.state import AppProcess
 from repro.app.traffic import JobTraffic
 from repro.core import ProtocolConfig
 from repro.errors import ConsistencyViolation
+from repro.runtime.__main__ import parse_event
 from repro.runtime.cluster import Cluster
-
-
-def parse_event(spec: str) -> tuple:
-    pid_text, _, time_text = spec.partition("@")
-    try:
-        return int(pid_text), float(time_text)
-    except ValueError:
-        raise SystemExit(f"bad event spec {spec!r}; expected PID@TIME") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,8 +100,8 @@ async def run_demo(args: argparse.Namespace, root: str) -> Dict[str, Any]:
             )
 
         cluster.runtime.scheduler.at(kill_at, sample, label="sample before kill")
-        cluster.schedule_kill(victim, kill_at)
-        cluster.schedule_restart(victim, restart_at)
+        cluster.kill(victim, at=kill_at)
+        cluster.restart(victim, at=restart_at)
 
     await cluster.start()
     await cluster.wait_until(

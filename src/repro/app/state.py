@@ -36,10 +36,6 @@ from repro.types import ProcessId
 
 _MOD = 2**61 - 1
 
-#: Stage names of the data-pipeline workload, cycled when a job has more
-#: stages than names (purely cosmetic — progress is tracked by index).
-STAGE_NAMES = ("fetch", "transform", "load")
-
 TraceRecord = Tuple[str, Dict[str, Any]]
 
 

@@ -159,8 +159,8 @@ def live_row(jobs: int = 40, interval: SimTime = 6.0) -> Dict[str, Any]:
             unit_time=UNIT_TIME, retry=RETRY, horizon=80.0,
         )
         traffic.install(cluster.runtime, cluster.procs)
-        cluster.schedule_kill(1, KILL_AT)
-        cluster.schedule_restart(1, KILL_AT + DOWNTIME)
+        cluster.kill(1, at=KILL_AT)
+        cluster.restart(1, at=KILL_AT + DOWNTIME)
         await cluster.start()
         await cluster.wait_until(
             lambda: all(h.durable for h in traffic.driver.handles.values()),

@@ -76,12 +76,12 @@ def _schedule_churn(sim, cls: Type[CheckpointProcess], n: int, churn: int,
         leave_at = duration * (0.30 + 0.55 * k / max(churn, 1))
         sim.scheduler.at(
             join_at,
-            lambda pid=n + k: sim.join(cls(pid, None)),
+            lambda pid=n + k: sim.join_node(cls(pid, None)),
             label=f"churn join P{n + k}",
         )
         sim.scheduler.at(
             leave_at,
-            lambda pid=n - 1 - k, succ=k: sim.leave(pid, successor=succ),
+            lambda pid=n - 1 - k, succ=k: sim.leave_node(pid, successor=succ),
             label=f"churn leave P{n - 1 - k}",
         )
 

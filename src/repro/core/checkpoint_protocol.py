@@ -54,6 +54,11 @@ class ChkptProtocolMixin:
     # ------------------------------------------------------------------
     def _on_chkpt_req(self, src: ProcessId, req: M.ChkptReq) -> None:
         """Handle ("chkpt_req", t, max_ij) from potential parent ``src``."""
+        if src in self.departed_peers:
+            # Sent before ``src`` left, delivered after: it had not voted (it
+            # was still recruiting), so it aborted the round on its way out.
+            # Joining now would mean voting to a process that no longer exists.
+            return
         if self._is_true_chkpt_child(src, req):
             self._send_control(src, M.ChkptAck(tree=req.tree, positive=True))
         else:
@@ -262,6 +267,9 @@ class ChkptProtocolMixin:
             # overlapping instance, so there is nothing to commit locally —
             # but our children in *this* tree still await a decision, and
             # their checkpoints supported the same (now committed) state.
+            # Remembered like any root decision, so a rule-6 inquiry from a
+            # child whose parent is gone finds an answer here.
+            self._remember_decision(tree.tree, "commit")
             self._forward_decision(tree, "commit")
 
     def _forward_decision(self, tree: ChkptTreeState, decision: str) -> None:

@@ -585,7 +585,6 @@ _EVENT_DISPATCH: Dict[type, str] = {
     EV.RecoveryNotice: "_ev_recovery_notice",
     EV.Join: "_ev_join",
     EV.Leave: "_ev_leave",
-    EV.ViewChange: "_ev_view_change",
 }
 
 _CONTROL_DISPATCH: Dict[type, str] = {

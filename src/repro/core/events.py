@@ -169,19 +169,6 @@ class Leave:
 
 
 @slotted_dataclass(frozen=True)
-class ViewChange:
-    """A full membership refresh from the plane (epoch-numbered).
-
-    Coarser than :class:`Join`/:class:`Leave`: the engine replaces its peer
-    tuple wholesale.  Used by drivers that batch several transitions.
-    """
-
-    epoch: int
-    pids: Tuple[ProcessId, ...]
-    at: SimTime = 0.0
-
-
-@slotted_dataclass(frozen=True)
 class FailureNotice:
     """The failure detector reports that peer ``pid`` crashed."""
 
@@ -217,5 +204,4 @@ __all__ = [
     "RecoveryNotice",
     "Start",
     "TimerFired",
-    "ViewChange",
 ]

@@ -23,11 +23,9 @@ plane to :class:`repro.core.engine.ProtocolEngine`:
 * :class:`repro.core.messages.HandoffMsg` — the successor adopts the
   departed pid's decision log so rule-6 :class:`DecisionInquiry` broadcasts
   about its trees keep getting answered after it is gone.
-* :class:`repro.core.events.ViewChange` — a wholesale peer refresh for
-  drivers that batch several transitions.
 
 None of this runs on a static-membership execution: no effect, trace or
-timer is produced unless a Join/Leave/ViewChange event is actually
+timer is produced unless a Join or Leave event is actually
 delivered, keeping the golden traces bit-identical.
 """
 
@@ -61,9 +59,6 @@ class MembershipMixin:
         elif event.pid not in self.peers:
             self.peers = tuple(sorted(set(self.peers) | {event.pid}))
 
-    def _ev_view_change(self, event: EV.ViewChange) -> None:
-        self.peers = tuple(event.pids)
-
     # ------------------------------------------------------------------
     # Leave
     # ------------------------------------------------------------------
@@ -78,19 +73,32 @@ class MembershipMixin:
         # Drop the departed pid from every open round so no instance blocks
         # awaiting its answer.  Unlike a crash (rule 1) this is graceful:
         # the departing engine resolved its own obligations on the way out
-        # (its abort/veto messages are in flight), so the round simply
-        # continues without it — no abort, no mandated rollback.
+        # (its abort/veto messages are in flight), so a round it was a child
+        # of simply continues without it — no abort, no mandated rollback.
+        # A round it was the *parent* of is checked first, because the
+        # departed pid is usually also one of that round's potential
+        # children: dropping it there would complete the round and send
+        # ``ready_to_commit`` to a process that no longer exists, with no
+        # inquiry armed.
         for state in self.trees.all_chkpt_rounds():
             if state.closed:
                 continue
-            if event.pid in state.pending_acks or event.pid in state.true_children:
+            if state.parent == event.pid:
+                if state.responded:
+                    # Our parent departed after we voted: the decision will
+                    # never be relayed through it, so skip straight to the
+                    # rule-6 inquiry instead of waiting out the timeout.
+                    self._start_decision_inquiry(state.tree, "checkpoint")
+                else:
+                    # It departed before we voted, so it cannot have voted
+                    # either (it aborted the round on its way out, and that
+                    # abort only reaches children whose ack it had seen):
+                    # abort is the one decision this instance can have.
+                    self._remember_decision(state.tree, "abort")
+                    self._abort_instance(state.tree)
+            elif event.pid in state.pending_acks or event.pid in state.true_children:
                 state.drop_child(event.pid)
                 self._chkpt_maybe_respond(state)
-            elif state.parent == event.pid and state.responded:
-                # Our parent departed after we voted: the decision will
-                # never be relayed through it, so skip straight to the
-                # rule-6 inquiry instead of waiting out the timeout.
-                self._start_decision_inquiry(state.tree, "checkpoint")
         for state in list(self.trees.roll.values()):
             if state.closed:
                 continue

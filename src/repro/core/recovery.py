@@ -299,8 +299,10 @@ class RecoveryMixin:
         self._remember_decision(reply.tree, reply.decision)
 
         if reply.decision == "commit":
-            if reply.tree in self.chkpt_commit_set:
-                self._commit_checkpoint(reply.tree)
+            # As if the parent had relayed it: when the shared checkpoint
+            # already committed through another instance, the open rounds of
+            # this tree still close and forward the decision (case 1 of b4).
+            self._on_commit(src, M.Commit(tree=reply.tree))
             if self._recovering:
                 self._finish_recovery()
         elif reply.decision == "abort":

@@ -73,7 +73,3 @@ class TransportError(ReproError):
 
 class WorkloadError(ReproError):
     """A workload script referenced an unknown process or malformed step."""
-
-
-class BenchmarkError(ReproError):
-    """An experiment harness was configured inconsistently."""

@@ -18,7 +18,7 @@ The contract has three parts:
   kernels accept and ignore it (two live timers never share an instant).
 * :class:`KernelLike` — what protocol/failure code reads off ``node.sim``:
   the clock, the scheduler, the trace, the network facade, named RNG
-  streams, id allocation, the failure-detector slot, and liveness queries.
+  streams, the failure-detector slot, and liveness queries.
 * :class:`KernelCore` — the shared concrete half: node registry, liveness,
   and the crash/recover transitions (which must behave identically in both
   worlds, down to the trace records and failure-detector reports).
@@ -32,7 +32,7 @@ from typing import (
 
 from repro.errors import SimulationError
 from repro.membership import MembershipPlane
-from repro.types import IdAllocator, ProcessId, SimTime
+from repro.types import ProcessId, SimTime
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.network import Network
@@ -90,7 +90,6 @@ class KernelLike(Protocol):
     trace: "Trace"
     network: "Network"
     rng: "Rng"
-    ids: IdAllocator
     failure_detector: Optional[Any]
     nodes: Dict[ProcessId, "Node"]
 
@@ -123,7 +122,6 @@ class KernelCore:
 
     def __init__(self) -> None:
         self.nodes: Dict[ProcessId, "Node"] = {}
-        self.ids = IdAllocator()
         self.failure_detector: Optional[Any] = None
         self.membership = MembershipPlane()
         #: Bumped by :meth:`liveness_changed` at every transition that can

@@ -41,32 +41,19 @@ from repro.runtime.cluster import Cluster
 from repro.workloads import RandomPeerWorkload
 
 
-def parse_events(specs: List[str]) -> List[Tuple[int, float]]:
-    """Parse repeated ``PID@TIME`` arguments (e.g. ``--kill 1@8``)."""
-    events = []
-    for spec in specs:
-        pid_text, _, time_text = spec.partition("@")
-        try:
-            events.append((int(pid_text), float(time_text)))
-        except ValueError:
-            raise SystemExit(f"bad event spec {spec!r}; expected PID@TIME") from None
-    return events
-
-
-def parse_leave_events(specs: List[str]) -> List[Tuple[int, float, Any]]:
-    """Parse ``PID@TIME[:SUCCESSOR]`` arguments (e.g. ``--leave 1@20:0``)."""
-    events = []
-    for spec in specs:
-        pid_text, _, rest = spec.partition("@")
-        time_text, sep, succ_text = rest.partition(":")
-        try:
-            successor = int(succ_text) if sep else None
-            events.append((int(pid_text), float(time_text), successor))
-        except ValueError:
-            raise SystemExit(
-                f"bad leave spec {spec!r}; expected PID@TIME[:SUCCESSOR]"
-            ) from None
-    return events
+def parse_event(spec: str, successor: bool = False) -> Tuple[Any, ...]:
+    """Parse one ``PID@TIME`` argument (e.g. ``--kill 1@8``) into ``(pid, at)``
+    or, with ``successor``, one ``PID@TIME[:SUCCESSOR]`` (``--leave 1@20:0``)
+    into ``(pid, at, successor or None)`` — the arguments of a cluster verb."""
+    pid_text, _, time_text = spec.partition("@")
+    try:
+        if not successor:
+            return int(pid_text), float(time_text)
+        time_text, sep, succ_text = time_text.partition(":")
+        return int(pid_text), float(time_text), int(succ_text) if sep else None
+    except ValueError:
+        shape = "PID@TIME[:SUCCESSOR]" if successor else "PID@TIME"
+        raise SystemExit(f"bad event spec {spec!r}; expected {shape}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,15 +93,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def schedule_events(cluster: Any, args: argparse.Namespace) -> None:
     """Arm ``--kill/--restart/--join/--leave`` on either front door (both
-    spell the four ``schedule_*`` methods identically)."""
-    for pid, at in parse_events(args.kill):
-        cluster.schedule_kill(pid, at)
-    for pid, at in parse_events(args.restart):
-        cluster.schedule_restart(pid, at)
-    for pid, at in parse_events(args.join):
-        cluster.schedule_join(pid, at)
-    for pid, at, successor in parse_leave_events(args.leave):
-        cluster.schedule_leave(pid, at, successor)
+    spell the four verbs identically)."""
+    for pid, at in map(parse_event, args.kill):
+        cluster.kill(pid, at=at)
+    for pid, at in map(parse_event, args.restart):
+        cluster.restart(pid, at=at)
+    for pid, at in map(parse_event, args.join):
+        cluster.join(pid, at=at)
+    for spec in args.leave:
+        pid, at, successor = parse_event(spec, successor=True)
+        cluster.leave(pid, successor, at=at)
 
 
 async def run_demo(args: argparse.Namespace) -> Dict[str, Any]:

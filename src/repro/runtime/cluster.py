@@ -14,21 +14,25 @@
 * a :class:`~repro.failure.detector.FailureDetector` and (optionally) the
   Section 6 spooler groups — each pid's spool replicated on its next two
   hosted neighbours, never on itself;
-* :meth:`kill` / :meth:`restart` take a *live* node down — protocol crash
-  plus transport disconnect — and bring it back from its storage directory,
-  exercising the Section 6 exception rules against real timers and sockets.
+* four control verbs drive a *live* cluster, each a plain function that
+  runs now or — given ``at`` — as a kernel timer: :meth:`Cluster.kill` /
+  :meth:`Cluster.restart` take a node down (protocol crash plus transport
+  disconnect) and bring it back from its storage directory, exercising the
+  Section 6 exception rules against real timers and sockets;
+  :meth:`Cluster.join` / :meth:`Cluster.leave` grow and shrink the
+  membership.  :class:`~repro.runtime.shard.ShardedCluster` spells them
+  with the same signatures.
 
 A cluster hosts the pids :meth:`Cluster._owns` claims, on the kernel
 :meth:`Cluster._kernel` builds.  Here that is every pid on an
 ``AsyncRuntime``; a shard worker (:class:`~repro.runtime.shard.ShardWorker`)
 overrides the two hooks to host its ring slice on a kernel that answers for
 the whole cluster, and inherits the rest — provisioning, spooler groups,
-join/leave bookkeeping, the observation methods and the shutdown sequence.
+the verbs, the observation methods and the shutdown sequence.
 """
 
 from __future__ import annotations
 
-import asyncio
 import os
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Type
 
@@ -38,6 +42,7 @@ from repro.failure import FailureDetector
 from repro.net.delay import FixedDelay
 from repro.runtime.loop import AsyncRuntime
 from repro.runtime.transport import LinkTransport, LoopbackTransport, TcpTransport, Transport
+from repro.sim.event import PRIORITY_TIMER
 from repro.sim.trace import JsonlStreamSink, TraceEvent, TraceSink
 from repro.stable.storage import WriteBehindFileStableStorage
 from repro.types import ProcessId, SimTime
@@ -45,6 +50,10 @@ from repro.types import ProcessId, SimTime
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.index import TraceIndex
     from repro.net.delay import DelayModel
+
+
+#: Operations a node's write-behind stable storage buffers between flushes.
+_STORAGE_FLUSH_EVERY = 8
 
 
 class PidRouterSink(TraceSink):
@@ -56,9 +65,8 @@ class PidRouterSink(TraceSink):
     tooling is tested against honestly sharded input.
     """
 
-    def __init__(self, root: str, flush_every: int = 64) -> None:
+    def __init__(self, root: str) -> None:
         self.root = str(root)
-        self.flush_every = flush_every
         os.makedirs(self.root, exist_ok=True)
         self._sinks: Dict[Optional[ProcessId], JsonlStreamSink] = {}
 
@@ -66,10 +74,7 @@ class PidRouterSink(TraceSink):
         sink = self._sinks.get(event.pid)
         if sink is None:
             name = "cluster.jsonl" if event.pid is None else f"node-{event.pid}.jsonl"
-            sink = JsonlStreamSink(
-                os.path.join(self.root, name), flush_every=self.flush_every
-            )
-            self._sinks[event.pid] = sink
+            sink = self._sinks[event.pid] = JsonlStreamSink(os.path.join(self.root, name))
         sink.emit(event)
 
     def flush(self) -> None:
@@ -105,8 +110,6 @@ class Cluster:
         detector_latency: Optional[SimTime] = 2.0,
         spoolers: bool = True,
         delay_model: Optional["DelayModel"] = None,
-        flush_every: int = 8,
-        trace_flush_every: int = 64,
         codec: "bool | str" = "binary",
         extra_sinks: Sequence[TraceSink] = (),
     ) -> None:
@@ -119,9 +122,7 @@ class Cluster:
             )
         self.root = str(root)
         os.makedirs(self.root, exist_ok=True)
-        self.router = PidRouterSink(
-            os.path.join(self.root, "trace"), flush_every=trace_flush_every
-        )
+        self.router = PidRouterSink(os.path.join(self.root, "trace"))
         if isinstance(transport, Transport):
             self.transport = transport
         elif transport == "tcp":
@@ -138,7 +139,6 @@ class Cluster:
         )
         self.config = config
         self.process_cls = process_cls
-        self.flush_every = flush_every
         self.spoolers = spoolers
         self.storages: Dict[ProcessId, WriteBehindFileStableStorage] = {}
         self.procs: Dict[ProcessId, CheckpointProcess] = {}
@@ -167,7 +167,7 @@ class Cluster:
     def _provision(self, pid: ProcessId) -> CheckpointProcess:
         """Create ``pid``'s storage directory and its process over it."""
         storage = WriteBehindFileStableStorage(
-            os.path.join(self.root, f"node-{pid}"), flush_every=self.flush_every
+            os.path.join(self.root, f"node-{pid}"), flush_every=_STORAGE_FLUSH_EVERY
         )
         self.storages[pid] = storage
         self.procs[pid] = self.process_cls(pid, self.config, storage=storage)
@@ -253,88 +253,81 @@ class Cluster:
         self.runtime.trace.close()
 
     # ------------------------------------------------------------------
-    # Failure injection (live)
+    # The control verbs: kill / restart / join / leave, now or at a time
     # ------------------------------------------------------------------
-    def kill(self, pid: ProcessId) -> None:
+    def _now_or_at(
+        self, at: Optional[SimTime], kind: str, pid: ProcessId, action: Callable[[], None]
+    ) -> None:
+        """Run ``action`` now, or as a kernel timer at time ``at``.
+
+        A timer can be armed before :meth:`start`, and a transition that
+        fails inside one lands in ``scheduler.errors`` like any other timer
+        error (``summary()["timer_errors"]``, re-raised at shutdown).
+        """
+        if at is None:
+            action()
+        else:
+            self.runtime.scheduler.at(
+                at, action, priority=PRIORITY_TIMER, label=f"{kind} P{pid}"
+            )
+
+    def kill(self, pid: ProcessId, at: Optional[SimTime] = None) -> None:
         """Take a live node down: protocol crash + network disappearance."""
-        self.runtime.crash(pid)
-        self.transport.disconnect(pid)
 
-    async def restart(self, pid: ProcessId) -> None:
+        def kill() -> None:
+            self.runtime.crash(pid)
+            self.transport.disconnect(pid)
+
+        self._now_or_at(at, "kill", pid, kill)
+
+    def restart(self, pid: ProcessId, at: Optional[SimTime] = None) -> None:
         """Bring a killed node back on its original endpoint and storage."""
-        await self.transport.reconnect(pid)
-        self.runtime.recover(pid)
 
-    def schedule_kill(self, pid: ProcessId, at: SimTime) -> None:
-        """Arrange :meth:`kill` at kernel time ``at`` (usable pre-start)."""
-        self.runtime.scheduler.at(at, lambda: self.kill(pid), label=f"kill P{pid}")
+        def restart() -> None:
+            self.transport.reconnect(pid)
+            self.runtime.recover(pid)
 
-    def schedule_restart(self, pid: ProcessId, at: SimTime) -> None:
-        """Arrange :meth:`restart` at kernel time ``at`` (usable pre-start)."""
+        self._now_or_at(at, "restart", pid, restart)
 
-        def fire() -> None:
-            asyncio.get_running_loop().create_task(self.restart(pid))
-
-        self.runtime.scheduler.at(at, fire, label=f"restart P{pid}")
-
-    # ------------------------------------------------------------------
-    # Dynamic membership (live)
-    # ------------------------------------------------------------------
-    async def join(self, pid: ProcessId) -> CheckpointProcess:
-        """Grow the live cluster: provision and admit a brand-new node.
+    def join(self, pid: ProcessId, at: Optional[SimTime] = None) -> None:
+        """Grow the live cluster: provision and admit brand-new ``pid``.
 
         The new node gets its own storage directory and (under TCP) its own
         listening endpoint *before* the membership transition runs, so its
         ``on_start`` traffic and any peer's first message to it have
-        somewhere to go.
+        somewhere to go; afterwards it gets its spooler group.
         """
-        if pid in self.procs:
-            raise SimulationError(f"P{pid} is already a cluster member")
-        await self.transport.connect(pid)
-        return self._admit(pid)
 
-    def _admit(self, pid: ProcessId) -> CheckpointProcess:
-        """The kernel half of :meth:`join`: provision ``pid``, run the
-        membership transition, give the newcomer its spooler group."""
-        node = self._provision(pid)
-        self.runtime.join_node(node)
-        self._install_spoolers(pid)
-        return node
+        def join() -> None:
+            if pid in self.procs:
+                raise SimulationError(f"P{pid} is already a cluster member")
+            self.transport.connect(pid)
+            self.runtime.join_node(self._provision(pid))
+            self._install_spoolers(pid)
 
-    async def leave(self, pid: ProcessId, successor: Optional[ProcessId] = None) -> None:
+        self._now_or_at(at, "join", pid, join)
+
+    def leave(
+        self,
+        pid: ProcessId,
+        successor: Optional[ProcessId] = None,
+        at: Optional[SimTime] = None,
+    ) -> None:
         """Shrink the live cluster: gracefully retire ``pid``.
 
         The kernel runs the handoff (obligations travel to ``successor`` as
-        an ordinary control message), then the node's endpoint is closed and
-        its storage flushed — the directory stays on disk for post-mortem
+        an ordinary control message), then the node's storage is flushed and
+        its endpoint closed — the directory stays on disk for post-mortem
         trace analysis.
         """
-        self._retire(pid, successor)
-        self.transport.disconnect(pid)
 
-    def _retire(self, pid: ProcessId, successor: Optional[ProcessId] = None) -> None:
-        """The kernel half of :meth:`leave`: handoff, flush, forget."""
-        self.runtime.leave_node(pid, successor)
-        self.storages[pid].flush()
-        del self.procs[pid]
+        def leave() -> None:
+            self.runtime.leave_node(pid, successor)
+            self.storages[pid].flush()
+            del self.procs[pid]
+            self.transport.disconnect(pid)
 
-    def schedule_join(self, pid: ProcessId, at: SimTime) -> None:
-        """Arrange :meth:`join` at kernel time ``at`` (usable pre-start)."""
-
-        def fire() -> None:
-            asyncio.get_running_loop().create_task(self.join(pid))
-
-        self.runtime.scheduler.at(at, fire, label=f"join P{pid}")
-
-    def schedule_leave(
-        self, pid: ProcessId, at: SimTime, successor: Optional[ProcessId] = None
-    ) -> None:
-        """Arrange :meth:`leave` at kernel time ``at`` (usable pre-start)."""
-
-        def fire() -> None:
-            asyncio.get_running_loop().create_task(self.leave(pid, successor))
-
-        self.runtime.scheduler.at(at, fire, label=f"leave P{pid}")
+        self._now_or_at(at, "leave", pid, leave)
 
     # ------------------------------------------------------------------
     # Observation

@@ -374,9 +374,14 @@ class AsyncRuntime(KernelCore):
         return self.now
 
     async def shutdown(self, raise_errors: bool = True) -> None:
-        """Stop the transport, freeze the clock, re-raise callback errors."""
-        await self.transport.stop()
+        """Freeze the clock, stop the transport, re-raise callback errors.
+
+        The scheduler detaches *first*: the transport's teardown yields to
+        the loop, and a timer due in that window would make its node send
+        on a stopped transport and be recorded as a spurious callback error.
+        """
         self.scheduler.detach()
+        await self.transport.stop()
         if raise_errors:
             self.check()
 

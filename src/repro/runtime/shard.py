@@ -17,9 +17,10 @@ Layout::
 
 * **a worker is a** :class:`~repro.runtime.cluster.Cluster` **over its
   slice** (:class:`ShardWorker`): storage directories, processes, spooler
-  groups, join/leave bookkeeping, observation and shutdown are the base
-  class's; the worker adds ring ownership and a kernel that answers for
-  the whole cluster.
+  groups, the four control verbs, observation and shutdown are the base
+  class's — and so is the option list, which :class:`WorkerSpec` carries
+  as ``Cluster`` keyword arguments; the worker adds ring ownership and a
+  kernel that answers for the whole cluster.
 * **one population per kernel**: :class:`ShardRuntime`'s
   :class:`~repro.membership.MembershipPlane` is seeded with every cluster
   pid; ``process_ids`` / ``is_member`` / remote ``is_alive`` are read off
@@ -44,10 +45,12 @@ Layout::
   the whole analysis battery (C1, recovery line, 2PC invariant) runs
   unchanged on multi-process runs.
 
-Failure and membership semantics: every kill, restart, join and leave —
-immediate or scheduled — travels as one ``churn`` batch that each worker
-receives whole and splits by ring ownership (:meth:`ShardWorker.apply_churn`).
-The owning shard runs the real transition — a kill leaves the shard's link
+Failure and membership semantics: ``kill``/``restart``/``join``/``leave(pid,
+at=None)`` on :class:`ShardedCluster` have the signatures ``Cluster`` gives
+them, and every one — immediate or scheduled — travels as one ``churn`` batch
+that each worker receives whole and splits by ring ownership
+(:meth:`ShardWorker.apply_churn`).
+The owning shard runs the inherited verb — a kill leaves the shard's link
 server up, so in-flight frames for the dead pid still reach its kernel and
 take the Section 6 spool-or-drop salvage path there (spooler hosts are
 always shard-local, because liveness checks and recovery drains are answered
@@ -82,7 +85,6 @@ from repro.runtime import wire
 from repro.runtime.cluster import Cluster
 from repro.runtime.loop import AsyncRuntime
 from repro.runtime.transport import LinkTransport, listening_socket
-from repro.sim.event import PRIORITY_TIMER
 from repro.types import ProcessId, SimTime
 from repro.workloads import RandomPeerWorkload
 
@@ -91,6 +93,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from multiprocessing.context import BaseContext
 
     from repro.analysis.index import TraceIndex
+
+
+#: Real seconds between two rounds of worker polls in ``wait_until``.
+_POLL_EVERY = 0.05
 
 
 def visible_cpus() -> int:
@@ -359,43 +365,36 @@ class ShardTransport(LinkTransport):
 class WorkerSpec:
     """Everything a worker needs to build its slice of the cluster.
 
-    Picklable by construction (spawn-safe): plain values plus the frozen
-    :class:`~repro.core.ProtocolConfig`.  The pid→shard map is *not*
-    shipped — every worker re-derives it from ``(shards, ring_replicas)``
-    via the hash ring, which is the agreement property the ring buys us.
+    ``cluster`` holds the :class:`~repro.runtime.cluster.Cluster` keyword
+    arguments as the parent received them (``n``, ``seed``, ``config``,
+    ``time_scale``, ...; ``root`` is the shard's own directory) — the
+    options are listed once, on ``Cluster``.  Picklable by construction
+    (spawn-safe).  The pid→shard map is *not* shipped — every worker
+    re-derives it from ``shards`` via the hash ring, which is the agreement
+    property the ring buys us.
     """
 
     shard: int
     shards: int
-    n: int
-    seed: int
-    root: str
-    time_scale: float
-    host: str = "127.0.0.1"
-    config: Optional[ProtocolConfig] = None
-    detector_latency: Optional[SimTime] = 2.0
-    spoolers: bool = True
-    delay: float = 0.5
-    flush_every: int = 8
-    trace_flush_every: int = 64
+    cluster: Dict[str, Any]
     workload: Optional[Dict[str, Any]] = None
     app: Optional[Dict[str, Any]] = None
-    ring_replicas: int = 64
+    host: str = "127.0.0.1"
 
 
 class ShardWorker(Cluster):
     """One worker's slice: a :class:`Cluster` over the pids its shard owns.
 
-    Storage and process provisioning, spooler groups, join/leave
-    bookkeeping, the observation methods and the shutdown sequence are the
-    base class's; this class supplies the two hooks (a kernel that answers
-    for the whole cluster, ownership by hash ring) and the half of every
-    churn op that happens on *another* shard.
+    Storage and process provisioning, spooler groups, the four control
+    verbs, the observation methods and the shutdown sequence are the base
+    class's; this class supplies the two hooks (a kernel that answers for
+    the whole cluster, ownership by hash ring) and the half of every churn
+    op that happens on *another* shard.
     """
 
     def __init__(self, spec: WorkerSpec) -> None:
         self.spec = spec
-        self.ring = HashRing(spec.shards, replicas=spec.ring_replicas)
+        self.ring = HashRing(spec.shards)
         process_cls: Any = CheckpointProcess
         if spec.app is not None:
             # Job-hosting nodes: same protocol process, AppHost application.
@@ -403,18 +402,9 @@ class ShardWorker(Cluster):
 
             process_cls = AppProcess
         super().__init__(
-            n=spec.n,
-            root=spec.root,
-            seed=spec.seed,
             transport=ShardTransport(spec.shard, self.ring, host=spec.host),
-            config=spec.config,
             process_cls=process_cls,
-            time_scale=spec.time_scale,
-            detector_latency=spec.detector_latency,
-            spoolers=spec.spoolers,
-            delay_model=FixedDelay(spec.delay),
-            flush_every=spec.flush_every,
-            trace_flush_every=spec.trace_flush_every,
+            **spec.cluster,
         )
         peers = self.runtime.process_ids
         if spec.workload is not None:
@@ -458,32 +448,28 @@ class ShardWorker(Cluster):
 
         ``ops`` is the *full* cluster-wide batch — every worker receives the
         identical list in one pipe message and splits it locally: an op
-        whose pid this shard owns runs as the real transition, any other as
-        the remote notice, now or at kernel time ``op["at"]`` when given.
-        Returns how many ops were applied locally.
+        whose pid this shard owns is the inherited verb of that name, any
+        other the remote notice — either way now, or at kernel time
+        ``op["at"]`` when given.  Returns how many ops were applied locally.
         """
         runtime = self.runtime
         local_applied = 0
         for op in ops:
-            kind, pid, successor = op["kind"], op["pid"], op.get("successor")
-            local = self._owns(pid)
-            if kind in ("kill", "restart"):
-                up = kind == "restart"
-                hosted = runtime.recover if up else self.kill
-                action = partial(hosted, pid) if local else partial(self.notice_remote, pid, up)
-            elif kind == "join":
-                action = partial(self._admit if local else runtime.admit_pid, pid)
-            elif kind == "leave":
-                action = partial(self._retire if local else runtime.retire_pid, pid, successor)
-            else:
+            kind, pid, at = op["kind"], op["pid"], op.get("at")
+            if kind not in ("kill", "restart", "join", "leave"):
                 raise SimulationError(f"unknown churn op kind {kind!r}")
-            if op.get("at") is None:
-                action()
+            args = (op.get("successor"),) if kind == "leave" else ()
+            if self._owns(pid):
+                getattr(self, kind)(pid, *args, at=at)
+                local_applied += 1
+                continue
+            if kind == "join":
+                notice = partial(runtime.admit_pid, pid)
+            elif kind == "leave":
+                notice = partial(runtime.retire_pid, pid, *args)
             else:
-                runtime.scheduler.at(
-                    op["at"], action, priority=PRIORITY_TIMER, label=f"{kind} P{pid}"
-                )
-            local_applied += local
+                notice = partial(self.notice_remote, pid, kind == "restart")
+            self._now_or_at(at, kind, pid, notice)
         return local_applied
 
     # ------------------------------------------------------------------
@@ -566,11 +552,6 @@ async def _worker_async(spec: WorkerSpec, conn: "Connection") -> None:
             elif command == "summary":
                 result = worker.summary()
             elif command == "shutdown":
-                # Freeze the kernel before tearing the transport down: a
-                # delivery timer firing during the transport's async
-                # teardown would make its node reply on a stopped
-                # transport and be recorded as a spurious callback error.
-                worker.runtime.scheduler.detach()
                 await worker.shutdown(raise_errors=False)
                 result = worker.summary()
                 running = False
@@ -634,11 +615,12 @@ class ShardedCluster:
     """N protocol processes sharded across worker OS kernels.
 
     The front door mirrors :class:`~repro.runtime.cluster.Cluster` — build,
-    ``start``, ``run_for``, ``kill``/``restart`` (or their ``schedule_*``
-    variants) by *pid* without knowing its shard, ``shutdown``,
-    ``merged_index``, ``summary`` — but each method is synchronous: the
-    cluster's kernels live in child processes and run in real time, so the
-    parent only paces and observes.
+    ``start``, ``run_for``, the four control verbs ``kill``/``restart``/
+    ``join``/``leave(pid, at=None)`` with the very signatures ``Cluster``
+    gives them (by *pid*, without knowing its shard), ``shutdown``,
+    ``merged_index``, ``summary`` — but the lifecycle methods are
+    synchronous too: the cluster's kernels live in child processes and run
+    in real time, so the parent only paces and observes.
 
     Construction performs the whole rendezvous: spawn workers, collect
     their link-server ports, broadcast the shard address map.  After
@@ -657,13 +639,9 @@ class ShardedCluster:
         detector_latency: Optional[SimTime] = 2.0,
         spoolers: bool = True,
         delay: float = 0.5,
-        flush_every: int = 8,
-        trace_flush_every: int = 64,
         workload: Optional[Dict[str, Any]] = None,
         app: Optional[Dict[str, Any]] = None,
         host: str = "127.0.0.1",
-        ring_replicas: int = 64,
-        start_method: str = "spawn",
     ) -> None:
         if n < 2:
             raise SimulationError("a cluster needs at least 2 nodes")
@@ -671,11 +649,19 @@ class ShardedCluster:
         self.root = str(root)
         self.shards = shards
         self.time_scale = time_scale
-        self.ring = HashRing(shards, replicas=ring_replicas)
+        self.ring = HashRing(shards)
         self._pids: set = set(range(n))
         self._departed: set = set()
         os.makedirs(self.root, exist_ok=True)
-        context: "BaseContext" = get_context(start_method)
+        # What every worker's ``Cluster.__init__`` receives, bar its own root.
+        cluster_args = dict(
+            n=n, seed=seed, config=config, time_scale=time_scale,
+            detector_latency=detector_latency, spoolers=spoolers,
+            delay_model=FixedDelay(delay),
+        )
+        # spawn, not fork: a worker starts from a fresh import, whatever
+        # threads or loops the parent process happens to be running.
+        context: "BaseContext" = get_context("spawn")
         self._workers: List[_WorkerHandle] = []
         self._started = False
         try:
@@ -684,20 +670,10 @@ class ShardedCluster:
                 spec = WorkerSpec(
                     shard=shard,
                     shards=shards,
-                    n=n,
-                    seed=seed,
-                    root=os.path.join(self.root, f"shard-{shard}"),
-                    time_scale=time_scale,
-                    host=host,
-                    config=config,
-                    detector_latency=detector_latency,
-                    spoolers=spoolers,
-                    delay=delay,
-                    flush_every=flush_every,
-                    trace_flush_every=trace_flush_every,
+                    cluster={**cluster_args, "root": os.path.join(self.root, f"shard-{shard}")},
                     workload=workload,
                     app=app,
-                    ring_replicas=ring_replicas,
+                    host=host,
                 )
                 process = context.Process(
                     target=_worker_main, args=(spec, child_conn), daemon=True
@@ -737,9 +713,9 @@ class ShardedCluster:
     def owner(self, pid: ProcessId) -> _WorkerHandle:
         """The worker whose kernel hosts ``pid``.
 
-        Every pid-routed front-door method (``kill``/``restart``/
-        ``schedule_*``/``app_status``) funnels through here, so an unknown
-        pid fails with one clear ``KeyError`` naming the ring's population
+        Every pid-routed front-door method (the control verbs, through
+        :meth:`churn`) funnels through here, so an unknown pid fails with
+        one clear ``KeyError`` naming the ring's population
         instead of surfacing as a confusing ``HashRing`` placement deep in
         a worker.
         """
@@ -774,7 +750,6 @@ class ShardedCluster:
         predicate: Callable[[List[Dict[str, Any]]], bool],
         timeout: SimTime = 120.0,
         what: str = "condition",
-        poll_every: float = 0.05,
     ) -> List[Dict[str, Any]]:
         """Poll every worker until ``predicate(polls)`` holds.
 
@@ -790,7 +765,7 @@ class ShardedCluster:
                 raise SimulationError(
                     f"timed out after {timeout} time units awaiting {what}"
                 )
-            time.sleep(poll_every)
+            time.sleep(_POLL_EVERY)
 
     def wait_until_jobs_durable(self, timeout: SimTime = 120.0) -> None:
         """Block until every submitted app job completed *durably* (its
@@ -888,8 +863,9 @@ class ShardedCluster:
         """Apply a batch of churn ops cluster-wide with one post per shard.
 
         Each op is ``{"kind": "kill"|"restart"|"join"|"leave", "pid": p}``
-        plus optional ``"at"`` (kernel time; omit for "now") and, for
-        leaves, ``"successor"``.  Validation and the parent's membership
+        plus optional ``"at"`` (kernel time; omitted or ``None`` for "now")
+        and, for leaves, ``"successor"``.  The four verbs below are one-op
+        batches.  Validation and the parent's membership
         bookkeeping happen here; workers split the batch into local
         transitions and remote notices themselves (they share the ring).
         """
@@ -917,40 +893,27 @@ class ShardedCluster:
                 self._departed.add(pid)
         return results
 
-    def kill(self, pid: ProcessId) -> None:
+    def kill(self, pid: ProcessId, at: Optional[SimTime] = None) -> None:
         """Crash ``pid`` on its owning shard; notify every other shard."""
-        self.churn([{"kind": "kill", "pid": pid}])
-
-    def restart(self, pid: ProcessId) -> None:
-        """Recover ``pid`` from its shard-local stable storage."""
-        self.churn([{"kind": "restart", "pid": pid}])
-
-    def schedule_kill(self, pid: ProcessId, at: SimTime) -> None:
-        """Arrange a kill at kernel time ``at`` (call before :meth:`start`)."""
         self.churn([{"kind": "kill", "pid": pid, "at": at}])
 
-    def schedule_restart(self, pid: ProcessId, at: SimTime) -> None:
-        """Arrange a restart at kernel time ``at`` (call before :meth:`start`)."""
+    def restart(self, pid: ProcessId, at: Optional[SimTime] = None) -> None:
+        """Recover ``pid`` from its shard-local stable storage."""
         self.churn([{"kind": "restart", "pid": pid, "at": at}])
 
-    def join(self, pid: ProcessId) -> None:
+    def join(self, pid: ProcessId, at: Optional[SimTime] = None) -> None:
         """Grow the cluster: admit brand-new ``pid`` on its ring-owner shard."""
-        self.churn([{"kind": "join", "pid": pid}])
-
-    def leave(self, pid: ProcessId, successor: Optional[ProcessId] = None) -> None:
-        """Shrink the cluster: gracefully retire ``pid`` (handoff to
-        ``successor`` when given)."""
-        self.churn([{"kind": "leave", "pid": pid, "successor": successor}])
-
-    def schedule_join(self, pid: ProcessId, at: SimTime) -> None:
-        """Arrange a join at kernel time ``at`` (call before :meth:`start`)."""
         self.churn([{"kind": "join", "pid": pid, "at": at}])
 
-    def schedule_leave(
-        self, pid: ProcessId, at: SimTime, successor: Optional[ProcessId] = None
+    def leave(
+        self,
+        pid: ProcessId,
+        successor: Optional[ProcessId] = None,
+        at: Optional[SimTime] = None,
     ) -> None:
-        """Arrange a leave at kernel time ``at`` (call before :meth:`start`)."""
-        self.churn([{"kind": "leave", "pid": pid, "at": at, "successor": successor}])
+        """Shrink the cluster: gracefully retire ``pid`` (handoff to
+        ``successor`` when given)."""
+        self.churn([{"kind": "leave", "pid": pid, "successor": successor, "at": at}])
 
     # ------------------------------------------------------------------
     # Observation

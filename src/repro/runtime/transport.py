@@ -30,6 +30,13 @@ outgoing envelope exactly as the simulated network does, then hands it to a
   connection; the sampled post-arrival delay restores the paper's non-FIFO
   channel model).
 
+Endpoint control — ``connect``/``disconnect``/``reconnect(pid)`` — is
+synchronous on every transport: :func:`listening_socket` binds *and listens*,
+so a TCP endpoint's port is recorded and connectable the moment the call
+returns, and the asyncio accept loop is put on it by a task (connections made
+in between wait in the backlog).  A cluster verb can therefore run inside a
+kernel timer.
+
 All preserve the delivery-time policy enforcement of
 :meth:`repro.net.network.Network.deliver_local`: partition filtering, crash
 spooling/dropping, and the delivered/dropped/spooled counters.
@@ -91,18 +98,16 @@ class Transport:
         """Carry ``envelope`` to its destination (called from node callbacks)."""
         raise NotImplementedError
 
+    # Endpoint control: no-ops for transports without per-pid endpoints
+    # (loopback, the shard link).
     def disconnect(self, pid: "ProcessId") -> None:
-        """Make ``pid``'s endpoint unreachable (cluster kill).  Sync-safe."""
+        """Make ``pid``'s endpoint unreachable (cluster kill or leave)."""
 
-    async def reconnect(self, pid: "ProcessId") -> None:
+    def reconnect(self, pid: "ProcessId") -> None:
         """Restore ``pid``'s endpoint after a :meth:`disconnect` (restart)."""
 
-    async def connect(self, pid: "ProcessId") -> None:
-        """Provision an endpoint for a newly joined node (membership join).
-
-        No-op for in-process transports; the TCP transport opens a fresh
-        listening server for ``pid``.
-        """
+    def connect(self, pid: "ProcessId") -> None:
+        """Provision an endpoint for a newly joined node (membership join)."""
 
     def _deliver_after_delay(self, envelope: Envelope) -> None:
         """Schedule policy-checked delivery after the modelled network delay.
@@ -132,10 +137,13 @@ class Transport:
 
 
 def listening_socket(host: str, port: int) -> socket.socket:
-    """A bound TCP listening socket with ``SO_REUSEADDR`` set.
+    """A bound, *listening* TCP socket with ``SO_REUSEADDR`` set.
 
     Every server endpoint in the runtime (per-pid TCP servers, shard link
-    servers) binds through this helper.  ``SO_REUSEADDR`` matters for the
+    servers) opens through this helper.  The socket listens before it is
+    returned, so its port is known and connectable at once: a peer that
+    connects before the asyncio accept loop is up waits in the backlog.
+    ``SO_REUSEADDR`` matters for the
     kill/restart path: a restarted endpoint reopens its *original* port,
     and without the option the previous generation's connections lingering
     in ``TIME_WAIT`` make the bind fail intermittently with ``EADDRINUSE``
@@ -145,6 +153,7 @@ def listening_socket(host: str, port: int) -> socket.socket:
     try:
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         sock.bind((host, port))
+        sock.listen()
         sock.setblocking(False)
     except OSError:
         sock.close()
@@ -385,7 +394,10 @@ class TcpTransport(LinkTransport):
 
     def __init__(self, host: str = "127.0.0.1", max_batch: int = 64) -> None:
         super().__init__(host, max_batch)
-        self._servers: Dict["ProcessId", asyncio.AbstractServer] = {}
+        # pid -> its accept loop (an asyncio server), or the bare listening
+        # socket until the task in ``_accepting`` has put the loop on it.
+        self._servers: Dict["ProcessId", Any] = {}
+        self._accepting: Dict["ProcessId", "asyncio.Task[None]"] = {}
         self.ports: Dict["ProcessId", int] = {}
         self._down: Set["ProcessId"] = set()
         self._accepted: Dict["ProcessId", Set[asyncio.StreamWriter]] = {}
@@ -420,16 +432,37 @@ class TcpTransport(LinkTransport):
         self._generation_closed = []
         self._generation_base = (0, 0, 0, 0)
         for pid in self.runtime.process_ids:
-            await self._open_server(pid)
+            self._open_server(pid)
 
-    async def _open_server(self, pid: "ProcessId") -> None:
-        accepted = self._accepted.setdefault(pid, set())
-        server = await asyncio.start_server(
-            functools.partial(self._receive, accepted=accepted),
-            sock=listening_socket(self.host, self.ports.get(pid, 0)),
+    def _open_server(self, pid: "ProcessId") -> None:
+        """Open ``pid``'s endpoint, synchronously.
+
+        When this returns the port is bound, listening and recorded; the
+        asyncio accept loop goes up as a task, and a peer that connects
+        before it is up waits in the socket's backlog.
+        """
+        sock = listening_socket(self.host, self.ports.get(pid, 0))
+        self.ports[pid] = sock.getsockname()[1]
+        self._servers[pid] = sock
+        self._accepting[pid] = asyncio.get_running_loop().create_task(
+            self._accept(pid, sock)
         )
-        self._servers[pid] = server
-        self.ports[pid] = server.sockets[0].getsockname()[1]
+
+    async def _accept(self, pid: "ProcessId", sock: socket.socket) -> None:
+        """Put the accept loop on ``sock`` — unless the endpoint was closed
+        (or closed and reopened) while this task waited for its turn."""
+        accepted = self._accepted.setdefault(pid, set())
+        try:
+            if self._servers.get(pid) is sock:
+                server = await asyncio.start_server(
+                    functools.partial(self._receive, accepted=accepted),
+                    sock=sock, start_serving=False,
+                )
+                if self._servers.get(pid) is sock:
+                    self._servers[pid] = server
+                    await server.start_serving()
+        except Exception as exc:  # noqa: BLE001 - surface via runtime.check()
+            self.runtime.scheduler._note_error(f"accept loop P{pid}", exc)
 
     async def stop(self) -> None:
         await super().stop()
@@ -439,7 +472,7 @@ class TcpTransport(LinkTransport):
     def _close_server(self, pid: "ProcessId") -> None:
         server = self._servers.pop(pid, None)
         if server is not None:
-            server.close()
+            server.close()  # the accept loop, or the socket still waiting for one
         self._close_accepted(self._accepted.get(pid, ()))
 
     # ------------------------------------------------------------------
@@ -453,19 +486,19 @@ class TcpTransport(LinkTransport):
         # fast instead of into a half-open socket.
         self._cut_link(pid)
 
-    async def reconnect(self, pid: "ProcessId") -> None:
+    def reconnect(self, pid: "ProcessId") -> None:
         """Reopen ``pid``'s server on its original port."""
         if pid not in self._down:
             raise TransportError(f"P{pid} is not disconnected")
         self._down.discard(pid)
         self._close_generation(pid)
-        await self._open_server(pid)
+        self._open_server(pid)
 
-    async def connect(self, pid: "ProcessId") -> None:
+    def connect(self, pid: "ProcessId") -> None:
         """Open a listening server for a freshly joined node."""
         if pid in self._servers:
             raise TransportError(f"P{pid} already has an endpoint")
-        await self._open_server(pid)
+        self._open_server(pid)
 
     # ------------------------------------------------------------------
     # Per-generation counters

@@ -18,7 +18,12 @@ its detection latency.
 :class:`repro.runtime.loop.AsyncRuntime`.  The topology, liveness and
 crash/recovery mechanics live in the shared :class:`repro.kernel.KernelCore`
 base; this class adds only what is simulation-specific: virtual time and the
-deterministic discrete-event loop.
+deterministic discrete-event loop.  Dynamic membership has no aliases here
+either: admit a node with :meth:`~repro.kernel.KernelCore.add_node` before
+:meth:`run`, or :meth:`~repro.kernel.KernelCore.join_node` /
+:meth:`~repro.kernel.KernelCore.leave_node` on a running simulation — the
+kernel-level spelling every kernel shares (clusters spell the level above
+``kill``/``restart``/``join``/``leave``).
 """
 
 from __future__ import annotations
@@ -75,25 +80,3 @@ class Simulation(KernelCore):
             for pid in self.process_ids:
                 self.nodes[pid].on_start()
         return self.scheduler.run(until=until, max_events=max_events)
-
-    # ------------------------------------------------------------------
-    # Dynamic membership
-    # ------------------------------------------------------------------
-    def join(self, node) -> None:
-        """Admit ``node`` into the running simulation (graceful join).
-
-        Before :meth:`run` has started the system this is just
-        :meth:`add_node`; afterwards it is a live membership transition —
-        the joiner's ``on_start`` fires immediately and every other live
-        node hears ``on_join_peer``.
-        """
-        if not self._started:
-            self.add_node(node)
-            return
-        self.join_node(node)
-
-    def leave(self, pid, successor=None) -> None:
-        """Gracefully retire ``pid``; see :meth:`KernelCore.leave_node`."""
-        if not self._started:
-            raise SimulationError("leave() requires a started simulation")
-        self.leave_node(pid, successor)

@@ -58,53 +58,6 @@ def build_sim(
     return sim, procs
 
 
-def build_runtime(
-    n: int = 4,
-    seed: int = 0,
-    delay=None,
-    fifo: bool = False,
-    cls: Type[CheckpointProcess] = CheckpointProcess,
-    config: Optional[ProtocolConfig] = None,
-    detector_latency: Optional[float] = None,
-    spoolers: bool = False,
-    sinks: Optional[List[TraceSink]] = None,
-    storage_factory: Optional[Callable[[int], object]] = None,
-    transport=None,
-    time_scale: float = 0.02,
-):
-    """Build an (unstarted) live runtime mirroring :func:`build_sim`.
-
-    Same knobs, same defaults, same wiring — but on the
-    :class:`repro.runtime.loop.AsyncRuntime` kernel with a loopback
-    transport (pass ``transport=`` for TCP).  Unlike :func:`build_sim` the
-    runtime is *not* started: callers drive it with ``runtime.run(...)`` or
-    the async API, which fires the ``on_start`` hooks.  Returns
-    ``(runtime, procs)``.
-    """
-    from repro.runtime import AsyncRuntime
-
-    runtime = AsyncRuntime(
-        seed=seed,
-        transport=transport,
-        delay_model=delay or FixedDelay(0.5),
-        channel=FifoChannel() if fifo else None,
-        sinks=sinks,
-        time_scale=time_scale,
-    )
-    procs: Dict[int, CheckpointProcess] = {
-        i: runtime.add_node(
-            cls(i, config, storage=storage_factory(i) if storage_factory else None)
-        )
-        for i in range(n)
-    }
-    if detector_latency is not None:
-        FailureDetector(runtime, detection_latency=detector_latency)
-    if spoolers:
-        for i in range(n):
-            runtime.network.install_spoolers(i, [(i + 1) % n, (i + 2) % n])
-    return runtime, procs
-
-
 def run_random_workload(
     sim,
     procs,

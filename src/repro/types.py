@@ -17,7 +17,6 @@ Terminology (paper Section 2 and 3):
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict
 
@@ -60,25 +59,6 @@ class MessageId:
         return f"m(P{self.sender}#{self.send_index})"
 
 
-class IdAllocator:
-    """Deterministic allocator for per-process monotone counters.
-
-    Used for message ids and tree initiation sequence numbers.  Keeping the
-    allocation here (rather than ``itertools.count`` scattered in nodes) makes
-    snapshots/rollbacks simpler: the counters deliberately do *not* roll back,
-    so undone message ids are never reused.
-    """
-
-    def __init__(self) -> None:
-        self._counters: Dict[Any, "itertools.count[int]"] = {}
-
-    def next(self, key: Any) -> int:
-        """Return the next integer for ``key`` (starting at 0)."""
-        if key not in self._counters:
-            self._counters[key] = itertools.count()
-        return next(self._counters[key])
-
-
 @dataclass
 class CheckpointRecord:
     """A single saved checkpoint: application state plus its sequence number.
@@ -104,8 +84,3 @@ class CheckpointRecord:
             made_at=self.made_at,
             meta=dict(self.meta),
         )
-
-
-def format_process(pid: ProcessId) -> str:
-    """Human-readable name of a process, matching the paper's ``P_i``."""
-    return f"P{pid}"

@@ -67,10 +67,3 @@ def exponential_arrivals(
         if t >= start + duration:
             return times
         times.append(t)
-
-
-def uniform_other(sim: "Simulation", stream_name: tuple, pid: ProcessId, pids: List[ProcessId]) -> ProcessId:
-    """A uniformly random peer different from ``pid``."""
-    stream = sim.rng.stream(*stream_name)
-    choices = [p for p in pids if p != pid]
-    return stream.choice(choices)

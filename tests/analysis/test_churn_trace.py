@@ -20,11 +20,11 @@ from repro.testing import build_sim
 def test_merged_join_leave_trace_supports_the_full_battery():
     sim, procs = build_sim(n=3, seed=1, fifo=True)
     sim.scheduler.at(1.0, lambda: procs[0].send_app_message(1, "a"))
-    sim.scheduler.at(2.0, lambda: sim.join(CheckpointProcess(3, None)))
+    sim.scheduler.at(2.0, lambda: sim.join_node(CheckpointProcess(3, None)))
     sim.scheduler.at(3.0, lambda: procs[1].send_app_message(3, "b"))
     sim.scheduler.at(4.0, lambda: sim.nodes[3].send_app_message(0, "c"))
     sim.scheduler.at(6.0, lambda: procs[0].initiate_checkpoint())
-    sim.scheduler.at(12.0, lambda: sim.leave(1, successor=0))
+    sim.scheduler.at(12.0, lambda: sim.leave_node(1, successor=0))
     sim.scheduler.at(14.0, lambda: sim.nodes[3].send_app_message(0, "d"))
     sim.scheduler.at(16.0, lambda: procs[0].initiate_checkpoint())
     sim.run(until=60.0)

@@ -78,7 +78,7 @@ def test_graceful_leave_unblocks_open_groups():
     sim, procs = build()
     sim.scheduler.at(1.0, lambda: procs[0].send_app_message(2, "m"))
     sim.scheduler.at(3.0, lambda: procs[0].initiate_checkpoint())
-    sim.scheduler.at(3.05, lambda: sim.leave(2, successor=0))
+    sim.scheduler.at(3.05, lambda: sim.leave_node(2, successor=0))
     sim.run(until=80.0)
     instance_commits = [e for e in sim.trace.of_kind(T.K_INSTANCE_COMMIT)
                         if e.pid == 0]

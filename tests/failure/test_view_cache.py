@@ -95,11 +95,11 @@ def drive_sim(ops):
         elif op == "recover" and not sim.is_alive(pid) and pid not in coord.dormant:
             sim.recover(pid)
         elif op == "join" and not sim.network.partitioned:
-            sim.join(CheckpointProcess(next_pid, CONFIG))
+            sim.join_node(CheckpointProcess(next_pid, CONFIG))
             next_pid += 1
         elif op == "leave" and not sim.network.partitioned and pid in alive and len(pids) > 2:
             others = [p for p in alive if p != pid]
-            sim.leave(pid, others[0] if others else None)
+            sim.leave_node(pid, others[0] if others else None)
             anyone_left = True
         elif op == "split" and not sim.network.partitioned and not anyone_left:
             cut = 1 + arg % (len(pids) - 1)

@@ -12,7 +12,9 @@ pinned here so that reverting any of the fixes fails loudly:
 * failure seeds 0, 17, 24, 27, 32, 34, 45, 50, 55 — spooled roll_reqs,
   rule-4 uncertainty, rule-5 substitutes masked by rule 2, stranded
   intervals, shared-checkpoint recovery (notes 12-13 and the Section 6
-  handler fixes).
+  handler fixes);
+* the ``LEAVE_CASES`` — instances open across a graceful departure
+  (DESIGN.md §15, the departed-parent rules).
 """
 
 import pytest
@@ -22,6 +24,7 @@ from repro.core import CheckpointProcess, ProtocolConfig
 from repro.failure import FailureInjector
 from repro.net import ExponentialDelay
 from repro.testing import build_sim, run_random_workload
+from repro.workloads import RandomPeerWorkload
 
 BASE_SEEDS = [26, 35, 65, 83, 87, 107, 136, 159, 164, 208, 309]
 FAILURE_SEEDS = [0, 17, 24, 27, 32, 34, 45, 50, 55]
@@ -72,3 +75,60 @@ def test_extension_adversarial_seeds():
             assert not p.commit_sets, f"seed {seed}: pending {p.commit_sets}"
         check_recovery_line(procs.values())
         check_app_states(procs.values())
+
+
+LEAVE_CASES = [
+    # A parent departs while its child, still collecting acks (the parent
+    # among its potential children), has not voted: dropping the parent as
+    # a child first made the child vote to a pid that no longer exists.
+    *[(3, "fixed", seed) for seed in range(8)],
+    # A chkpt_req delivered after its sender departed recruited the receiver
+    # into a round whose parent was already gone.
+    (8, "fixed", 1), (8, "fixed", 5), (8, "fixed", 19),
+    # A rule-6 commit reply for a tree whose shared checkpoint had already
+    # committed through another instance left that tree's rounds open.
+    (8, "exponential", 0), (8, "exponential", 9), (8, "exponential", 56),
+    # A root that decided by forwarding (its own checkpoint committed
+    # elsewhere) did not remember the decision, so the inquiry of a child
+    # orphaned by the departure was never answered.
+    (8, "exponential", 12), (8, "exponential", 66), (8, "exponential", 70),
+]
+
+
+@pytest.mark.parametrize("n,delay,seed", LEAVE_CASES)
+def test_graceful_leave_mid_instance_strands_nobody(n, delay, seed):
+    # The default `python -m repro.runtime --join N@8 --leave 1@16:0` demo
+    # on the simulator: before the departed-parent rules (DESIGN.md §15)
+    # survivors ended the run holding open rounds of the departed pid's
+    # trees and, under an uncommitted checkpoint, queued sends forever.
+    sim, procs = build_sim(
+        n=n, seed=seed,
+        delay=ExponentialDelay(mean=0.8) if delay == "exponential" else None,
+        config=ProtocolConfig(checkpoint_interval=7.5, failure_resilience=True),
+        detector_latency=2.0, spoolers=True,
+    )
+    RandomPeerWorkload(message_rate=1.0, step_rate=0.5, duration=30.0).install(sim, procs)
+
+    def join():
+        procs[n] = sim.join_node(CheckpointProcess(n, procs[0].config))
+
+    def leave():
+        sim.leave_node(1, successor=0)
+        del procs[1]
+
+    def stop_autonomous():
+        for proc in procs.values():
+            proc.engine.autonomous_checkpoints = False
+
+    sim.scheduler.at(8.0, join)
+    sim.scheduler.at(16.0, leave)
+    sim.scheduler.at(30.0, stop_autonomous)
+    sim.run(until=120.0)
+
+    for proc in procs.values():
+        still_open = [s.tree for s in proc.engine.trees.all_chkpt_rounds() if not s.closed]
+        still_open += [s.tree for s in proc.engine.trees.roll.values() if not s.closed]
+        assert not still_open, f"P{proc.node_id} holds open rounds {still_open}"
+        assert not proc.send_suspended, f"P{proc.node_id} is still send-suspended"
+        assert not proc.engine.output_queue
+    check_recovery_line(procs.values())

@@ -61,8 +61,8 @@ def test_loopback_cluster_reaches_committed_consistent_state(tmp_path):
 
 def test_tcp_cluster_survives_kill_and_restart(tmp_path):
     cluster = build(tmp_path, transport="tcp")
-    cluster.schedule_kill(1, at=7.0)
-    cluster.schedule_restart(1, at=13.0)
+    cluster.kill(1, at=7.0)
+    cluster.restart(1, at=13.0)
 
     async def scenario():
         await cluster.start()
@@ -173,7 +173,8 @@ def test_live_cluster_grows_and_shrinks_mid_run(tmp_path):
             lambda: everyone_committed_twice(cluster),
             timeout=120.0, what="committed checkpoints",
         )
-        node = await cluster.join(3)
+        cluster.join(3)
+        node = cluster.procs[3]
         assert 3 in cluster.transport.ports
         node.send_app_message(0, "hello")
         cluster.procs[0].send_app_message(3, "back")
@@ -183,7 +184,7 @@ def test_live_cluster_grows_and_shrinks_mid_run(tmp_path):
             lambda: cluster.committed_counts().get(3, 0) >= 2,
             timeout=120.0, what="the joiner's first committed instance",
         )
-        await cluster.leave(1, successor=0)
+        cluster.leave(1, successor=0)
         # The handoff travels to the successor as an ordinary control
         # message over real TCP — wait for acceptance, don't race it.
         await cluster.wait_until(

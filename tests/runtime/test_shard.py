@@ -161,7 +161,8 @@ def worker_with_slice(tmp_path, size):
             if len(pids) == size:
                 root = str(tmp_path / f"slice-{size}")
                 return ShardWorker(WorkerSpec(
-                    shard=shard, shards=2, n=n, seed=0, root=root, time_scale=0.01
+                    shard=shard, shards=2,
+                    cluster=dict(n=n, seed=0, root=root, time_scale=0.01),
                 ))
     raise AssertionError(f"no two-shard ring slice of {size} pid(s) below n=64")
 
@@ -199,11 +200,11 @@ def test_pid_joining_a_shard_gets_a_spooler_group(tmp_path):
     # message for a crashed joiner is spooled on its neighbours, not dropped.
     worker = worker_with_slice(tmp_path, 3)
     joiner = next(
-        pid for pid in range(worker.spec.n, 256)
+        pid for pid in range(worker.spec.cluster["n"], 256)
         if worker.ring.shard_of(pid) == worker.spec.shard
     )
     stranger = next(
-        pid for pid in range(worker.spec.n, 256)
+        pid for pid in range(worker.spec.cluster["n"], 256)
         if worker.ring.shard_of(pid) != worker.spec.shard
     )
     for pid in sorted(worker.procs):  # what start() does, minus the event loop
@@ -343,9 +344,9 @@ def test_worker_errors_surface_in_the_parent(tmp_path):
         with pytest.raises(KeyError, match=r"unknown pid P99.*pids 0\.\.3"):
             cluster.kill(99)
         with pytest.raises(KeyError, match="unknown pid P-1"):
-            cluster.schedule_kill(-1, at=1.0)
+            cluster.kill(-1, at=1.0)
         with pytest.raises(KeyError, match="unknown pid P4"):
-            cluster.schedule_restart(4, at=1.0)
+            cluster.restart(4, at=1.0)
         cluster.shutdown()
     finally:
         cluster.close()

@@ -159,6 +159,28 @@ def test_tcp_delivers_over_real_sockets():
     assert len(nodes[0].received) == 1
 
 
+def test_shutdown_freezes_the_kernel_before_the_transport_stops():
+    # TcpTransport.stop() marks itself stopped and then yields to the loop
+    # (gathering its cancelled pumps).  A timer due in that window used to
+    # fire, send on the stopped transport and fail the shutdown with
+    # "tcp transport is not running"; the scheduler now detaches first.
+    transport = TcpTransport()
+    runtime, nodes = build(transport, delay=FixedDelay(0.0))
+
+    async def scenario():
+        await runtime.start()
+        nodes[0].send(envelope(0, 1, 0))  # a pump exists, so stop() has one to await
+        await runtime.wait_until(lambda: nodes[1].received, what="the first delivery")
+        runtime.scheduler.at(
+            runtime.now, lambda: nodes[0].send(envelope(0, 1, 1)), label="late send"
+        )
+        await runtime.shutdown()  # raise_errors=True: any callback error fails here
+
+    run(scenario())
+    assert runtime.scheduler.errors == []
+    assert len(nodes[1].received) == 1  # the late timer never ran
+
+
 def test_tcp_disconnect_drops_then_reconnect_delivers():
     transport = TcpTransport()
     runtime, nodes = build(transport, n=2)
@@ -174,7 +196,7 @@ def test_tcp_disconnect_drops_then_reconnect_delivers():
             lambda: runtime.network.dropped == 1, timeout=60.0, what="the drop"
         )
 
-        await transport.reconnect(1)
+        transport.reconnect(1)
         runtime.recover(1)
         assert transport.ports[1] == port_before  # endpoint identity survives
 
@@ -325,7 +347,7 @@ def test_tcp_rapid_restart_cycles_reuse_the_endpoint():
         for cycle in range(10):
             runtime.crash(1)
             transport.disconnect(1)
-            await transport.reconnect(1)
+            transport.reconnect(1)
             runtime.recover(1)
             assert transport.ports[1] == port  # endpoint identity survives
             nodes[0].send(envelope(0, 1, cycle))
@@ -357,7 +379,7 @@ def test_tcp_generation_counters_reset_per_restart():
 
         runtime.crash(1)
         transport.disconnect(1)
-        await transport.reconnect(1)
+        transport.reconnect(1)
         runtime.recover(1)
 
         for i in range(4, 6):
@@ -396,7 +418,7 @@ def test_tcp_counters_reset_on_transport_restart():
         )
         runtime.crash(1)
         transport.disconnect(1)
-        await transport.reconnect(1)
+        transport.reconnect(1)
         runtime.recover(1)
         assert transport.generation == 1
         await transport.stop()

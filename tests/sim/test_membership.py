@@ -62,7 +62,7 @@ def test_invalid_transitions_are_rejected():
 # ----------------------------------------------------------------------
 def test_join_makes_the_new_process_a_full_participant():
     sim, procs = build_sim(n=3, seed=7)
-    sim.scheduler.at(2.0, lambda: sim.join(CheckpointProcess(3, None)))
+    sim.scheduler.at(2.0, lambda: sim.join_node(CheckpointProcess(3, None)))
     sim.scheduler.at(3.0, lambda: sim.nodes[3].send_app_message(0, "hello"))
     sim.scheduler.at(4.0, lambda: procs[0].send_app_message(3, "back"))
     sim.scheduler.at(6.0, lambda: sim.nodes[3].initiate_checkpoint())
@@ -84,7 +84,7 @@ def test_leave_hands_obligations_to_the_successor():
     sim, procs = build_sim(n=3, seed=7)
     sim.scheduler.at(1.0, lambda: procs[1].send_app_message(0, "m"))
     sim.scheduler.at(3.0, lambda: procs[1].initiate_checkpoint())
-    sim.scheduler.at(10.0, lambda: sim.leave(1, successor=0))
+    sim.scheduler.at(10.0, lambda: sim.leave_node(1, successor=0))
     sim.run(until=40.0)
     leaves = sim.trace.of_kind(T.K_LEAVE)
     assert [e.pid for e in leaves] == [1]
@@ -109,7 +109,7 @@ def test_leave_mid_instance_does_not_wedge_the_round():
     sim, procs = build_sim(n=4, seed=3)
     sim.scheduler.at(1.0, lambda: procs[2].send_app_message(0, "dep"))
     sim.scheduler.at(3.0, lambda: procs[0].initiate_checkpoint())
-    sim.scheduler.at(3.6, lambda: sim.leave(2, successor=1))
+    sim.scheduler.at(3.6, lambda: sim.leave_node(2, successor=1))
     sim.scheduler.at(10.0, lambda: procs[0].send_app_message(1, "post"))
     sim.scheduler.at(12.0, lambda: procs[1].initiate_checkpoint())
     sim.run(until=60.0)
@@ -126,7 +126,7 @@ def test_leave_mid_instance_does_not_wedge_the_round():
 
 def test_traffic_to_a_departed_pid_is_salvaged_not_an_error():
     sim, procs = build_sim(n=3, seed=7)
-    sim.scheduler.at(2.0, lambda: sim.leave(1, successor=0))
+    sim.scheduler.at(2.0, lambda: sim.leave_node(1, successor=0))
     # P2 has not heard (it has: view fan-out is synchronous) — force the
     # stale-destination path straight through the network front door.
     sim.scheduler.at(4.0, lambda: procs[2].send_app_message(1, "stale"))
@@ -136,7 +136,7 @@ def test_traffic_to_a_departed_pid_is_salvaged_not_an_error():
 
 def test_departed_pid_cannot_rejoin_the_simulation():
     sim, procs = build_sim(n=3, seed=7)
-    sim.scheduler.at(2.0, lambda: sim.leave(1, successor=0))
+    sim.scheduler.at(2.0, lambda: sim.leave_node(1, successor=0))
     sim.run(until=10.0)
     with pytest.raises(SimulationError, match="cannot be reused"):
-        sim.join(CheckpointProcess(1, None))
+        sim.join_node(CheckpointProcess(1, None))

@@ -12,12 +12,21 @@ and option counts CHANGES.md quotes before -> after for subtraction PRs.
 
     python3 tools/surface.py src/repro/runtime src/repro/failure
     python3 tools/surface.py src/repro/runtime/shard.py
+
+With ``--unreferenced`` it lists instead the public top-level names those
+modules *define* that nothing refers to: no whole-word occurrence in any
+``.py`` file under ``src tests examples bench_e2e benchmarks tools`` outside
+the defining statement itself.  Exit status 1 when the list is not empty.
+
+    python3 tools/surface.py --unreferenced src
 """
 
 from __future__ import annotations
 
 import ast
+import re
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -34,16 +43,20 @@ def _literal_all(tree: ast.Module) -> Optional[List[str]]:
     return None
 
 
-def _defined(tree: ast.Module) -> Iterator[str]:
+def _definitions(tree: ast.Module) -> Iterator[Tuple[str, ast.stmt]]:
     for node in tree.body:
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node.name
+            yield node.name, node
         elif isinstance(node, ast.Assign):
             for target in node.targets:
                 if isinstance(target, ast.Name):
-                    yield target.id
+                    yield target.id, node
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            yield node.target.id
+            yield node.target.id, node
+
+
+def _defined(tree: ast.Module) -> Iterator[str]:
+    return (name for name, _ in _definitions(tree))
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -85,11 +98,43 @@ def surface(path: Path) -> Tuple[List[str], Dict[str, Optional[int]]]:
     return names, classes
 
 
-def main(argv: List[str]) -> int:
+#: Where a reference to a public name may live.
+SEARCH_ROOTS = ("src", "tests", "examples", "bench_e2e", "benchmarks", "tools")
+
+
+def _python_files(args: List[str]) -> List[Path]:
     paths: List[Path] = []
-    for arg in argv[1:] or ["src"]:
+    for arg in args:
         root = Path(arg)
         paths.extend(sorted(root.rglob("*.py")) if root.is_dir() else [root])
+    return paths
+
+
+def unreferenced(paths: List[Path]) -> List[str]:
+    """``path: name`` for each public top-level name defined in ``paths``
+    that occurs nowhere under :data:`SEARCH_ROOTS` but in its own definition."""
+    words = Counter(
+        word
+        for path in _python_files(list(SEARCH_ROOTS))
+        for word in re.findall(r"\w+", path.read_text())
+    )
+    found: List[str] = []
+    for path in paths:
+        source = path.read_text()
+        lines = source.splitlines()
+        for name, node in _definitions(ast.parse(source, filename=str(path))):
+            own = "\n".join(lines[node.lineno - 1 : node.end_lineno])
+            if not name.startswith("_") and words[name] == re.findall(r"\w+", own).count(name):
+                found.append(f"{path}: {name}")
+    return found
+
+
+def main(argv: List[str]) -> int:
+    if argv[1:2] == ["--unreferenced"]:
+        found = unreferenced(_python_files(argv[2:] or ["src"]))
+        print("\n".join(found) if found else "every public top-level name is referenced")
+        return 1 if found else 0
+    paths = _python_files(argv[1:] or ["src"])
     total_names = total_classes = total_options = 0
     for path in paths:
         names, classes = surface(path)
