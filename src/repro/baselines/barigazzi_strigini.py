@@ -72,7 +72,7 @@ class BarigazziStriginiEngine(ProtocolEngine):
         self._trace(T.K_SEND, msg_id=msg_id, dst=dst, label=label, payload=payload)
         self._awaiting_ack = msg_id
         self._trace(T.K_SUSPEND_SEND)
-        self.send(normal(self.node_id, dst, msg_id, label, M.NormalBody(payload=payload)))
+        self.host.send(normal(self.node_id, dst, msg_id, label, M.NormalBody(payload=payload)))
 
     def _on_delivery_ack(self, src: ProcessId, ack: DeliveryAck) -> None:
         if self._awaiting_ack == ack.msg_id:
@@ -84,7 +84,7 @@ class BarigazziStriginiEngine(ProtocolEngine):
         # Acknowledge delivery first (completing the sender's atomic send),
         # then consume normally.  Discarded messages are acked too: the
         # atomic send completes even if the receive is suppressed.
-        self.send(control(self.node_id, envelope.src, DeliveryAck(msg_id=envelope.msg_id)))
+        self.host.send(control(self.node_id, envelope.src, DeliveryAck(msg_id=envelope.msg_id)))
         super()._on_normal(envelope)
 
     def _flush_output_queue(self) -> None:

@@ -162,9 +162,9 @@ class TamirSequinEngine(ProtocolEngine):
 
     def _finish_checkpoint_op(self) -> None:
         tree_id = self._busy
-        for pid in self.peers:
-            if pid != self.node_id:
-                self._send_control(pid, M.Commit(tree=tree_id))
+        self._send_decision(
+            [pid for pid in self.peers if pid != self.node_id], M.Commit(tree=tree_id)
+        )
         self._local_commit(tree_id)
         self._trace(T.K_INSTANCE_COMMIT, tree=tree_id)
         self._busy = self._op_kind = None

@@ -4,7 +4,8 @@ Public surface:
 
 * :class:`~repro.core.engine.ProtocolEngine` — the sans-IO protocol state
   machine (procedures b1-b8 plus the Section 6 handlers) driven purely by
-  typed events and emitting typed effects.
+  its inputs, calling its ports (app, storage, host) and emitting typed
+  effects.
 * :class:`~repro.core.process.CheckpointProcess` — a kernel-bound process
   adapter that drives a :class:`ProtocolEngine` under the simulation or the
   live asyncio runtime.

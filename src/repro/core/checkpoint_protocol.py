@@ -14,7 +14,7 @@ materialisation of condition b3: it fires whenever an ack or a
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro import tracekinds as T
 from repro.core import messages as M
@@ -242,9 +242,9 @@ class ChkptProtocolMixin:
         """Forward an already-taken decision to a child that joined late."""
         decision = (tree.decision if tree is not None else None) or self.decisions_seen.get(tree_id)
         if decision == "abort":
-            self._send_control(child, M.Abort(tree=tree_id))
+            self._send_decision((child,), M.Abort(tree=tree_id))
         elif decision == "commit":
-            self._send_control(child, M.Commit(tree=tree_id))
+            self._send_decision((child,), M.Commit(tree=tree_id))
 
     def _chkpt_maybe_respond(self, tree: ChkptTreeState) -> None:
         """Condition b3: the subtree of this participation round is ready.
@@ -283,13 +283,14 @@ class ChkptProtocolMixin:
         same decision, so every round's children are notified.
         """
         message = M.Commit(tree=tree.tree) if decision == "commit" else M.Abort(tree=tree.tree)
-        notified = set()
+        notified: set = set()
+        dsts: List[ProcessId] = []  # in send order, round by round
         for state in tree.chain():
             if state.closed:
                 continue
-            for child in sorted(state.true_children - notified):
-                self._send_control(child, message)
-                notified.add(child)
+            fresh = sorted(state.true_children - notified)
+            notified.update(fresh)
+            dsts += fresh
             if (
                 decision == "abort"
                 and state.parent is not None
@@ -298,9 +299,10 @@ class ChkptProtocolMixin:
                 # We are aborting before having voted: veto the instance
                 # upward as well, or ancestors would await our ready_to_commit
                 # forever.  (After a vote the decision is the root's alone.)
-                self._send_control(state.parent, M.Abort(tree=tree.tree))
+                dsts.append(state.parent)
             state.decision = decision
             state.closed = True
+        self._send_decision(dsts, message)
 
     # ------------------------------------------------------------------
     # b4 — chkpt_commit/abort

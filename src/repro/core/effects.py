@@ -1,19 +1,17 @@
 """Typed output effects emitted by the sans-IO protocol engine.
 
-Every externally visible action of the protocol is one of these values.  An
-adapter interprets each effect against its kernel:
+What the protocol does *per decision, failure or departure* is one of these
+values, applied by the engine's eager sink the moment it is emitted and
+returned by ``handle``.  An adapter interprets each against its kernel:
 
 ========================  ====================================================
 effect                    simulation / live-runtime interpretation
 ========================  ====================================================
-``Send``                  hand the envelope to the network
 ``Broadcast``             expand ``body`` into one control send per live peer
 ``SetTimer``              arm a named, cancellable timer (optionally with an
                           RNG-jittered delay drawn from the kernel's seeded
-                          stream); fire back a ``TimerFired`` event
+                          stream); fire back a timer input
 ``CancelTimer``           cancel the named timer
-``EmitTrace``             record a trace event (the adapter stamps the kernel
-                          time and this process's pid)
 ``ObserveDecision``       let the spooler replicas record a decision
 ``Redeliver``             synchronously re-inject a spooled envelope
 ``Handoff``               wrap the departing engine's obligations into a
@@ -21,29 +19,27 @@ effect                    simulation / live-runtime interpretation
 ========================  ====================================================
 
 The engine state already reflects each effect when it is emitted; adapters
-only mirror the world, they never answer back.  Stable storage is not in the
-table: like the hosted application it is a *port* — a host object the engine
-holds and calls synchronously (:class:`~repro.stable.checkpoint.CheckpointStore`
-writes each checkpoint transition through, the commit set is a ``put`` and the
-Section 6 decision log an ``append``) — because rule 3 has to read it back.
-An effect is for what needs a clock, a network, an RNG or a trace sink.
+only mirror the world, they never answer back.  What the protocol does *per
+message* is not in the table: it is a synchronous call on a *port*, a host
+object the engine holds.  Sending an envelope and recording a trace event are
+``engine.host.send(envelope)`` / ``engine.host.trace(kind, fields)``
+(:class:`repro.core.engine.Host`); stable storage, like the hosted
+application, is a port because rule 3 has to read it back
+(:class:`~repro.stable.checkpoint.CheckpointStore` writes each checkpoint
+transition through, the commit set is a ``put`` and the Section 6 decision
+log an ``append``).  The six effects remain effects only because the
+end-to-end ruler's span boundaries are frozen by name on ``handle`` and the
+adapter's effect interpreter (DESIGN.md section 11).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.compat import slotted_dataclass
 from repro.net.message import Envelope
 from repro.priorities import PRIORITY_TIMER
 from repro.types import ProcessId, Seq, SimTime, TreeId
-
-
-@slotted_dataclass(frozen=True)
-class Send:
-    """Transmit ``envelope`` over the network."""
-
-    envelope: Envelope
 
 
 @slotted_dataclass(frozen=True)
@@ -73,18 +69,6 @@ class CancelTimer:
     """Cancel the named timer if pending."""
 
     name: str
-
-
-@slotted_dataclass(frozen=True)
-class EmitTrace:
-    """Record a trace event of ``kind`` with ``fields``.
-
-    The adapter supplies the two kernel-owned fields: the current time and
-    this process's pid.
-    """
-
-    kind: str
-    fields: Dict[str, Any]
 
 
 @slotted_dataclass(frozen=True)
@@ -135,10 +119,8 @@ __all__ = [
     "Broadcast",
     "CancelTimer",
     "Effect",
-    "EmitTrace",
     "Handoff",
     "ObserveDecision",
     "Redeliver",
-    "Send",
     "SetTimer",
 ]

@@ -1,38 +1,47 @@
 """The sans-IO Leu-Bhargava protocol engine.
 
-:class:`ProtocolEngine` is a pure state machine: it consumes the typed input
-events of :mod:`repro.core.events` through a single entrypoint —
-``handle(event) -> list[Effect]`` — and describes every externally visible
-action as a typed effect from :mod:`repro.core.effects`.  It holds **zero**
-references to ``Node``, ``Scheduler`` or ``Trace``; the same engine instance
-runs unchanged under the discrete-event simulation, the live asyncio runtime,
-and the :mod:`repro.mc` interleaving explorer.
+:class:`ProtocolEngine` is a pure state machine.  It holds **zero**
+references to ``Node``, ``Scheduler`` or ``Trace``, imports no kernel, reads
+no clock and touches no socket; the same engine instance runs unchanged under
+the discrete-event simulation, the live asyncio runtime, and the
+:mod:`repro.mc` interleaving explorer.
 
-The engine does hold two *ports* — host objects it calls synchronously: the
-hosted application (``app``) and stable storage (``storage``).  Checkpoints
-live in the one :class:`~repro.stable.checkpoint.CheckpointStore` the engine
-builds over that storage (every transition written through), and the
-Section 6 commit set and decision log are put/appended there and read back on
-``Recover`` — the paper keeps all three "in stable storage" and restarts from
-it.  Everything that needs a clock, a network, an RNG or a trace sink is
-still an effect.
+**Outputs.**  What happens *per message* is a synchronous call on one of
+three *ports* — host objects the engine holds: the hosted application
+(``app``), stable storage (``storage``) and the :class:`Host` (``host``),
+which has exactly ``send(envelope)`` and ``trace(kind, fields)``.
+Checkpoints live in the one :class:`~repro.stable.checkpoint.CheckpointStore`
+the engine builds over that storage (every transition written through), and
+the Section 6 commit set and decision log are put/appended there and read
+back on ``Recover`` — the paper keeps all three "in stable storage" and
+restarts from it.  What happens *per decision, failure or departure* — a
+timer armed or cancelled, a decision shown to the spoolers, a spooled
+envelope redelivered, an inquiry broadcast, a handoff — is a typed effect
+from :mod:`repro.core.effects`, applied by ``engine._sink`` the moment it is
+emitted and collected by ``handle`` for its caller.  Either way the output
+takes place at the instant the engine produces it, which preserves the exact
+interleaving of traces, sends and synchronous redeliveries (a spool
+redelivery re-enters the engine mid-event).
+
+**Inputs.**  A driver stamps the environment once (:meth:`EngineBase.stamp`:
+the kernel time and the status monitor's view) and calls the method that
+does the work — ``on_envelope``, ``_on_timer_fired``, ``send_app_message``,
+``local_step``, ``apply_app_op`` — which is what the kernel adapter does for
+the five per-message inputs.  ``handle(event)`` is the door for inputs *as
+data* (the typed events of :mod:`repro.core.events`: lifecycle and
+membership from the adapter, everything from tests and the model checker):
+it stamps from the event and dispatches to those same methods, and returns
+the effects the event produced.
 
 Layering:
 
-* this module — engine state, the event loop, the effect plumbing and the
-  normal-message plane;
+* this module — engine state, the two input doors, the output plumbing and
+  the normal-message plane;
 * :mod:`repro.core.checkpoint_protocol` — procedures b1-b4 (mixin);
 * :mod:`repro.core.rollback_protocol` — procedures b5-b8 (mixin);
 * :mod:`repro.core.recovery` — the Section 6 failure rules (mixin);
-* :mod:`repro.core.process` — the kernel adapter that interprets effects.
-
-Effects are *eagerly sinked*: when an adapter installs ``engine._sink``, each
-effect is applied the moment it is emitted, which preserves the exact
-interleaving of traces, sends and synchronous redeliveries that the
-pre-refactor mixins produced (a spool redelivery re-enters ``handle``
-mid-event).  ``handle`` additionally collects the effects of the outermost
-dispatch and returns them, which is what sink-less drivers (tests, the model
-checker) consume.
+* :mod:`repro.core.process` — the kernel adapter: the host port, the typed
+  inputs and the effect interpreter.
 
 Suspension model (paper 3.5.2 comments):
 
@@ -48,7 +57,7 @@ Suspension model (paper 3.5.2 comments):
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.compat import slotted_dataclass
 from repro.core import effects as FX
@@ -119,8 +128,23 @@ class ProtocolConfig:
                 raise ValueError(f"{name} must be >= 0, got {value}")
 
 
+class Host:
+    """The engine's per-message output port.
+
+    A kernel adapter (``CheckpointProcess``, on every kernel) or a recording
+    harness (``repro.mc``) supplies these two methods; this default is the
+    host of an engine nobody listens to — sends and traces vanish.
+    """
+
+    def send(self, envelope: Envelope) -> None:
+        """Hand ``envelope`` to the network."""
+
+    def trace(self, kind: str, fields: Dict[str, Any]) -> None:
+        """Record a trace event; the host stamps its time and this pid."""
+
+
 class EngineBase:
-    """Engine state, event dispatch and effect plumbing shared by variants."""
+    """Engine state, the two input doors and output plumbing shared by variants."""
 
     def __init__(
         self,
@@ -133,6 +157,7 @@ class EngineBase:
         self.config = config or ProtocolConfig()
         self.app: Application = app or CounterApp(pid)
         self.storage: StableStorage = storage or InMemoryStableStorage()
+        self.host = Host()  # the driver assigns its own, as it does ``_sink``
         self.store = CheckpointStore(self.storage)
         self.ledger = LabelLedger(pid)
         self.trees = TreeRegistry()
@@ -167,7 +192,7 @@ class EngineBase:
         self.last_result: Optional[TreeId] = None
 
         self._now: SimTime = 0.0
-        # Environment snapshots carried by the last event (see events.py).
+        # Environment snapshots stamped with the last input (see events.py).
         self._down: Optional[frozenset] = None
         self._status_down: Optional[Tuple[ProcessId, ...]] = None
         self._spool_decisions: Optional[Tuple[Any, ...]] = None
@@ -180,33 +205,41 @@ class EngineBase:
     # ------------------------------------------------------------------
     # The sans-IO entrypoint
     # ------------------------------------------------------------------
+    def stamp(
+        self,
+        at: SimTime,
+        down: Optional[frozenset] = None,
+        status_down: Optional[Tuple[ProcessId, ...]] = None,
+    ) -> None:
+        """Note the environment of the input about to be applied: the kernel
+        time and the status monitor's view (fields as in :mod:`events`)."""
+        self._now = at
+        self._down = down
+        self._status_down = status_down
+
     def handle(self, event: EV.Event) -> List[FX.Effect]:
-        """Apply one input event; returns the effects it produced.
+        """Apply one input given as data; returns the effects it produced.
 
         Reentrant: a ``Redeliver`` effect applied by an eager sink delivers
-        an envelope synchronously, which re-enters ``handle`` mid-event; the
+        an envelope synchronously, which re-enters the engine mid-event; the
         collection list is saved and restored so each call returns exactly
         its own effects.
         """
-        previous = self._effects
-        collected: List[FX.Effect] = []
-        self._effects = collected
-        try:
-            self._dispatch_event(event)
-        finally:
-            self._effects = previous
-        return collected
-
-    def _dispatch_event(self, event: EV.Event) -> None:
-        self._now = getattr(event, "at", self._now)
-        self._down = getattr(event, "down", None)
-        self._status_down = getattr(event, "status_down", None)
-        self.last_result = None
         # Exact-class table lookup: one dict probe per event.
         name = _EVENT_DISPATCH.get(event.__class__)
         if name is None:
             raise ProtocolError(f"unknown engine event {event!r}")
-        getattr(self, name)(event)
+        previous = self._effects
+        collected: List[FX.Effect] = []
+        self._effects = collected
+        self.stamp(getattr(event, "at", self._now), getattr(event, "down", None),
+                   getattr(event, "status_down", None))
+        self.last_result = None
+        try:
+            getattr(self, name)(event)
+        finally:
+            self._effects = previous
+        return collected
 
     # Per-event adapters bound through _EVENT_DISPATCH (uniform signature).
     def _ev_deliver(self, event: EV.Deliver) -> None:
@@ -256,18 +289,15 @@ class EngineBase:
             self._sink(effect)
 
     # ------------------------------------------------------------------
-    # Kernel-facing vocabulary (all pure: every action is an effect)
+    # Kernel-facing vocabulary (a call on the host port, or an effect)
     # ------------------------------------------------------------------
     @property
     def now(self) -> SimTime:
-        """Time of the event currently being handled."""
+        """Time of the input currently being applied."""
         return self._now
 
-    def send(self, envelope: Envelope) -> None:
-        self._emit(FX.Send(envelope=envelope))
-
     def _trace(self, kind: str, **fields: Any) -> None:
-        self._emit(FX.EmitTrace(kind=kind, fields=fields))
+        self.host.trace(kind, fields)
 
     def _set_timer(
         self,
@@ -434,7 +464,7 @@ class EngineBase:
                 "does not support tracked mutations (no apply method)"
             )
         for kind, fields in apply(op):
-            self._trace(kind, **fields)
+            self.host.trace(kind, fields)
 
     def _transmit_normal(self, dst: ProcessId, payload: Any) -> None:
         msg_id = self._new_msg_id()
@@ -445,7 +475,7 @@ class EngineBase:
             incarnation=self._current_incarnation(),
         )
         self._trace(K_SEND, msg_id=msg_id, dst=dst, label=label, payload=payload)
-        self.send(normal(self.node_id, dst, msg_id, label, body))
+        self.host.send(normal(self.node_id, dst, msg_id, label, body))
 
     def _current_markers(self) -> tuple:
         """Markers piggybacked on normal sends (empty in the base algorithm;
@@ -499,12 +529,20 @@ class EngineBase:
         fields = {"dst": dst, "msg_type": body.kind, "tree": getattr(body, "tree", None)}
         if hasattr(body, "positive"):
             fields["positive"] = body.positive
-        self._trace(K_CTRL_SEND, **fields)
-        # Decisions are also observed by spoolers so restarting processes can
-        # learn them (Section 6, rule 3).
-        if isinstance(body, (M.Commit, M.Abort, M.Restart)):
+        self.host.trace(K_CTRL_SEND, fields)
+        self.host.send(control(self.node_id, dst, body))
+
+    def _send_decision(self, dsts: Sequence[ProcessId], body: Any) -> None:
+        """Send one commit/abort/restart to each of ``dsts``.
+
+        Decisions are also observed by spoolers so restarting processes can
+        learn them (Section 6, rule 3) — once per decision sent to anyone,
+        not once per recipient.
+        """
+        if dsts:
             self._emit(FX.ObserveDecision(kind=body.kind, tree=body.tree))
-        self.send(control(self.node_id, dst, body))
+        for dst in dsts:
+            self._send_control(dst, body)
 
     # ------------------------------------------------------------------
     # Shared protocol helpers

@@ -6,7 +6,11 @@ An adapter (the simulation :class:`repro.sim.node.Node` process, the live
 these events and feeds it to ``ProtocolEngine.handle``.  The engine never
 talks to a kernel: everything it may legitimately know about the outside —
 the current time, which peers the failure detector believes down, what a
-spooler replica held — rides on the event itself.
+spooler replica held — rides on the event itself.  (The kernel adapter skips
+the event object for the five per-message inputs — ``Deliver``,
+``TimerFired``, ``AppSend``, ``LocalStep``, ``AppOp`` — and stamps the same
+fields with ``engine.stamp`` before calling the method ``handle`` would
+dispatch to; the two doors are one, see ``tests/core/test_input_doors.py``.)
 
 Field conventions:
 

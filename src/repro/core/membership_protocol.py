@@ -146,8 +146,7 @@ class MembershipMixin:
             if state.closed:
                 continue
             if state.is_root:
-                for child in sorted(state.true_children):
-                    self._send_control(child, M.Restart(tree=state.tree))
+                self._send_decision(sorted(state.true_children), M.Restart(tree=state.tree))
                 self._remember_decision(state.tree, "restart")
             elif not state.responded:
                 self._send_control(state.parent, M.RollComplete(tree=state.tree))

@@ -5,13 +5,20 @@ class is the thin glue that lets a kernel (the discrete-event simulation via
 :class:`repro.sim.node.Node`, or the live asyncio runtime through the same
 ``Node`` interface) drive that engine:
 
-* kernel callbacks (``on_start``, ``on_envelope``, timers, crash/recover,
-  failure notices) are translated into typed :mod:`repro.core.events` and fed
-  to ``engine.handle``;
+* it *is* the engine's host port (``engine.host``): ``send`` hands an
+  envelope to the kernel's network, ``trace`` stamps the kernel time and this
+  pid on a trace record;
+* the five per-message kernel callbacks (``on_envelope``, a timer firing,
+  ``send_app_message``, ``local_step``, ``app_op``) stamp the kernel time and
+  the status monitor's view on the engine and call the engine method that
+  does the work;
+* the rest (``on_start``, initiations, crash/recover, failure notices,
+  membership) are translated into typed :mod:`repro.core.events` and fed to
+  ``engine.handle``;
 * the engine's typed :mod:`repro.core.effects` are interpreted eagerly, the
-  moment each is emitted, against the kernel: sends go to the network,
-  traces to the trace sink, timers to the node's timer table (with the RNG
-  jitter drawn from the kernel's seeded stream).
+  moment each is emitted, against the kernel: timers go to the node's timer
+  table (with the RNG jitter drawn from the kernel's seeded stream),
+  decisions and redeliveries to the network's spoolers.
 
 The engine owns all protocol state, including the checkpoint store and the
 stable storage it writes through (``storage=`` is handed straight to the
@@ -55,6 +62,7 @@ class CheckpointProcess(Node):
     ) -> None:
         super().__init__(pid)
         self.engine = self.engine_class(pid, config=config, app=app, storage=storage)
+        self.engine.host = self
         self.engine._sink = self._apply_effect
 
     # ------------------------------------------------------------------
@@ -72,7 +80,17 @@ class CheckpointProcess(Node):
         )
 
     # ------------------------------------------------------------------
-    # Kernel callbacks -> engine events
+    # The engine's host port (``send`` is :meth:`Node.send`)
+    # ------------------------------------------------------------------
+    # Here and in the per-message inputs below the kernel is read as
+    # ``self._sim``: a node the kernel calls is bound, and the checking
+    # ``sim`` / ``now`` properties cost two to four calls per message.
+    def trace(self, kind: str, fields: Dict[str, Any]) -> None:
+        sim = self._sim
+        sim.trace.record(sim.now, kind, pid=self.node_id, **fields)
+
+    # ------------------------------------------------------------------
+    # Kernel callbacks -> engine inputs
     # ------------------------------------------------------------------
     def _detector_views(self) -> Tuple[Optional[frozenset], Optional[Tuple[ProcessId, ...]]]:
         """The status monitor's view, as stamped on engine events.
@@ -91,16 +109,12 @@ class CheckpointProcess(Node):
     def on_envelope(self, envelope: Envelope) -> None:
         if self.crashed:
             return
-        down, status_down = self._detector_views()
-        self.engine.handle(
-            EV.Deliver(envelope=envelope, at=self.now, down=down, status_down=status_down)
-        )
+        self.engine.stamp(self._sim.now, *self._detector_views())
+        self.engine.on_envelope(envelope)
 
     def _timer_fired(self, name: str) -> None:
-        down, status_down = self._detector_views()
-        self.engine.handle(
-            EV.TimerFired(name=name, at=self.now, down=down, status_down=status_down)
-        )
+        self.engine.stamp(self._sim.now, *self._detector_views())
+        self.engine._on_timer_fired(name)
 
     def initiate_checkpoint(self) -> Optional[TreeId]:
         """Condition b1: autonomously start a checkpointing instance."""
@@ -119,14 +133,17 @@ class CheckpointProcess(Node):
         return self.engine.last_result
 
     def send_app_message(self, dst: ProcessId, payload: Any) -> None:
-        self.engine.handle(EV.AppSend(dst=dst, payload=payload, at=self.now))
+        self.engine.stamp(self._sim.now)
+        self.engine.send_app_message(dst, payload)
 
     def local_step(self) -> None:
-        self.engine.handle(EV.LocalStep(at=self.now))
+        self.engine.stamp(self._sim.now)
+        self.engine.local_step()
 
     def app_op(self, op: Any) -> None:
         """Apply a tracked application-state mutation (see ``repro.app``)."""
-        self.engine.handle(EV.AppOp(op=op, at=self.now))
+        self.engine.stamp(self._sim.now)
+        self.engine.apply_app_op(op)
 
     def on_crash(self) -> None:
         self.engine.handle(EV.Fail(at=self.now))
@@ -189,13 +206,6 @@ class CheckpointProcess(Node):
         handler(self, eff)
 
     # Per-effect interpreters bound through _EFFECT_DISPATCH.
-    def _fx_emit_trace(self, eff: FX.EmitTrace) -> None:
-        sim = self.sim
-        sim.trace.record(sim.now, eff.kind, pid=self.node_id, **eff.fields)
-
-    def _fx_send(self, eff: FX.Send) -> None:
-        self.send(eff.envelope)
-
     def _fx_set_timer(self, eff: FX.SetTimer) -> None:
         delay = eff.delay
         if eff.jitter is not None:
@@ -247,12 +257,10 @@ class CheckpointProcess(Node):
         )
 
 
-#: Exact-class → interpreter table for the effect hot path: one dict probe
-#: per effect, whichever it is.  Plain functions (not names): the adapter's
+#: Exact-class → interpreter table for the six effects: one dict probe per
+#: effect, whichever it is.  Plain functions (not names): the adapter's
 #: subclasses reuse these interpreters, they do not override them.
 _EFFECT_DISPATCH: Dict[type, Callable[[CheckpointProcess, Any], None]] = {
-    FX.EmitTrace: CheckpointProcess._fx_emit_trace,
-    FX.Send: CheckpointProcess._fx_send,
     FX.SetTimer: CheckpointProcess._fx_set_timer,
     FX.CancelTimer: CheckpointProcess._fx_cancel_timer,
     FX.ObserveDecision: CheckpointProcess._fx_observe_decision,

@@ -265,7 +265,7 @@ class RollProtocolMixin:
             # re-issued rollback notice) completes late; release it directly
             # with the decision we already know.
             if self.decisions_seen.get(msg.tree) == "restart":
-                self._send_control(src, M.Restart(tree=msg.tree))
+                self._send_decision((src,), M.Restart(tree=msg.tree))
             return
         tree.record_complete(src)
         self._roll_maybe_complete(tree)
@@ -289,8 +289,7 @@ class RollProtocolMixin:
         # the (now dead) initiator before taking over; it must still issue
         # the restart for its subtree.
         tree.responded = True
-        for child in sorted(tree.true_children):
-            self._send_control(child, M.Restart(tree=tree.tree))
+        self._send_decision(sorted(tree.true_children), M.Restart(tree=tree.tree))
         self._remember_decision(tree.tree, "restart")
         if tree.is_root:
             self._trace(T.K_INSTANCE_COMMIT, tree=tree.tree)
@@ -305,8 +304,7 @@ class RollProtocolMixin:
         tree = self.trees.roll.get(msg.tree)
         if tree is None or tree.closed:
             return
-        for child in sorted(tree.true_children):
-            self._send_control(child, M.Restart(tree=msg.tree))
+        self._send_decision(sorted(tree.true_children), M.Restart(tree=msg.tree))
         tree.closed = True
         self._release_roll_instance(msg.tree)
 

@@ -1,6 +1,7 @@
 """Kernel-less cluster of pure protocol engines for model checking.
 
-The harness owns N engines and the set of in-flight messages between them.
+The harness owns N engines, each with a recording host port, and the set of
+in-flight messages between them.
 There is no scheduler, no clock, no network model: *time* is a step counter
 and *delivery* is an explicit choice.  Because the engines are sans-IO,
 replaying the same choice sequence reproduces the exact same cluster state —
@@ -35,6 +36,24 @@ from repro.types import ProcessId
 ChoiceKey = Tuple[Any, ...]
 
 
+class _RecordingHost:
+    """One engine's host port: every output becomes data the explorer sees —
+    a send joins the in-flight set, a trace event the cluster trace."""
+
+    def __init__(self, harness: "ClusterHarness", pid: ProcessId) -> None:
+        self.harness = harness
+        self.pid = pid
+
+    def send(self, envelope: Envelope) -> None:
+        counts = self.harness._channel_counts
+        k = counts.get((envelope.src, envelope.dst), 0)
+        counts[(envelope.src, envelope.dst)] = k + 1
+        self.harness.in_flight[("m", envelope.src, envelope.dst, k)] = envelope
+
+    def trace(self, kind: str, fields: Dict[str, Any]) -> None:
+        self.harness.trace.record(float(self.harness.step), kind, pid=self.pid, **fields)
+
+
 class ClusterHarness:
     """N pure engines + the in-flight message set; one step per choice."""
 
@@ -50,9 +69,7 @@ class ClusterHarness:
         config = ProtocolConfig(checkpoint_interval=None)
         self._engine_class = cls
         self._config = config
-        self.engines: Dict[ProcessId, ProtocolEngine] = {
-            pid: cls(pid, config=config) for pid in range(scenario.n)
-        }
+        self.engines: Dict[ProcessId, ProtocolEngine] = {}
         self.in_flight: Dict[ChoiceKey, Envelope] = {}
         self._channel_counts: Dict[Tuple[ProcessId, ProcessId], int] = {}
         self._pending_actions: Dict[int, Tuple[ProcessId, str]] = dict(
@@ -60,15 +77,14 @@ class ClusterHarness:
         )
         self.step = 0
         self.trace = Trace()  # real trace, so the analysis layer applies as-is
-        self._sink_pid: Optional[ProcessId] = None
-        for pid, engine in self.engines.items():
-            engine._sink = lambda eff, pid=pid: self._apply(pid, eff)
+        for pid in range(scenario.n):
+            self._add_engine(pid)
 
         peers = tuple(range(scenario.n))
         for pid in sorted(self.engines):
-            self._handle(pid, EV.Start(peers=peers, at=0.0))
+            self.engines[pid].handle(EV.Start(peers=peers, at=0.0))
         for src, dst, payload in scenario.setup:
-            self._handle(src, EV.AppSend(dst=dst, payload=payload, at=0.0))
+            self.engines[src].handle(EV.AppSend(dst=dst, payload=payload, at=0.0))
 
     # ------------------------------------------------------------------
     # Choices
@@ -103,24 +119,27 @@ class ClusterHarness:
                 if op == "checkpoint"
                 else EV.InitiateRollback(at=at)
             )
-            self._handle(pid, event)
+            self.engines[pid].handle(event)
         else:
             envelope = self.in_flight.pop(key)
-            self._handle(envelope.dst, EV.Deliver(envelope=envelope, at=at))
+            self.engines[envelope.dst].handle(EV.Deliver(envelope=envelope, at=at))
+
+    def _add_engine(self, pid: ProcessId) -> None:
+        engine = self.engines[pid] = self._engine_class(pid, config=self._config)
+        engine.host = _RecordingHost(self, pid)
+        engine._sink = self._apply
 
     def _join(self, pid: ProcessId, at: float) -> None:
         """Admit a new engine mid-exploration (the membership plane's
         view-change, collapsed to one atomic choice as the kernel front
         doors make it)."""
-        engine = self._engine_class(pid, config=self._config)
-        engine._sink = lambda eff, pid=pid: self._apply(pid, eff)
-        self.engines[pid] = engine
+        self._add_engine(pid)
         peers = tuple(sorted(self.engines))
         self.trace.record(at, "join", pid=pid, epoch=len(self.engines))
-        self._handle(pid, EV.Start(peers=peers, at=at))
+        self.engines[pid].handle(EV.Start(peers=peers, at=at))
         for other in sorted(self.engines):
             if other != pid:
-                self._handle(other, EV.Join(pid=pid, peers=peers, at=at))
+                self.engines[other].handle(EV.Join(pid=pid, peers=peers, at=at))
 
     @property
     def quiescent(self) -> bool:
@@ -130,23 +149,11 @@ class ClusterHarness:
     # ------------------------------------------------------------------
     # Effect interpretation (the whole "kernel")
     # ------------------------------------------------------------------
-    def _handle(self, pid: ProcessId, event: EV.Event) -> None:
-        self._sink_pid = pid
-        self.engines[pid].handle(event)
-
-    def _apply(self, pid: ProcessId, eff: FX.Effect) -> None:
-        if isinstance(eff, FX.Send):
-            env = eff.envelope
-            k = self._channel_counts.get((env.src, env.dst), 0)
-            self._channel_counts[(env.src, env.dst)] = k + 1
-            self.in_flight[("m", env.src, env.dst, k)] = env
-        elif isinstance(eff, FX.EmitTrace):
-            self.trace.record(float(self.step), eff.kind, pid=pid, **eff.fields)
-        elif isinstance(eff, (FX.SetTimer, FX.CancelTimer, FX.ObserveDecision)):
-            # Timers never fire here: the checkpoint timer is disabled and
-            # the failure rules (the only other timer users) are off in the
-            # failure-free scenarios the explorer runs.  Nor is there a
-            # spooler group to show a decision to.
-            pass
-        else:  # Redeliver / Broadcast need failure machinery we do not model
+    def _apply(self, eff: FX.Effect) -> None:
+        # Timers never fire here: the checkpoint timer is disabled and the
+        # failure rules (the only other timer users) are off in the
+        # failure-free scenarios the explorer runs.  Nor is there a spooler
+        # group to show a decision to.  Redeliver / Broadcast / Handoff need
+        # failure machinery we do not model.
+        if not isinstance(eff, (FX.SetTimer, FX.CancelTimer, FX.ObserveDecision)):
             raise SimulationError(f"effect not supported by the mc harness: {eff!r}")

@@ -14,11 +14,13 @@ randomness in the run.
 
 from __future__ import annotations
 
-from typing import Protocol
+from typing import TYPE_CHECKING, Protocol
 
 from repro.errors import NetworkError
-from repro.sim.rng import Rng
 from repro.types import ProcessId, SimTime
+
+if TYPE_CHECKING:  # pragma: no cover - repro.sim imports this package
+    from repro.sim.rng import Rng
 
 
 class DelayModel(Protocol):

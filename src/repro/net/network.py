@@ -19,13 +19,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set
 
+from repro import tracekinds as T
 from repro.errors import NetworkError
 from repro.net.channel import Channel, NonFifoChannel
 from repro.net.delay import DelayModel, UniformDelay
 from repro.net.message import CONTROL, Envelope
 from repro.net.spooler import SpoolerGroup
-from repro.sim import trace as T
-from repro.sim.event import PRIORITY_NORMAL
+from repro.priorities import PRIORITY_NORMAL
 from repro.types import ProcessId
 
 if TYPE_CHECKING:  # pragma: no cover

@@ -30,13 +30,16 @@ class SpoolerReplica:
 
     host: ProcessId
     envelopes: List[Envelope] = field(default_factory=list)
-    decisions: List[Any] = field(default_factory=list)
+    #: tree -> the last decision kind observed for it (bounded by the number
+    #: of distinct trees, however often a decision is re-sent).
+    decisions: Dict[Any, Any] = field(default_factory=dict)
 
     def spool(self, envelope: Envelope) -> None:
         self.envelopes.append(envelope)
 
     def observe_decision(self, decision: Any) -> None:
-        self.decisions.append(decision)
+        kind, tree = decision
+        self.decisions[tree] = kind
 
 
 class SpoolerGroup:
@@ -81,13 +84,14 @@ class SpoolerGroup:
         return list(seen.values())
 
     def decisions_seen(self, is_host_alive: Callable[[ProcessId], bool]) -> Optional[List[Any]]:
-        """All decisions recorded by live replicas, or ``None`` if all replicas
-        are currently dead (caller must fall back to inquiring all processes,
-        per rule 3)."""
+        """The ``(kind, tree)`` verdict per tree recorded by live replicas
+        (where they disagree the last replica's wins), or ``None`` if all
+        replicas are currently dead (caller must fall back to inquiring all
+        processes, per rule 3)."""
         live = [r for r in self.replicas if is_host_alive(r.host)]
         if not live:
             return None
-        decisions: List[Any] = []
+        verdicts: Dict[Any, Any] = {}
         for replica in live:
-            decisions.extend(replica.decisions)
-        return decisions
+            verdicts.update(replica.decisions)
+        return [(kind, tree) for tree, kind in verdicts.items()]

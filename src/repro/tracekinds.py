@@ -2,7 +2,7 @@
 
 These string constants name every kind of protocol event the tracer records.
 They live in a dependency-free module so that :mod:`repro.core.engine` can
-emit ``EmitTrace`` effects without importing :mod:`repro.sim`;
+trace through its host port without importing :mod:`repro.sim`;
 :mod:`repro.sim.trace` re-exports them for backward compatibility.
 
 The comment after each constant lists the fields recorded with it.

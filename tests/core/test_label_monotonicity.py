@@ -7,14 +7,14 @@ tentative checkpoint's sequence number strictly exceeds every label the
 process used before it.  Hypothesis drives a kernel-less three-engine
 cluster through arbitrary event sequences — sends, deliveries in any
 (non-FIFO) order, autonomous checkpoint and rollback initiations — and
-checks monotonicity after every single event.
+checks monotonicity after every single event, reading what each event put
+out from the harness's recording host (its trace and in-flight set).
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import tracekinds as T
-from repro.core import effects as FX
 from repro.core import events as EV
 from repro.errors import ProtocolError
 from repro.mc.harness import ClusterHarness
@@ -63,9 +63,9 @@ def test_interval_labels_strictly_monotone(ops):
             pid = envelope.dst
             event = EV.Deliver(envelope=envelope, at=at)
 
-        harness._sink_pid = pid
+        recorded = len(harness.trace)
         try:
-            effects = engines[pid].handle(event)
+            engines[pid].handle(event)
         except ProtocolError:
             continue  # op illegal in this state; labels must still hold
 
@@ -78,9 +78,10 @@ def test_interval_labels_strictly_monotone(ops):
 
         # Every tentative checkpoint's seq strictly exceeds the previous
         # checkpoint label at that process — even across aborted instances.
-        for eff in effects:
-            if isinstance(eff, FX.EmitTrace) and eff.kind == T.K_CHKPT_TENTATIVE:
-                seq = eff.fields["seq"]
+        for traced in harness.trace.events[recorded:]:
+            if traced.kind == T.K_CHKPT_TENTATIVE:
+                assert traced.pid == pid
+                seq = traced.fields["seq"]
                 assert seq > last_tentative[pid], (
                     f"tentative seq not strictly increasing at P{pid}: "
                     f"{seq} <= {last_tentative[pid]}"

@@ -21,6 +21,7 @@ from repro.testing import build_sim, run_random_workload
 from repro.tracekinds import K_CTRL_RECEIVE
 from repro.types import TreeId
 from test_decision_log import BACKENDS, open_storage, reopen  # sibling module: the restart model
+from test_input_doors import RecordingHost  # sibling module: the host port as data
 
 RESILIENT = ProtocolConfig(failure_resilience=True)
 BIRTH_MANIFEST = {"recv": [], "sent": []}
@@ -197,5 +198,6 @@ def test_unknown_control_body_is_traced_then_ignored():
 
     engine = ProtocolEngine(0)
     engine.handle(EV.Start(peers=(0, 1), at=0.0))
-    effects = engine.handle(EV.Deliver(envelope=control(1, 0, Ping()), at=1.0))
-    assert [(e.kind, e.fields["msg_type"]) for e in effects] == [(K_CTRL_RECEIVE, "ping")]
+    engine.host = host = RecordingHost()
+    assert engine.handle(EV.Deliver(envelope=control(1, 0, Ping()), at=1.0)) == []
+    assert [(call[1], call[2]["msg_type"]) for call in host.calls] == [(K_CTRL_RECEIVE, "ping")]

@@ -1,0 +1,75 @@
+#!/usr/bin/env python3
+"""Count the Python-level function calls of one simulator benchmark rep.
+
+Builds one ``sim_msg`` / ``sim_mixed`` rep with ``bench_e2e``'s own builders
+(imported, never edited), runs it to its horizon under ``sys.setprofile`` and
+prints the total number of Python function calls, calls per scheduler event
+and the ten most-called functions.  Same seed => same trace => same
+integers, so the rep is built and run twice and the two counts must agree to
+the unit: this is a deterministic work proxy (ROADMAP item 2(b)), to be read
+as a count, never as a speed-up.  C-level calls are not counted.
+
+    python3 tools/work_count.py sim_mixed --seed 3
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+from typing import Any, Dict, Tuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [ROOT, os.path.join(ROOT, "src")]
+
+from bench_e2e import scenarios  # noqa: E402
+
+BUILDERS = {"sim_msg": scenarios.build_sim_msg, "sim_mixed": scenarios.build_sim_mixed}
+
+
+def count_rep(workload: str, seed: int) -> Tuple[int, int, Dict[Any, int]]:
+    """``(calls, scheduler events, calls per code object)`` of one rep."""
+    built = BUILDERS[workload](seed)
+    sim = built["sim"]
+    per_code: Dict[Any, int] = {}
+
+    def on_event(frame: Any, event: str, _arg: Any) -> None:
+        if event == "call":
+            code = frame.f_code
+            per_code[code] = per_code.get(code, 0) + 1
+
+    events0 = sim.scheduler.events_processed
+    sys.setprofile(on_event)
+    try:
+        sim.run(until=built["until"])
+    finally:
+        sys.setprofile(None)
+    return sum(per_code.values()), sim.scheduler.events_processed - events0, per_code
+
+
+def callee_name(code: Any) -> str:
+    path = os.path.relpath(code.co_filename, ROOT)
+    return f"{path}:{code.co_firstlineno} {getattr(code, 'co_qualname', code.co_name)}"
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("workload", choices=sorted(BUILDERS))
+    parser.add_argument("--seed", type=int, default=3)
+    args = parser.parse_args()
+
+    calls, events, per_code = count_rep(args.workload, args.seed)
+    again = count_rep(args.workload, args.seed)
+    if (calls, events) != again[:2]:
+        print(f"NOT REPEATABLE: {calls} calls / {events} events, then "
+              f"{again[0]} / {again[1]}", file=sys.stderr)
+        return 1
+    print(f"{args.workload} seed {args.seed}: {calls} python calls, {events} scheduler "
+          f"events, {calls / events:.2f} calls/event (two runs, identical)")
+    for code, n in sorted(per_code.items(), key=lambda kv: (-kv[1], callee_name(kv[0])))[:10]:
+        print(f"{n:>10}  {100.0 * n / calls:5.1f}%  {callee_name(code)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
