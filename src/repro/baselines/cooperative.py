@@ -152,9 +152,7 @@ class CooperativeEngine(ProtocolEngine):
         """Processes exchanged with since the last committed checkpoint."""
         base = self.store.oldchkpt.seq if self.store.oldchkpt is not None else 0
         deps = set(self.ledger.senders_in_range(base, self.ledger.n))
-        for record in self.ledger.live_sends():
-            if record.label >= base:
-                deps.add(record.dst)
+        deps |= self.ledger.live_receivers_since(base)
         deps.discard(self.node_id)
         deps -= self.departed_peers
         return deps & set(self.peers)
@@ -172,7 +170,7 @@ class CooperativeEngine(ProtocolEngine):
         process has made — a later send would be an orphan in the
         borrower's cut."""
         seq = self.store.newchkpt.seq
-        return not any(r.label >= seq for r in self.ledger.live_sends())
+        return not self.ledger.live_receivers_since(seq)
 
     def _commit_local(self, tree_id: TreeId) -> None:
         """Commit the tentative checkpoint (idempotent for shared ones)."""

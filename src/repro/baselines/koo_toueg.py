@@ -155,12 +155,11 @@ class KooTouegEngine(ProtocolEngine):
         if state is None or state.closed or self.crashed:
             return
         # Re-issue the original request parameters for the rejected child.
-        undone = [r for r in self.ledger.sent if r.undone and r.dst == child]
-        if not undone:
+        undo_seq = self.ledger.earliest_undone_label_to(child)
+        if undo_seq is None:
             state.drop_child(child)
             self._roll_maybe_complete(state)
             return
-        undo_seq = min(r.label for r in undone)
         state.pending_acks.add(child)
         self._send_control(
             child, M.RollReq(tree=tree_id, undo_seq=undo_seq, undone_upto=self.ledger.n)

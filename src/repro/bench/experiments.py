@@ -89,11 +89,10 @@ def experiment_fig2() -> List[Dict[str, Any]]:
     ScriptedWorkload(figure2_steps()).install(sim, procs)
     sim.run()
     names = ["m", "l", "x", "y", "z"]
+    sends = [ev for ev in sim.trace.of_kind("send") if ev.pid == 0]
     return [
-        {"message": name, "label": record.label, "paper_label": expected}
-        for name, record, expected in zip(
-            names, procs[0].ledger.sent, [1, 2, 3, 3, 4]
-        )
+        {"message": name, "label": ev.label, "paper_label": expected}
+        for name, ev, expected in zip(names, sends, [1, 2, 3, 3, 4])
     ]
 
 

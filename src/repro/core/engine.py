@@ -74,6 +74,7 @@ from repro.errors import ProtocolError
 from repro.net.message import Envelope, control, normal
 from repro.priorities import PRIORITY_NORMAL, PRIORITY_TIMER
 from repro.stable.checkpoint import CheckpointStore
+from repro.stable.snapshot import FrozenList
 from repro.stable.storage import InMemoryStableStorage, StableStorage
 from repro.tracekinds import (
     K_CTRL_RECEIVE,
@@ -364,15 +365,13 @@ class EngineBase:
         Stored in each checkpoint's ``meta`` purely for the analysis layer:
         the C1/C2 checkers and the minimality theorems are verified against
         these manifests (see :mod:`repro.analysis.consistency`).  The
-        protocol itself never reads them.
+        protocol itself never reads them.  The ledger keeps both sorted;
+        each is copied once, already frozen, so ``freeze`` passes it through
+        and the in-memory record and stable storage share the one copy.
         """
         return {
-            "recv": sorted(
-                (r.src, r.msg_id.send_index) for r in self.ledger.live_receives()
-            ),
-            "sent": sorted(
-                (r.dst, r.msg_id.send_index) for r in self.ledger.live_sends()
-            ),
+            "recv": FrozenList(self.ledger.live_received_keys),
+            "sent": FrozenList(self.ledger.live_sent_keys),
         }
 
     def _reset_checkpoint_timer(self) -> None:

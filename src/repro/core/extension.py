@@ -309,7 +309,9 @@ class ExtendedProtocolEngine(ProtocolEngine):
         algorithm (see ``RollProtocolMixin._on_roll_req``)."""
         self.ledger.install_discard_filter(src, req.undo_seq, req.undone_upto)
         member = self.trees.roll_member(req.tree)
-        doomed = self.ledger.has_live_receive_from(src, req.undo_seq)
+        # Earliest interval containing a doomed receive from the requester.
+        earliest = self.ledger.earliest_doomed_interval(src, req.undo_seq)
+        doomed = earliest is not None
         is_child = doomed and not member
         self._send_control(src, M.RollAck(tree=req.tree, positive=is_child))
         if not doomed:
@@ -323,13 +325,6 @@ class ExtendedProtocolEngine(ProtocolEngine):
                 tree = self.trees.open_roll(self._new_tree_id(), parent=None)
                 self._trace(T.K_INSTANCE_START, tree=tree.tree, instance="rollback")
 
-        # Earliest interval containing a doomed receive from the requester.
-        doomed_intervals = [
-            r.interval
-            for r in self.ledger.received
-            if not r.undone and r.src == src and r.label >= req.undo_seq
-        ]
-        earliest = min(doomed_intervals)
         target = self._latest_checkpoint_at_or_before(earliest)
         self._discard_pending_after(target.seq, keep_target=True)
         self._perform_rollback(tree, target, discard_newchkpt=False)

@@ -26,7 +26,7 @@ from typing import Optional, Tuple
 from repro import tracekinds as T
 from repro.core import messages as M
 from repro.core.trees import RollTreeState
-from repro.types import CheckpointRecord, ProcessId, TreeId
+from repro.types import CheckpointRecord, ProcessId, Seq, TreeId
 
 
 class RollProtocolMixin:
@@ -80,7 +80,8 @@ class RollProtocolMixin:
         self.ledger.install_discard_filter(src, req.undo_seq, req.undone_upto)
 
         member = self.trees.roll_member(req.tree)
-        doomed = self.ledger.has_live_receive_from(src, req.undo_seq)
+        earliest = self.ledger.earliest_doomed_interval(src, req.undo_seq)
+        doomed = earliest is not None
         is_child = doomed and not member
         self._send_control(src, M.RollAck(tree=req.tree, positive=is_child))
         if not doomed:
@@ -94,7 +95,7 @@ class RollProtocolMixin:
                 tree = self.trees.open_roll(self._new_tree_id(), parent=None)
                 self._trace(T.K_INSTANCE_START, tree=tree.tree, instance="rollback")
 
-        self._rollback_for_request(src, req, tree)
+        self._rollback_for_request(tree, earliest)
         self._roll_maybe_complete(tree)
 
     def _undone_notice_for(
@@ -124,23 +125,17 @@ class RollProtocolMixin:
             state.pending_acks.add(requester)
         return notice
 
-    def _rollback_for_request(self, src: ProcessId, req: M.RollReq, tree: RollTreeState) -> None:
+    def _rollback_for_request(self, tree: RollTreeState, earliest: Seq) -> None:
         """b6's branch analysis: pick the restoration target and roll back.
 
         The paper's test — ``undo_seq > max_ji`` over newchkpt's own interval
         — is equivalent to asking whether *every* doomed receive happened
         after newchkpt was made, under the invariant that older intervals
         are covered by committed checkpoints.  Failure-rule aborts can break
-        that invariant, so we evaluate the question directly: find the
-        earliest interval holding a live doomed receive and keep newchkpt
-        only if it predates all of them.
+        that invariant, so we evaluate the question directly: ``earliest``
+        is the earliest interval holding a live doomed receive, and newchkpt
+        is kept only if it predates all of them.
         """
-        doomed_intervals = [
-            r.interval
-            for r in self.ledger.received
-            if not r.undone and r.src == src and r.label >= req.undo_seq
-        ]
-        earliest = min(doomed_intervals)
         newchkpt = self.store.newchkpt
         if newchkpt is not None and earliest >= newchkpt.seq:
             # All undone receives happened after newchkpt was made: rolling

@@ -114,14 +114,20 @@ def test_undo_summary_fallback_when_nothing_undone():
     assert bad_seq == 7 and children == set()
 
 
-def test_has_live_receive_from():
+def test_earliest_doomed_interval():
     led = ledger()
     led.record_receive(MessageId(5, 0), 5, label=3)
-    assert led.has_live_receive_from(5, min_label=3)
-    assert led.has_live_receive_from(5, min_label=1)
-    assert not led.has_live_receive_from(5, min_label=4)
+    led.advance()
+    led.record_receive(MessageId(5, 1), 5, label=2)  # non-FIFO: older label, later interval
+    led.record_receive(MessageId(5, 2), 5, label=3)
+    assert led.earliest_doomed_interval(5, undo_seq=3) == 1
+    assert led.earliest_doomed_interval(5, undo_seq=1) == 1
+    assert led.earliest_doomed_interval(5, undo_seq=4) is None
+    assert led.earliest_doomed_interval(6, undo_seq=1) is None
+    led.undo_for_rollback(2)
+    assert led.earliest_doomed_interval(5, undo_seq=1) == 1
     led.undo_for_rollback(1)
-    assert not led.has_live_receive_from(5, min_label=1)
+    assert led.earliest_doomed_interval(5, undo_seq=1) is None
 
 
 def test_undone_send_queries():
