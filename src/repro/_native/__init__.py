@@ -42,7 +42,7 @@ from typing import Any, Dict, Optional
 
 #: Bumped whenever the Python<->C interface of any extension changes; a
 #: compiled module with a different ABI is ignored (stale build on disk).
-NATIVE_ABI = 2
+NATIVE_ABI = 3
 
 #: name -> imported module (or None after a failed/disabled load).
 _MODULES: Dict[str, Optional[Any]] = {}

@@ -21,7 +21,7 @@
 #include <stdint.h>
 #include <string.h>
 
-#define NATIVE_ABI_VERSION 2
+#define NATIVE_ABI_VERSION 3
 
 /* Value tags — must mirror wire.py. */
 #define T_NONE 0
@@ -42,14 +42,11 @@
 #define F_LABEL 0x02
 #define F_CONTROL 0x04
 
-#define MAX_VALUE_DEPTH 1000
-
 /* ------------------------------------------------------------------ */
 /* Module configuration (set by wire.py via configure())               */
 /* ------------------------------------------------------------------ */
 
 typedef struct {
-    PyObject *kind;   /* str, for error messages */
     PyObject *cls;    /* body dataclass */
     PyObject *names;  /* tuple of field-name strings */
     Py_ssize_t nfields;
@@ -71,6 +68,7 @@ typedef struct {
     int fast_construct;
     unsigned char binary_tag;
     long max_frame;
+    int max_depth; /* deepest container nesting of a body field, both ways */
     /* Direct __slots__ offsets of the 8 Envelope fields (src, dst, category,
      * body, msg_id, label, send_time, deliver_time) when the class is
      * slotted; env_slots == 0 falls back to the generic attribute protocol
@@ -197,6 +195,14 @@ static int
 wire_error(const char *msg)
 {
     PyErr_SetString(cfg.wire_error, msg);
+    return -1;
+}
+
+static int
+nesting_error(void)
+{
+    PyErr_Format(cfg.wire_error, "value nesting exceeds MAX_VALUE_DEPTH=%d",
+                 cfg.max_depth);
     return -1;
 }
 
@@ -555,11 +561,8 @@ pack_id_pair(WBuf *b, PyObject *value, unsigned char tag, PyObject *first_attr,
 static int
 pack_value(WBuf *b, PyObject *value, int depth)
 {
-    if (depth > MAX_VALUE_DEPTH) {
-        PyErr_SetString(PyExc_RecursionError,
-                        "maximum value nesting exceeded while encoding binary frame");
-        return -1;
-    }
+    if (depth > cfg.max_depth)
+        return nesting_error();
     depth++;
     if (value == Py_None)
         return wbuf_push(b, T_NONE);
@@ -980,11 +983,8 @@ read_id_pair(Reader *r, PyObject *cls, PyObject *first_attr, PyObject *second_at
 static int
 read_value(Reader *r, PyObject **out, int depth)
 {
-    if (depth > MAX_VALUE_DEPTH) {
-        PyErr_SetString(PyExc_RecursionError,
-                        "maximum value nesting exceeded while decoding binary frame");
-        return -1;
-    }
+    if (depth > cfg.max_depth)
+        return nesting_error();
     depth++;
     if (r->pos >= r->len)
         return wire_error("truncated value in binary frame");
@@ -1163,7 +1163,7 @@ make_envelope(PyObject *src, PyObject *dst, PyObject *category, PyObject *body,
 }
 
 static PyObject *
-decode_from_reader(Reader *r)
+decode_payload(Reader *r)
 {
     if (!cfg.ready) {
         wire_error("native codec not configured");
@@ -1254,19 +1254,13 @@ decode_from_reader(Reader *r)
         }
         body = PyObject_Call(entry->cls, values, NULL);
         Py_DECREF(values);
-        if (body == NULL) {
-            if (PyErr_ExceptionMatches(PyExc_TypeError)) {
-                PyObject *type, *value, *traceback;
-                PyErr_Fetch(&type, &value, &traceback);
-                PyErr_NormalizeException(&type, &value, &traceback);
-                PyErr_Format(cfg.wire_error, "malformed %R binary body: %S",
-                             entry->kind, value ? value : Py_None);
-                Py_XDECREF(type);
-                Py_XDECREF(value);
-                Py_XDECREF(traceback);
-            }
+        if (body == NULL)
             goto done;
-        }
+    }
+    if (r->pos != r->len) {
+        PyErr_Format(cfg.wire_error, "%zd trailing byte(s) after the binary body",
+                     r->len - r->pos);
+        goto done;
     }
 
     src_obj = PyLong_FromLong(src);
@@ -1284,6 +1278,28 @@ done:
     Py_XDECREF(msg_id);
     Py_XDECREF(label);
     Py_XDECREF(body);
+    return result;
+}
+
+/* The one place a payload's malformation becomes a WireError: whatever a
+ * hostile frame made the reader raise (undecodable UTF-8, an unhashable map
+ * key or set member) is reported as the interpreted decoder reports it. */
+static PyObject *
+decode_from_reader(Reader *r)
+{
+    PyObject *result = decode_payload(r);
+    if (result == NULL && (PyErr_ExceptionMatches(PyExc_ValueError) ||
+                           PyErr_ExceptionMatches(PyExc_TypeError) ||
+                           PyErr_ExceptionMatches(PyExc_RecursionError))) {
+        PyObject *type, *value, *traceback;
+        PyErr_Fetch(&type, &value, &traceback);
+        PyErr_NormalizeException(&type, &value, &traceback);
+        PyErr_Format(cfg.wire_error, "malformed binary frame: %s: %S",
+                     ((PyTypeObject *)type)->tp_name, value ? value : Py_None);
+        Py_XDECREF(type);
+        Py_XDECREF(value);
+        Py_XDECREF(traceback);
+    }
     return result;
 }
 
@@ -1426,7 +1442,6 @@ config_clear(void)
     Py_CLEAR(cfg.registry);
     if (cfg.decode != NULL) {
         for (Py_ssize_t i = 0; i < cfg.ndecode; i++) {
-            Py_XDECREF(cfg.decode[i].kind);
             Py_XDECREF(cfg.decode[i].cls);
             Py_XDECREF(cfg.decode[i].names);
         }
@@ -1442,17 +1457,18 @@ py_configure(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *keywords[] = {
         "envelope", "message_id", "tree_id", "wire_error", "struct_error",
-        "control",  "normal",     "binary_tag", "max_frame", "encode_types",
-        "registry", "decode",     "fast_construct", NULL,
+        "control",  "normal",     "binary_tag", "max_frame", "max_depth",
+        "encode_types", "registry", "decode",   "fast_construct", NULL,
     };
     PyObject *envelope, *message_id, *tree_id, *wire_err, *struct_err;
     PyObject *control, *normal, *encode_types, *registry, *decode;
-    int binary_tag, fast_construct;
+    int binary_tag, max_depth, fast_construct;
     long max_frame;
     if (!PyArg_ParseTupleAndKeywords(
-            args, kwargs, "OOOOOOOilOOOp", keywords, &envelope, &message_id,
+            args, kwargs, "OOOOOOOiliOOOp", keywords, &envelope, &message_id,
             &tree_id, &wire_err, &struct_err, &control, &normal, &binary_tag,
-            &max_frame, &encode_types, &registry, &decode, &fast_construct))
+            &max_frame, &max_depth, &encode_types, &registry, &decode,
+            &fast_construct))
         return NULL;
     if (!PyDict_Check(encode_types) || !PyDict_Check(registry) ||
         !PyList_Check(decode)) {
@@ -1476,10 +1492,8 @@ py_configure(PyObject *self, PyObject *args, PyObject *kwargs)
                             "decode entries must be (kind, cls, names) tuples");
             return NULL;
         }
-        cfg.decode[i].kind = PyTuple_GET_ITEM(entry, 0);
         cfg.decode[i].cls = PyTuple_GET_ITEM(entry, 1);
         cfg.decode[i].names = PyTuple_GET_ITEM(entry, 2);
-        Py_INCREF(cfg.decode[i].kind);
         Py_INCREF(cfg.decode[i].cls);
         Py_INCREF(cfg.decode[i].names);
         cfg.decode[i].nfields = PyTuple_GET_SIZE(cfg.decode[i].names);
@@ -1504,6 +1518,7 @@ py_configure(PyObject *self, PyObject *args, PyObject *kwargs)
     Py_INCREF(registry);
     cfg.binary_tag = (unsigned char)binary_tag;
     cfg.max_frame = max_frame;
+    cfg.max_depth = max_depth;
     cfg.fast_construct = fast_construct;
     PyObject *env_names[8] = {cfg.s_src, cfg.s_dst, cfg.s_category, cfg.s_body,
                               cfg.s_msg_id, cfg.s_label, cfg.s_send_time,

@@ -101,11 +101,6 @@ class ProtocolConfig:
     ``failure_resilience`` — enable the Section 6 exception handlers (rules
     1-6).  Off by default so the base algorithm can be studied in isolation.
 
-    ``ack_timeout`` / ``decision_timeout`` — how long a resilient process
-    waits on a peer before the failure handlers treat it as unresponsive;
-    only used when ``failure_resilience`` is on and complements the failure
-    detector (which is the primary trigger).
-
     ``inquiry_retry_interval`` — how often a blocked process re-broadcasts a
     rule-6 decision inquiry while no answer arrives.
 
@@ -116,17 +111,15 @@ class ProtocolConfig:
 
     checkpoint_interval: Optional[SimTime] = None
     failure_resilience: bool = False
-    ack_timeout: SimTime = 30.0
-    decision_timeout: SimTime = 30.0
     inquiry_retry_interval: SimTime = 10.0
 
     def __post_init__(self) -> None:
         if self.checkpoint_interval is not None and self.checkpoint_interval < 0:
             raise ValueError(f"checkpoint_interval must be >= 0, got {self.checkpoint_interval}")
-        for name in ("ack_timeout", "decision_timeout", "inquiry_retry_interval"):
-            value = getattr(self, name)
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
+        if self.inquiry_retry_interval < 0:
+            raise ValueError(
+                f"inquiry_retry_interval must be >= 0, got {self.inquiry_retry_interval}"
+            )
 
 
 class Host:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Set
 
-from repro.sim.event import PRIORITY_TIMER
+from repro.priorities import PRIORITY_TIMER
 from repro.types import ProcessId, SimTime
 
 if TYPE_CHECKING:  # pragma: no cover

@@ -8,27 +8,36 @@ actual contract so the *same* protocol classes run under the discrete-event
 simulator and under :class:`repro.runtime.loop.AsyncRuntime` (real timers,
 real sockets) without a single ``if sim:`` branch.
 
-The contract has three parts:
+The contract has two parts:
 
-* :class:`TimerHandle` / :class:`SchedulerLike` — a clock (``now``) plus
-  cancellable one-shot callbacks (``at`` / ``after``).  The simulator's
-  :class:`~repro.sim.scheduler.Scheduler` pops a heap in virtual time; the
-  async runtime arms real :mod:`asyncio` timers.  ``priority`` is a
-  same-instant tiebreak that only a virtual-time kernel can honour; real
-  kernels accept and ignore it (two live timers never share an instant).
 * :class:`KernelLike` — what protocol/failure code reads off ``node.sim``:
   the clock, the scheduler, the trace, the network facade, named RNG
   streams, the failure-detector slot, and liveness queries.
 * :class:`KernelCore` — the shared concrete half: node registry, liveness,
   and the crash/recover transitions (which must behave identically in both
   worlds, down to the trace records and failure-detector reports).
+
+The scheduler has no contract of its own to state: both kernels' schedulers
+*are* :class:`repro.sim.scheduler.TimerHeap` — one ``(time, priority, seq)``
+heap, one :class:`~repro.sim.scheduler.Timer`, one ``at``/``after``/
+``pending`` and one cancel accounting — and a kernel adds a clock to it.
+What differs between the two clocks is the whole of each subclass:
+
+=====================  ========================  ==========================
+                       ``sim.Scheduler``         ``runtime.AsyncScheduler``
+=====================  ========================  ==========================
+``now``                the firing timer's time   ``loop.time()`` rescaled,
+                                                 frozen while detached
+``at`` in the past     raises                    fires at once
+who pops the heap      ``run``/``step``; an      one ``call_at`` ``_pump``
+                       error propagates          draining every due entry;
+                                                 errors land in ``errors``
+=====================  ========================  ==========================
 """
 
 from __future__ import annotations
 
-from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Protocol, runtime_checkable,
-)
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Protocol, runtime_checkable
 
 from repro.errors import SimulationError
 from repro.membership import MembershipPlane
@@ -38,55 +47,15 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.network import Network
     from repro.sim.node import Node
     from repro.sim.rng import Rng
+    from repro.sim.scheduler import TimerHeap
     from repro.sim.trace import Trace
-
-
-@runtime_checkable
-class TimerHandle(Protocol):
-    """A scheduled callback that can be cancelled before it fires."""
-
-    cancelled: bool
-
-    def cancel(self) -> None:
-        """Prevent the callback from firing (idempotent)."""
-        ...
-
-
-@runtime_checkable
-class SchedulerLike(Protocol):
-    """Clock + cancellable timers — the kernel's time authority."""
-
-    @property
-    def now(self) -> SimTime:
-        """Current kernel time, in protocol time units."""
-        ...
-
-    def at(
-        self,
-        time: SimTime,
-        action: Callable[[], None],
-        priority: int = 0,
-        label: str = "",
-    ) -> TimerHandle:
-        """Run ``action`` at absolute kernel time ``time``."""
-        ...
-
-    def after(
-        self,
-        delay: SimTime,
-        action: Callable[[], None],
-        priority: int = 0,
-        label: str = "",
-    ) -> TimerHandle:
-        """Run ``action`` ``delay`` time units from now."""
-        ...
 
 
 @runtime_checkable
 class KernelLike(Protocol):
     """What a bound protocol node may ask of its substrate (``node.sim``)."""
 
-    scheduler: SchedulerLike
+    scheduler: "TimerHeap"
     trace: "Trace"
     network: "Network"
     rng: "Rng"
@@ -118,6 +87,7 @@ class KernelCore:
     crash/recovery semantics cannot drift between simulation and deployment.
     """
 
+    scheduler: "TimerHeap"
     trace: "Trace"
 
     def __init__(self) -> None:
@@ -267,7 +237,7 @@ class KernelCore:
     # ------------------------------------------------------------------
     @property
     def now(self) -> SimTime:
-        return self.scheduler.now  # type: ignore[attr-defined]
+        return self.scheduler.now
 
     # ------------------------------------------------------------------
     # Failures

@@ -6,8 +6,7 @@ messages, then local timers.  Smaller runs first.
 
 This module is dependency-free so that :mod:`repro.core.engine` (the sans-IO
 protocol state machine) can stamp priorities on its effects without importing
-any kernel package.  :mod:`repro.sim.event` re-exports these names for
-backward compatibility.
+any kernel package.
 """
 
 PRIORITY_ROLLBACK = 0

@@ -22,7 +22,7 @@ The subsystem mirrors the simulator's layering:
 """
 
 from repro.runtime.cluster import Cluster, PidRouterSink
-from repro.runtime.loop import AsyncRuntime, AsyncScheduler, AsyncTimer
+from repro.runtime.loop import AsyncRuntime, AsyncScheduler
 from repro.runtime.network import RuntimeNetwork
 from repro.runtime.shard import HashRing, ShardedCluster, ShardTransport
 from repro.runtime.transport import LoopbackTransport, TcpTransport, Transport
@@ -30,7 +30,6 @@ from repro.runtime.transport import LoopbackTransport, TcpTransport, Transport
 __all__ = [
     "AsyncRuntime",
     "AsyncScheduler",
-    "AsyncTimer",
     "Cluster",
     "HashRing",
     "LoopbackTransport",

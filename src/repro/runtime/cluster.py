@@ -40,9 +40,9 @@ from repro.core import CheckpointProcess, ProtocolConfig
 from repro.errors import SimulationError, TransportError
 from repro.failure import FailureDetector
 from repro.net.delay import FixedDelay
+from repro.priorities import PRIORITY_TIMER
 from repro.runtime.loop import AsyncRuntime
 from repro.runtime.transport import LinkTransport, LoopbackTransport, TcpTransport, Transport
-from repro.sim.event import PRIORITY_TIMER
 from repro.sim.trace import JsonlStreamSink, TraceEvent, TraceSink
 from repro.stable.storage import WriteBehindFileStableStorage
 from repro.types import ProcessId, SimTime

@@ -10,13 +10,16 @@ substrate changes:
 ==================  ===========================  ==========================
 contract piece      Simulation                   AsyncRuntime
 ==================  ===========================  ==========================
-clock (``now``)     virtual heap time            ``loop.time()`` rescaled
-timers              heap events                  own heap + one ``call_at``
+clock (``now``)     the firing timer's time      ``loop.time()`` rescaled
+heap is popped by   ``run``/``step``             one ``call_at`` ``_pump``
 transmit            heap-scheduled delivery      a :class:`~repro.runtime.
                                                  transport.Transport`
 serialized exec     single-threaded loop         single-threaded loop
-same-instant order  ``(time, priority, seq)``    ``(time, priority, seq)``
 ==================  ===========================  ==========================
+
+Timers and same-instant order are not in the table because they are not two
+things: both kernels' schedulers are one :class:`~repro.sim.scheduler.
+TimerHeap` keyed ``(time, priority, seq)``, under two clocks.
 
 Time scaling: protocol code thinks in the paper's abstract time units
 (message delays ~0.5 units, detector latency ~2 units).  ``time_scale`` maps
@@ -32,12 +35,13 @@ so a protocol bug fails the run loudly instead of killing one timer quietly.
 from __future__ import annotations
 
 import asyncio
-import heapq
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.kernel import KernelCore
+from repro.priorities import PRIORITY_NORMAL
 from repro.sim.rng import Rng
+from repro.sim.scheduler import Timer, TimerHeap
 from repro.sim.trace import Trace
 from repro.types import SimTime
 
@@ -48,58 +52,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.trace import TraceSink
 
 
-class AsyncTimer:
-    """A :class:`repro.kernel.TimerHandle` on the scheduler's timer heap.
-
-    Created before the loop starts, the timer sits in the scheduler's
-    pre-loop queue and is armed when the runtime boots; cancellation works
-    in both states (lazily — the heap entry is skipped when it surfaces).
-    """
-
-    __slots__ = ("when", "priority", "label", "action", "cancelled", "fired", "seq", "_scheduler")
-
-    def __init__(
-        self,
-        scheduler: "AsyncScheduler",
-        when: SimTime,
-        action: Callable[[], None],
-        priority: int,
-        label: str,
-        seq: int,
-    ) -> None:
-        self.when = when
-        self.priority = priority
-        self.label = label
-        self.action = action
-        self.cancelled = False
-        self.fired = False
-        self.seq = seq  # creation order: the same-instant tie-break
-        self._scheduler = scheduler
-
-    def cancel(self) -> None:
-        """Prevent the callback from firing (idempotent)."""
-        if self.cancelled or self.fired:
-            return
-        self.cancelled = True
-        self._scheduler._note_cancel()
-
-    def _fire(self) -> None:
-        if self.cancelled:  # pragma: no cover - the pump skips cancelled entries
-            return
-        self.fired = True
-        self._scheduler._note_fired()
-        try:
-            self.action()
-        except Exception as exc:  # noqa: BLE001 - kernel boundary
-            self._scheduler._note_error(self.label, exc)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else ("fired" if self.fired else "armed")
-        return f"<AsyncTimer t={self.when:.4f} {self.label or 'action'} {state}>"
-
-
-class AsyncScheduler:
-    """:class:`repro.kernel.SchedulerLike` over a real asyncio loop.
+class AsyncScheduler(TimerHeap):
+    """The timer heap popped against a real asyncio loop's clock.
 
     ``now`` is ``(loop.time() - epoch) / time_scale``: kernel time 0 is the
     moment the runtime attached to the loop, and time advances continuously
@@ -111,28 +65,24 @@ class AsyncScheduler:
     clock, time may legitimately advance between computing a deadline and
     arming the timer.
 
-    Same-instant determinism: timers live on the scheduler's own heap keyed
-    ``(when, priority, seq)`` — exactly the virtual-time scheduler's key —
-    and a single ``loop.call_at`` pump drains every due entry in heap order.
-    Two timers armed for the same protocol instant therefore fire in the
-    same relative order under both kernels, which is what makes scripted
+    Same-instant determinism: the heap, its ``(when, priority, seq)`` key and
+    its :class:`~repro.sim.scheduler.Timer` are the simulator's own, and a
+    single ``loop.call_at`` pump drains every due entry in heap order.  Two
+    timers armed for the same protocol instant therefore fire in the same
+    relative order under both kernels, which is what makes scripted
     scenarios (two sends at t=2.0, say) bit-identical across them.
     """
 
     def __init__(self, time_scale: float = 0.05) -> None:
         if time_scale <= 0:
             raise SimulationError(f"time_scale must be positive, got {time_scale}")
+        super().__init__()
         self.time_scale = time_scale
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._epoch = 0.0
         self._frozen_now: SimTime = 0.0
-        self._heap: List[Tuple[SimTime, int, int, AsyncTimer]] = []
-        self._seq = 0
         self._pump_handle: Optional[asyncio.TimerHandle] = None
         self._armed_when: Optional[SimTime] = None
-        self._pending = 0
-        self.timers_fired = 0
-        self.timers_cancelled = 0
         self.errors: List[Tuple[str, Exception]] = []
 
     # ------------------------------------------------------------------
@@ -157,65 +107,36 @@ class AsyncScheduler:
             self._armed_when = None
 
     @property
-    def attached(self) -> bool:
-        return self._loop is not None
-
-    # ------------------------------------------------------------------
-    # SchedulerLike
-    # ------------------------------------------------------------------
-    @property
     def now(self) -> SimTime:
         """Current kernel time in protocol units (frozen while detached)."""
         if self._loop is None:
             return self._frozen_now
         return (self._loop.time() - self._epoch) / self.time_scale
 
-    @property
-    def pending(self) -> int:
-        """Timers armed or queued and not yet fired/cancelled."""
-        return self._pending
-
     def at(
         self,
         time: SimTime,
         action: Callable[[], None],
-        priority: int = 0,
+        priority: int = PRIORITY_NORMAL,
         label: str = "",
-    ) -> AsyncTimer:
-        """Run ``action`` at absolute kernel time ``time`` (clamped to now)."""
-        timer = AsyncTimer(self, time, action, priority, label, self._seq)
-        self._seq += 1
-        self._pending += 1
-        heapq.heappush(self._heap, (timer.when, timer.priority, timer.seq, timer))
+    ) -> Timer:
+        """As :meth:`TimerHeap.at`; a ``time`` in the past fires at once."""
+        timer = super().at(time, action, priority, label)
         # Re-arm only when this timer beats the armed wakeup: cancelling and
         # re-issuing ``call_at`` per timer is the scheduler's hot-path cost,
         # and a timer at or after the armed deadline will be drained by the
         # existing pump anyway (it drains *every* due entry in heap order).
         if self._loop is not None and (
-            self._armed_when is None or timer.when < self._armed_when
+            self._armed_when is None or time < self._armed_when
         ):
             self._rearm_pump()
         return timer
-
-    def after(
-        self,
-        delay: SimTime,
-        action: Callable[[], None],
-        priority: int = 0,
-        label: str = "",
-    ) -> AsyncTimer:
-        """Run ``action`` ``delay`` protocol units from now (``delay >= 0``)."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        return self.at(self.now + delay, action, priority=priority, label=label)
 
     # ------------------------------------------------------------------
     # The pump: one call_at wakeup drains all due timers in heap order
     # ------------------------------------------------------------------
     def _rearm_pump(self) -> None:
         assert self._loop is not None
-        while self._heap and self._heap[0][3].cancelled:
-            heapq.heappop(self._heap)
         if self._pump_handle is not None:
             self._pump_handle.cancel()
             self._pump_handle = None
@@ -223,9 +144,10 @@ class AsyncScheduler:
         # empty there is no wakeup, and a stale deadline here would make
         # ``at`` skip re-arming for any later timer — which would never fire.
         self._armed_when = None
-        if self._heap:
-            self._armed_when = self._heap[0][0]
-            real_when = self._epoch + self._armed_when * self.time_scale
+        head = self._peek()
+        if head is not None:
+            self._armed_when = head.when
+            real_when = self._epoch + head.when * self.time_scale
             self._pump_handle = self._loop.call_at(
                 max(real_when, self._loop.time()), self._pump
             )
@@ -234,27 +156,16 @@ class AsyncScheduler:
         if self._loop is None:  # pragma: no cover - detach races the wakeup
             return
         self._pump_handle = None
-        while self._heap:
-            when, _, _, timer = self._heap[0]
-            if timer.cancelled:
-                heapq.heappop(self._heap)
-                continue
-            if self._epoch + when * self.time_scale > self._loop.time():
+        while True:
+            head = self._peek()
+            if head is None or self._epoch + head.when * self.time_scale > self._loop.time():
                 break
-            heapq.heappop(self._heap)
-            timer._fire()  # may push new (possibly already-due) timers
+            timer = self._pop()
+            try:
+                timer.action()  # may push new (possibly already-due) timers
+            except Exception as exc:  # noqa: BLE001 - kernel boundary
+                self._note_error(timer.label, exc)
         self._rearm_pump()
-
-    # ------------------------------------------------------------------
-    # Internal bookkeeping (called by AsyncTimer)
-    # ------------------------------------------------------------------
-    def _note_cancel(self) -> None:
-        self._pending -= 1
-        self.timers_cancelled += 1
-
-    def _note_fired(self) -> None:
-        self._pending -= 1
-        self.timers_fired += 1
 
     def _note_error(self, label: str, exc: Exception) -> None:
         self.errors.append((label, exc))

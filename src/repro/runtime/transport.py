@@ -57,8 +57,8 @@ from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Set, Tupl
 
 from repro.errors import TransportError, WireError
 from repro.net.message import Envelope
+from repro.priorities import PRIORITY_NORMAL
 from repro.runtime import wire
-from repro.sim.event import PRIORITY_NORMAL
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.loop import AsyncRuntime

@@ -38,6 +38,10 @@ Buffer = Union[bytes, bytearray, memoryview]
 _HEADER = struct.Struct(">I")
 HEADER_SIZE = _HEADER.size
 MAX_FRAME = 16 * 1024 * 1024  # sanity bound; a control message is ~100 bytes
+#: Deepest container nesting of a body field, in both directions and on both
+#: backends (the compiled codec takes it through ``configure``): the bound is
+#: explicit so the interpreter's recursion limit never decides what decodes.
+MAX_VALUE_DEPTH = 100
 
 NORMAL_KIND = "normal"
 
@@ -146,8 +150,12 @@ def _pack_str(out: bytearray, value: str) -> None:
 def _pack_value(
     out: bytearray,
     value: Any,
+    depth: int = 0,
     _pack_double: Callable[[float], bytes] = _V2_DOUBLE.pack,
 ) -> None:
+    if depth > MAX_VALUE_DEPTH:
+        raise WireError(f"value nesting exceeds MAX_VALUE_DEPTH={MAX_VALUE_DEPTH}")
+    depth += 1
     if value is None:
         out.append(_T_NONE)
     elif value is True:
@@ -175,18 +183,18 @@ def _pack_value(
         out.append(_T_TUPLE)
         _pack_uvarint(out, len(value))
         for item in value:
-            _pack_value(out, item)
+            _pack_value(out, item, depth)
     elif isinstance(value, list):
         out.append(_T_LIST)
         _pack_uvarint(out, len(value))
         for item in value:
-            _pack_value(out, item)
+            _pack_value(out, item, depth)
     elif isinstance(value, (set, frozenset)):
         # Byte-stable: order members by their own encoding.
         members: List[bytes] = []
         for item in value:
             buf = bytearray()
-            _pack_value(buf, item)
+            _pack_value(buf, item, depth)
             members.append(bytes(buf))
         out.append(_T_SET)
         _pack_uvarint(out, len(members))
@@ -196,8 +204,8 @@ def _pack_value(
         out.append(_T_MAP)
         _pack_uvarint(out, len(value))
         for key, item in value.items():
-            _pack_value(out, key)
-            _pack_value(out, item)
+            _pack_value(out, key, depth)
+            _pack_value(out, item, depth)
     else:
         # Same lossy degradation as the trace codec's {"$repr": ...}: decodes
         # to the repr string on the other end.
@@ -218,8 +226,12 @@ def _read_str(blob: Buffer, pos: int) -> Tuple[str, int]:
 def _read_value(
     blob: Buffer,
     pos: int,
+    depth: int = 0,
     _unpack_double: Callable[..., Tuple[float]] = _V2_DOUBLE.unpack_from,
 ) -> Tuple[Any, int]:
+    if depth > MAX_VALUE_DEPTH:
+        raise WireError(f"value nesting exceeds MAX_VALUE_DEPTH={MAX_VALUE_DEPTH}")
+    depth += 1
     try:
         tag = blob[pos]
     except IndexError:
@@ -252,7 +264,7 @@ def _read_value(
         count, pos = _read_uvarint(blob, pos)
         items = []
         for _ in range(count):
-            item, pos = _read_value(blob, pos)
+            item, pos = _read_value(blob, pos, depth)
             items.append(item)
         if tag == _T_TUPLE:
             return tuple(items), pos
@@ -263,8 +275,8 @@ def _read_value(
         count, pos = _read_uvarint(blob, pos)
         mapping = {}
         for _ in range(count):
-            key, pos = _read_value(blob, pos)
-            item, pos = _read_value(blob, pos)
+            key, pos = _read_value(blob, pos, depth)
+            item, pos = _read_value(blob, pos, depth)
             mapping[key] = item
         return mapping, pos
     raise WireError(f"unknown binary value tag {tag}")
@@ -324,8 +336,18 @@ def _py_loads_frame(blob: Buffer) -> Envelope:
     The first byte must be :data:`BINARY_TAG`; any other format — a JSON
     document from a pre-binary peer, say — raises, frame by frame.  Accepts
     any bytes-like object; the zero-copy receive path passes ``memoryview``
-    slices.
+    slices.  The payload is exactly one envelope: bytes left over after the
+    last body field are a :class:`~repro.errors.WireError` like any other
+    malformation, and so is whatever a hostile payload makes the reader
+    raise (undecodable UTF-8, an unhashable map key or set member).
     """
+    try:
+        return _decode_payload(blob)
+    except (ValueError, TypeError, RecursionError) as exc:
+        raise WireError(f"malformed binary frame: {type(exc).__name__}: {exc}") from exc
+
+
+def _decode_payload(blob: Buffer) -> Envelope:
     if len(blob) < _V2_FIXED.size:
         raise WireError("truncated binary envelope header")
     tag, kind_code, flags, src, dst, send_time = _UNPACK_FIXED(blob, 0)
@@ -357,10 +379,9 @@ def _py_loads_frame(blob: Buffer) -> Envelope:
         for _ in _BODY_FIELDS[kind]:
             value, pos = _read_value(blob, pos)
             values.append(value)
-        try:
-            body = BODY_REGISTRY[kind](*values)
-        except TypeError as exc:
-            raise WireError(f"malformed {kind!r} binary body: {exc}") from exc
+        body = BODY_REGISTRY[kind](*values)
+    if pos != len(blob):
+        raise WireError(f"{len(blob) - pos} trailing byte(s) after the binary body")
     return Envelope(
         src=src,
         dst=dst,
@@ -626,6 +647,7 @@ def _install_native() -> None:
             normal=NORMAL,
             binary_tag=BINARY_TAG,
             max_frame=MAX_FRAME,
+            max_depth=MAX_VALUE_DEPTH,
             encode_types=encode_types,
             registry=registry,
             decode=decode_table,

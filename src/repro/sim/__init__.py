@@ -10,12 +10,11 @@ Public surface:
 * :class:`~repro.sim.rng.Rng` — named, reproducible randomness streams.
 """
 
-from repro.sim.event import (
+from repro.priorities import (
     PRIORITY_CHECKPOINT,
     PRIORITY_NORMAL,
     PRIORITY_ROLLBACK,
     PRIORITY_TIMER,
-    Event,
 )
 from repro.sim.node import Node
 from repro.sim.rng import Rng
@@ -33,7 +32,6 @@ from repro.sim.trace import (
 )
 
 __all__ = [
-    "Event",
     "InMemorySink",
     "JsonlStreamSink",
     "MetricsSink",

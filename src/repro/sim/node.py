@@ -24,12 +24,13 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.errors import SimulationError
-from repro.sim.event import PRIORITY_TIMER
+from repro.priorities import PRIORITY_TIMER
 from repro.types import ProcessId, SimTime
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from repro.kernel import KernelLike, TimerHandle
+    from repro.kernel import KernelLike
     from repro.net.message import Envelope
+    from repro.sim.scheduler import Timer
 
 
 class Node:
@@ -39,7 +40,7 @@ class Node:
         self.node_id = node_id
         self.crashed = False
         self._sim: Optional["KernelLike"] = None
-        self._timers: Dict[str, "TimerHandle"] = {}
+        self._timers: Dict[str, "Timer"] = {}
 
     # ------------------------------------------------------------------
     # Wiring

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.core import messages as M
-from repro.sim.event import PRIORITY_CHECKPOINT, PRIORITY_NORMAL, PRIORITY_ROLLBACK
+from repro.priorities import PRIORITY_CHECKPOINT, PRIORITY_NORMAL, PRIORITY_ROLLBACK
 from repro.types import TreeId
 
 T1 = TreeId(0, 0)

@@ -22,8 +22,6 @@ def test_none_interval_disables_timer_and_zero_is_legal():
     "kwargs",
     [
         {"checkpoint_interval": -1.0},
-        {"ack_timeout": -0.5},
-        {"decision_timeout": -30.0},
         {"inquiry_retry_interval": -1e-9},
     ],
     ids=lambda kw: next(iter(kw)),

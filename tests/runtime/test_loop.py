@@ -9,11 +9,11 @@ import asyncio
 import pytest
 
 from repro.errors import SimulationError
-from repro.kernel import KernelLike, SchedulerLike, TimerHandle
+from repro.kernel import KernelLike
 from repro.runtime.loop import AsyncRuntime, AsyncScheduler
 from repro.sim import Simulation
 from repro.sim.node import Node
-from repro.sim.scheduler import Scheduler
+from repro.sim.scheduler import Scheduler, Timer, TimerHeap
 
 
 def run(coro, timeout=30.0):
@@ -36,15 +36,15 @@ class Recorder(Node):
 def test_both_kernels_satisfy_the_protocols():
     assert isinstance(Simulation(), KernelLike)
     assert isinstance(AsyncRuntime(), KernelLike)
-    assert isinstance(Scheduler(), SchedulerLike)
-    assert isinstance(AsyncScheduler(), SchedulerLike)
+    assert isinstance(Scheduler(), TimerHeap)
+    assert isinstance(AsyncScheduler(), TimerHeap)
 
 
 def test_sim_and_async_timer_handles_share_the_contract():
     sim_handle = Scheduler().at(1.0, lambda: None)
     async_handle = AsyncScheduler().at(1.0, lambda: None)
-    assert isinstance(sim_handle, TimerHandle)
-    assert isinstance(async_handle, TimerHandle)
+    assert type(sim_handle) is Timer
+    assert type(async_handle) is Timer
 
 
 # ----------------------------------------------------------------------

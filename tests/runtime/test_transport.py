@@ -5,7 +5,8 @@ import struct
 
 import pytest
 
-from repro.errors import TransportError
+from repro.core.messages import NormalBody
+from repro.errors import TransportError, WireError
 from repro.net.delay import FixedDelay, UniformDelay
 from repro.net.message import normal
 from repro.runtime import (
@@ -95,8 +96,6 @@ def test_loopback_delivery_respects_crash_policy():
 def test_loopback_codec_roundtrips_bodies():
     # Loopback pushes every envelope through the wire codec;
     # a non-serializable body must fail loudly at send time.
-    from repro.errors import WireError
-
     runtime, nodes = build(LoopbackTransport())
 
     class Opaque:
@@ -289,8 +288,26 @@ def test_tcp_disconnect_salvages_the_batch_its_pump_holds():
     assert transport.frames_sent == 0
 
 
+# A string field whose two bytes are not UTF-8: past the format tag, so the
+# reader itself trips (it used to escape as UnicodeDecodeError and kill the
+# accept task instead of counting ``links_rejected``).
+BAD_UTF8 = wire.dumps_frame(
+    normal(0, 1, MessageId(0, 7), label=1, body=NormalBody(payload="xy"))
+)[wire.HEADER_SIZE:].replace(b"xy", b"\xff\xfe")
+
+
 @pytest.mark.parametrize("kind", ["tcp", "shard"])
 def test_undecodable_payload_costs_only_its_connection(kind):
+    _hostile_payload_costs_only_its_connection(kind, b'{"wire": "v1"}')
+
+
+def test_malformed_value_in_a_tagged_frame_costs_only_its_connection():
+    with pytest.raises(WireError, match="UnicodeDecodeError"):
+        wire.loads_frame(BAD_UTF8)
+    _hostile_payload_costs_only_its_connection("tcp", BAD_UTF8)
+
+
+def _hostile_payload_costs_only_its_connection(kind, junk):
     # A well-framed payload that does not decode (a version-skewed or hostile
     # peer) cannot be skipped — the link is closed and counted, nothing
     # escapes into the kernel's error list, and the next connection is served.
@@ -306,7 +323,6 @@ def test_undecodable_payload_costs_only_its_connection(kind):
     async def scenario():
         await runtime.start()
         reader, writer = await asyncio.open_connection(transport.host, port())
-        junk = b'{"wire": "v1"}'
         writer.write(good + struct.pack(">I", len(junk)) + junk + good)
         assert await asyncio.wait_for(reader.read(), 10) == b""  # server hung up
         writer.close()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.event import (
+from repro.priorities import (
     PRIORITY_CHECKPOINT,
     PRIORITY_NORMAL,
     PRIORITY_ROLLBACK,
@@ -157,7 +157,7 @@ def test_pending_excludes_cancelled_events():
     # Lazily deleted: still physically in the heap, but not due to fire.
     assert sched.pending == 3
     assert sched.pending_raw == 5
-    assert sched.events_cancelled == 2
+    assert sched.timers_cancelled == 2
 
 
 def test_pending_settles_after_run():
@@ -169,7 +169,7 @@ def test_pending_settles_after_run():
     assert sched.pending == 0
     assert sched.pending_raw == 0
     assert sched.events_processed == 1
-    assert sched.events_cancelled == 1
+    assert sched.timers_cancelled == 1
     assert keep.cancelled is False
 
 
@@ -178,7 +178,7 @@ def test_double_cancel_counts_once():
     event = sched.at(1.0, lambda: None)
     event.cancel()
     event.cancel()
-    assert sched.events_cancelled == 1
+    assert sched.timers_cancelled == 1
     assert sched.pending == 0
     # Cancelling the heap's only event makes tombstones the majority, so
     # compaction evicts it right away.
@@ -228,7 +228,7 @@ def test_cancel_after_compaction_is_harmless():
     # Evicted events lost their hook: re-cancelling must not skew counters.
     for event in doomed:
         event.cancel()
-    assert sched.events_cancelled == 3
+    assert sched.timers_cancelled == 3
     assert sched.pending == 1
     assert sched.pending_raw == 1
 

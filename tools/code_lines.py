@@ -16,7 +16,7 @@ from __future__ import annotations
 import sys
 import tokenize
 from pathlib import Path
-from typing import Set
+from typing import Iterator, Set
 
 _SKIP = {
     tokenize.COMMENT,
@@ -29,8 +29,8 @@ _SKIP = {
 }
 
 
-def code_lines(path: Path) -> int:
-    lines: Set[int] = set()
+def code_tokens(path: Path) -> Iterator[tokenize.TokenInfo]:
+    """Every token of ``path`` that is code: no comment, no docstring."""
     with open(path, "rb") as handle:
         statement_start = True  # is the next token the first of a statement?
         for tok in tokenize.tokenize(handle.readline):
@@ -41,7 +41,13 @@ def code_lines(path: Path) -> int:
             docstring = tok.type == tokenize.STRING and statement_start
             statement_start = False
             if not docstring:
-                lines.update(range(tok.start[0], tok.end[0] + 1))
+                yield tok
+
+
+def code_lines(path: Path) -> int:
+    lines: Set[int] = set()
+    for tok in code_tokens(path):
+        lines.update(range(tok.start[0], tok.end[0] + 1))
     return len(lines)
 
 

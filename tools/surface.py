@@ -14,9 +14,12 @@ and option counts CHANGES.md quotes before -> after for subtraction PRs.
     python3 tools/surface.py src/repro/runtime/shard.py
 
 With ``--unreferenced`` it lists instead the public top-level names those
-modules *define* that nothing refers to: no whole-word occurrence in any
-``.py`` file under ``src tests examples bench_e2e benchmarks tools`` outside
-the defining statement itself.  Exit status 1 when the list is not empty.
+modules *define* that nothing refers to: no whole-word occurrence in the code
+of any ``.py`` file under ``src tests examples bench_e2e benchmarks tools``
+outside the defining statement itself.  Code means every token but comments
+and docstrings (a name that only prose mentions is not referenced); other
+string literals count, since boundary tables and ``getattr`` name things that
+way.  Exit status 1 when the list is not empty.
 
     python3 tools/surface.py --unreferenced src
 """
@@ -29,6 +32,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
+
+from code_lines import code_tokens  # sibling script: tools/ is sys.path[0]
 
 
 def _literal_all(tree: ast.Module) -> Optional[List[str]]:
@@ -116,15 +121,18 @@ def unreferenced(paths: List[Path]) -> List[str]:
     words = Counter(
         word
         for path in _python_files(list(SEARCH_ROOTS))
-        for word in re.findall(r"\w+", path.read_text())
+        for tok in code_tokens(path)
+        for word in re.findall(r"\w+", tok.string)
     )
     found: List[str] = []
     for path in paths:
-        source = path.read_text()
-        lines = source.splitlines()
-        for name, node in _definitions(ast.parse(source, filename=str(path))):
-            own = "\n".join(lines[node.lineno - 1 : node.end_lineno])
-            if not name.startswith("_") and words[name] == re.findall(r"\w+", own).count(name):
+        tokens = list(code_tokens(path))
+        for name, node in _definitions(ast.parse(path.read_text(), filename=str(path))):
+            own = sum(
+                re.findall(r"\w+", tok.string).count(name)
+                for tok in tokens if node.lineno <= tok.start[0] <= node.end_lineno
+            )
+            if not name.startswith("_") and words[name] == own:
                 found.append(f"{path}: {name}")
     return found
 
