@@ -222,13 +222,6 @@ class AsyncRuntime(KernelCore):
         self._started = False
 
     # ------------------------------------------------------------------
-    # KernelLike
-    # ------------------------------------------------------------------
-    @property
-    def now(self) -> SimTime:
-        return self.scheduler.now
-
-    # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:

@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import dataclasses
 import struct
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Type, Union
+from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple, Type, Union
 
-from repro import _native
 from repro.core.messages import CONTROL_KINDS, NormalBody
 from repro.errors import WireError
 from repro.net.message import CONTROL, NORMAL, Envelope
@@ -38,10 +37,14 @@ Buffer = Union[bytes, bytearray, memoryview]
 _HEADER = struct.Struct(">I")
 HEADER_SIZE = _HEADER.size
 MAX_FRAME = 16 * 1024 * 1024  # sanity bound; a control message is ~100 bytes
-#: Deepest container nesting of a body field, in both directions and on both
-#: backends (the compiled codec takes it through ``configure``): the bound is
+#: Deepest container nesting of a body field, in both directions: the bound is
 #: explicit so the interpreter's recursion limit never decides what decodes.
 MAX_VALUE_DEPTH = 100
+#: Longest varint, in both directions: 19 * 7 = 133 bits hold any zigzagged
+#: 128-bit int.  Without it a run of continuation bytes builds an ever larger
+#: int, quadratic in its length, before the frame can be rejected.
+MAX_VARINT_BYTES = 19
+_MAX_VARINT_BITS = 7 * MAX_VARINT_BYTES
 
 NORMAL_KIND = "normal"
 
@@ -107,6 +110,8 @@ _T_REPR = 12
 
 
 def _pack_uvarint(out: bytearray, value: int) -> None:
+    if value >> _MAX_VARINT_BITS:
+        raise WireError(f"int needs a varint longer than MAX_VARINT_BYTES={MAX_VARINT_BYTES}")
     while True:
         byte = value & 0x7F
         value >>= 7
@@ -134,6 +139,8 @@ def _read_uvarint(blob: Buffer, pos: int) -> Tuple[int, int]:
         if not byte & 0x80:
             return result, pos
         shift += 7
+        if shift == _MAX_VARINT_BITS:
+            raise WireError(f"varint longer than MAX_VARINT_BYTES={MAX_VARINT_BYTES}")
 
 
 def _read_zigzag(blob: Buffer, pos: int) -> Tuple[int, int]:
@@ -319,7 +326,7 @@ def _encode_envelope_into(out: bytearray, envelope: Envelope) -> None:
         _pack_value(out, getattr(body, name))
 
 
-def _py_dumps_frame(envelope: Envelope) -> bytes:
+def dumps_frame(envelope: Envelope) -> bytes:
     """Encode an envelope into one length-prefixed wire frame."""
     out = bytearray(HEADER_SIZE)  # length backpatched below
     _encode_envelope_into(out, envelope)
@@ -330,7 +337,7 @@ def _py_dumps_frame(envelope: Envelope) -> bytes:
     return bytes(out)
 
 
-def _py_loads_frame(blob: Buffer) -> Envelope:
+def loads_frame(blob: Buffer) -> Envelope:
     """Decode a frame *payload* (header already stripped) to an envelope.
 
     The first byte must be :data:`BINARY_TAG`; any other format — a JSON
@@ -393,13 +400,13 @@ def _decode_payload(blob: Buffer) -> Envelope:
     )
 
 
-def _py_roundtrip(envelope: Envelope) -> Envelope:
+def roundtrip(envelope: Envelope) -> Envelope:
     """Serialize + deserialize an envelope through the full wire codec.
 
     The loopback transport runs every message through this by default, so
     even socket-free tests prove the traffic is wire-serializable.
     """
-    return _py_loads_frame(_py_dumps_frame(envelope)[HEADER_SIZE:])
+    return loads_frame(dumps_frame(envelope)[HEADER_SIZE:])
 
 
 # Reused batch-assembly buffer: one allocation per process instead of one
@@ -409,7 +416,7 @@ def _py_roundtrip(envelope: Envelope) -> Envelope:
 _BATCH_BUF = bytearray()
 
 
-def _py_encode_batch(envelopes: Sequence[Envelope]) -> bytes:
+def encode_batch(envelopes: Sequence[Envelope]) -> bytes:
     """One contiguous buffer of length-prefixed frames for a whole batch.
 
     Byte-identical to ``b"".join(dumps_frame(e) for e in envelopes)`` — the
@@ -428,16 +435,6 @@ def _py_encode_batch(envelopes: Sequence[Envelope]) -> bytes:
             raise WireError(f"frame of {payload} bytes exceeds MAX_FRAME={MAX_FRAME}")
         _PACK_HEADER_INTO(out, header_at, payload)
     return bytes(out)
-
-
-# Public codec entry points.  These names are rebound to the compiled
-# functions at the bottom of the module when the native codec is built and
-# passes its probe; the ``_py_`` names always stay interpreted so the probe
-# and the equivalence tests can compare backends inside one process.
-dumps_frame = _py_dumps_frame
-loads_frame = _py_loads_frame
-roundtrip = _py_roundtrip
-encode_batch = _py_encode_batch
 
 
 class FrameDecoder:
@@ -507,163 +504,3 @@ class FrameDecoder:
         if remaining < HEADER_SIZE:
             raise WireError("connection closed mid-header")
         raise WireError("connection closed mid-frame")
-
-
-# ----------------------------------------------------------------------
-# Native codec selection (see repro._native and DESIGN.md §14)
-# ----------------------------------------------------------------------
-
-_NATIVE: Optional[Any] = None
-
-
-def native_active() -> bool:
-    """True when the compiled codec passed its probe and serves this module."""
-    return _NATIVE is not None
-
-
-def _fast_construct_safe() -> bool:
-    """Whether the native decoder may build Envelope/MessageId/TreeId without
-    running their ``__init__``.
-
-    Safe exactly when those generated inits are plain field assignments: the
-    field lists match what the C code writes, there is no ``__post_init__``,
-    and the id types carry an instance ``__dict__`` for the C fast fill.
-    The byte/object-level probe below re-verifies behaviourally either way.
-    """
-    envelope_fields = tuple(f.name for f in dataclasses.fields(Envelope))
-    if envelope_fields != (
-        "src", "dst", "category", "body", "msg_id", "label", "send_time", "deliver_time"
-    ):
-        return False
-    for cls, names in (
-        (MessageId, ("sender", "send_index")),
-        (TreeId, ("initiator", "initiation_seq")),
-    ):
-        if tuple(f.name for f in dataclasses.fields(cls)) != names:
-            return False
-        if not hasattr(cls(0, 0), "__dict__"):
-            return False
-    return not any(
-        hasattr(cls, "__post_init__") for cls in (Envelope, MessageId, TreeId)
-    )
-
-
-def _probe_corpus() -> List[Envelope]:
-    """Envelopes exercising every value tag, both categories, all flag
-    combinations and the big-int varint slow path."""
-    rich_payload = {
-        "ints": [0, 1, -1, 63, 64, -65, 2**40, -(2**40), 2**70, -(2**70) - 1],
-        "floats": (0.0, -0.0, 2.5, -1e300, float("inf")),
-        "text": ["", "ascii", "snowman ☃", "\U0001f600"],
-        ("tuple", "key"): None,
-        3: {"nested": {"deep": (1, (2, (3,)))}},
-        "flags": [True, False, None],
-        "ids": (MessageId(3, 2**40), TreeId(-2, 9)),
-        "sets": [{5, -17, 2**66}, frozenset({"b", "a", "ab"})],
-    }
-    bodies = [
-        None,
-        NormalBody(),
-        NormalBody(
-            payload=rich_payload,
-            markers=(TreeId(1, 2), TreeId(0, 0)),
-            marker_seq=7,
-            incarnation=1,
-        ),
-    ]
-    corpus = []
-    for i, body in enumerate(bodies):
-        corpus.append(
-            Envelope(
-                src=i,
-                dst=-i,
-                category=NORMAL,
-                body=body,
-                msg_id=MessageId(i, 2**40 + i),
-                label=-3 - i,
-                send_time=0.25 * i,
-            )
-        )
-        corpus.append(
-            Envelope(src=-1, dst=2**31 - 1, category=CONTROL, body=body,
-                     msg_id=None, label=None, send_time=-1.5)
-        )
-    return corpus
-
-
-def _probe_native(module: Any) -> Optional[str]:
-    """Self-check a compiled codec against the interpreted one; None = OK.
-
-    Runs at import before the compiled module is trusted, so a stale or
-    miscompiled build degrades to the interpreted codec instead of shipping
-    different bytes than the rest of the fleet.
-    """
-    corpus = _probe_corpus()
-    for envelope in corpus:
-        expected = _py_dumps_frame(envelope)
-        if module.dumps_frame(envelope) != expected:
-            return f"frame mismatch for {envelope.category} envelope"
-        payload = expected[HEADER_SIZE:]
-        decoded = module.decode_envelope_binary(payload)
-        if type(decoded) is not Envelope or decoded != _py_loads_frame(payload):
-            return "decode mismatch"
-        if module.dumps_frame(decoded) != expected:
-            return "re-encode mismatch after native decode"
-        if module.roundtrip(envelope) != decoded:
-            return "roundtrip mismatch"
-    if module.encode_frames(corpus[:3]) != _py_encode_batch(corpus[:3]):
-        return "batch mismatch"
-    return None
-
-
-def _install_native() -> None:
-    """Load, configure, probe and (on success) switch in the compiled codec."""
-    global _NATIVE, dumps_frame, loads_frame, roundtrip, encode_batch
-    module = _native.load("wirecodec")
-    if module is None:
-        return
-    encode_types = {
-        cls: (_KIND_CODE[kind], _BODY_FIELDS[kind])
-        for kind, cls in BODY_REGISTRY.items()
-    }
-    # isinstance-fallback table for subclassed bodies; NormalBody first to
-    # mirror the interpreted encoder's check order.
-    registry = {NORMAL_KIND: (_KIND_CODE[NORMAL_KIND], NormalBody, _BODY_FIELDS[NORMAL_KIND])}
-    for cls in CONTROL_KINDS:
-        registry[cls.kind] = (_KIND_CODE[cls.kind], cls, _BODY_FIELDS[cls.kind])
-    decode_table: List[Optional[Tuple[str, Type[Any], Tuple[str, ...]]]] = [
-        None
-    ] * (max(_KIND_CODE.values()) + 1)
-    for kind, code in _KIND_CODE.items():
-        decode_table[code] = (kind, BODY_REGISTRY[kind], _BODY_FIELDS[kind])
-    try:
-        module.configure(
-            envelope=Envelope,
-            message_id=MessageId,
-            tree_id=TreeId,
-            wire_error=WireError,
-            struct_error=struct.error,
-            control=CONTROL,
-            normal=NORMAL,
-            binary_tag=BINARY_TAG,
-            max_frame=MAX_FRAME,
-            max_depth=MAX_VALUE_DEPTH,
-            encode_types=encode_types,
-            registry=registry,
-            decode=decode_table,
-            fast_construct=_fast_construct_safe(),
-        )
-        problem = _probe_native(module)
-    except Exception as exc:  # noqa: BLE001 - any probe failure means fallback
-        problem = f"{type(exc).__name__}: {exc}"
-    if problem is not None:
-        _native.reject("wirecodec", problem)
-        return
-    _NATIVE = module
-    dumps_frame = module.dumps_frame
-    loads_frame = module.decode_envelope_binary
-    roundtrip = module.roundtrip
-    encode_batch = module.encode_frames
-
-
-_install_native()

@@ -66,13 +66,6 @@ class Simulation(KernelCore):
         self.network.bind(self)
         self._started = False
 
-    # ------------------------------------------------------------------
-    # Time
-    # ------------------------------------------------------------------
-    @property
-    def now(self) -> SimTime:
-        return self.scheduler.now
-
     def run(self, until: Optional[SimTime] = None, max_events: Optional[int] = None) -> SimTime:
         """Start (if needed) and run the event loop; see ``Scheduler.run``."""
         if not self._started:

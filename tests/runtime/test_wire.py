@@ -1,14 +1,16 @@
 """Wire codec: every protocol body round-trips losslessly; frames are sane."""
 
 import asyncio
+import hashlib
 import struct
 
 import pytest
+from test_wire_fuzz import CONTROL_CORPUS, RICH_CORPUS  # sibling module: the fuzz corpus
 
 from repro.core import messages as M
 from repro.errors import WireError
 from repro.net.delay import FixedDelay
-from repro.net.message import control, normal
+from repro.net.message import CONTROL, NORMAL, Envelope, control, normal
 from repro.runtime import AsyncRuntime, TcpTransport, wire
 from repro.sim.node import Node
 from repro.types import MessageId, TreeId
@@ -212,18 +214,16 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 
-def _error_text(decode, blob):
+def _error_text(blob):
     with pytest.raises(WireError) as caught:
-        decode(blob)
+        wire.loads_frame(blob)
     return str(caught.value)
 
 
 def test_loads_frame_sniffs_format_per_frame():
     """Every frame is checked for the format tag; nothing else is decoded.
 
-    A JSON document — what a retired v1 peer would send — fails loudly, and
-    the compiled codec (when it serves ``loads_frame``) says the same thing
-    as the interpreted one.
+    A JSON document — what a retired v1 peer would send — fails loudly.
     """
     env = control(0, 1, M.Commit(tree=T1))
     blob = _payload(env)
@@ -231,9 +231,93 @@ def test_loads_frame_sniffs_format_per_frame():
     assert wire.loads_frame(blob).body == env.body
 
     json_doc = b'{"src":0,"dst":1,"category":"control","body":null,"send_time":0.0}'
-    assert _error_text(wire._py_loads_frame, json_doc) == "bad binary frame tag 0x7B"
-    for skewed in (json_doc, b"{}", b"", b"\x00" + blob[1:]):
-        assert _error_text(wire.loads_frame, skewed) == _error_text(wire._py_loads_frame, skewed)
+    assert _error_text(json_doc) == "bad binary frame tag 0x7B"
+    assert _error_text(b"{}") == "truncated binary envelope header"
+    assert _error_text(b"") == "truncated binary envelope header"
+    assert _error_text(b"\x00" + blob[1:]) == "bad binary frame tag 0x00"
+
+
+# The format in bytes, recorded at df6096a.  Nothing else cross-checks the
+# codec, so a change that moves a byte re-records here and says it broke the wire.
+_MID = MessageId(3, 2**40)
+PINNED_SHAPES = [  # (body, category, msg_id, label) of P1 -> P-2 at t=1.5, and its frame
+    (None, NORMAL, None, None,
+     "00000013b2000000000001fffffffe3ff8000000000000"),
+    (None, NORMAL, _MID, None,
+     "0000001fb2000100000001fffffffe3ff8000000000000000000030000010000000000"),
+    (None, NORMAL, None, -7,
+     "0000001bb2000200000001fffffffe3ff8000000000000fffffffffffffff9"),
+    (None, NORMAL, _MID, -7,
+     "00000027b2000300000001fffffffe3ff8000000000000000000030000010000000000fffffffffffffff9"),
+    (None, CONTROL, None, None,
+     "00000013b2000400000001fffffffe3ff8000000000000"),
+    (None, CONTROL, _MID, None,
+     "0000001fb2000500000001fffffffe3ff8000000000000000000030000010000000000"),
+    (None, CONTROL, None, -7,
+     "0000001bb2000600000001fffffffe3ff8000000000000fffffffffffffff9"),
+    (None, CONTROL, _MID, -7,
+     "00000027b2000700000001fffffffe3ff8000000000000000000030000010000000000fffffffffffffff9"),
+    (M.NormalBody(), NORMAL, None, None,
+     "00000019b2010000000001fffffffe3ff8000000000000000600000300"),
+    (M.NormalBody(), NORMAL, _MID, None,
+     "00000025b2010100000001fffffffe3ff8000000000000000000030000010000000000000600000300"),
+    (M.NormalBody(), NORMAL, None, -7,
+     "00000021b2010200000001fffffffe3ff8000000000000fffffffffffffff9000600000300"),
+    (M.NormalBody(), NORMAL, _MID, -7,
+     "0000002db2010300000001fffffffe3ff8000000000000000000030000010000000000fffffffffffffff9000600000300"),
+    (M.NormalBody(), CONTROL, None, None,
+     "00000019b2010400000001fffffffe3ff8000000000000000600000300"),
+    (M.NormalBody(), CONTROL, _MID, None,
+     "00000025b2010500000001fffffffe3ff8000000000000000000030000010000000000000600000300"),
+    (M.NormalBody(), CONTROL, None, -7,
+     "00000021b2010600000001fffffffe3ff8000000000000fffffffffffffff9000600000300"),
+    (M.NormalBody(), CONTROL, _MID, -7,
+     "0000002db2010700000001fffffffe3ff8000000000000000000030000010000000000fffffffffffffff9000600000300"),
+]
+PINNED_CONTROL = {  # kind -> control(0, 1, <the fuzz corpus' body of that kind>) at t=0
+    "chkpt_req": "00000018b20204000000000000000100000000000000000b040a030e",
+    "chkpt_ack": "00000020b20304000000000000000100000000000000000b040a0106030b00020306030a",
+    "ready_to_commit": "00000016b20404000000000000000100000000000000000b040a",
+    "commit": "00000016b20504000000000000000100000000000000000b040a",
+    "abort": "00000016b20604000000000000000100000000000000000b040a",
+    "roll_req": "0000001ab20704000000000000000100000000000000000b040a03040308",
+    "roll_ack": "00000017b20804000000000000000100000000000000000b040a01",
+    "roll_complete": "00000016b20904000000000000000100000000000000000b040a",
+    "restart": "00000016b20a04000000000000000100000000000000000b040a",
+    "decision_inquiry":
+        "00000022b20b04000000000000000100000000"
+        "000000000b040a050a636865636b706f696e74",
+    "decision_reply":
+        "0000002ab20c0400000000000000010000000000000000"
+        "0b040a050a636865636b706f696e740506636f6d6d6974",
+    "handoff":
+        "0000003ab20d0400000000000000010000000000000000030606020b040a0b"
+        "0002060106020b040a050561626f7274030c06020602030203080602030400",
+}
+RICH_CORPUS_SHA256 = "74d8541c0eab734ea837f86dfb3d243ae53ac669c8b3c002bc268255f0e12aff"
+
+
+def _pinned(envelope, frame_hex):
+    frame = bytes.fromhex(frame_hex)
+    assert wire.dumps_frame(envelope) == frame
+    assert wire.loads_frame(frame[wire.HEADER_SIZE:]) == envelope
+
+
+def test_frames_are_the_recorded_bytes():
+    for body, category, msg_id, label, frame_hex in PINNED_SHAPES:
+        _pinned(Envelope(src=1, dst=-2, category=category, body=body, msg_id=msg_id,
+                         label=label, send_time=1.5), frame_hex)
+    assert set(PINNED_CONTROL) == {cls.kind for cls in M.CONTROL_KINDS}
+    for envelope in CONTROL_CORPUS:
+        _pinned(envelope, PINNED_CONTROL[envelope.body.kind])
+
+
+def test_rich_corpus_batch_is_the_recorded_sha256():
+    """Big ints, -0.0, inf, non-BMP text, tuple keys, nested maps, sets in
+    encoding order, id values: 768 bytes, hashed rather than spelled."""
+    batch = wire.encode_batch(RICH_CORPUS)
+    assert len(batch) == 768
+    assert hashlib.sha256(batch).hexdigest() == RICH_CORPUS_SHA256
 
 
 _tree_ids = st.builds(TreeId, st.integers(0, 9), st.integers(0, 999))

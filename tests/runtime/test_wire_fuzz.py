@@ -1,13 +1,10 @@
-"""Differential fuzz of the frame decoders: the byte boundary of a live link.
+"""Fuzz of the frame decoder: the byte boundary of a live link.
 
-Arbitrary bytes and byte-mutated real frames go into the interpreted decoder,
-the compiled one when it is built (CI's ``native`` job runs this file under
-``REPRO_NATIVE=require``, so there the C decoder is the one attacked), and
-``FrameDecoder`` split at arbitrary chunk boundaries.  The only outcomes a
-payload may have are an :class:`Envelope` or a :class:`WireError` — anything
-else escaping kills a TCP accept task instead of counting
-``links_rejected`` — and the two backends must agree on which, and on the
-decoded value.
+Arbitrary bytes and byte-mutated real frames go into ``wire.loads_frame`` and
+into ``FrameDecoder`` split at arbitrary chunk boundaries.  The only outcomes
+a payload may have are an :class:`Envelope` or a :class:`WireError` —
+anything else escaping kills a TCP accept task instead of counting
+``links_rejected``.
 
 The profile is fixed (derandomized, bounded, no deadline, no example
 database), so a failure here is the same failure on every machine.
@@ -22,15 +19,11 @@ from hypothesis import strategies as st
 
 from repro.core.messages import CONTROL_KINDS, NormalBody
 from repro.errors import WireError
-from repro.net.message import NORMAL, Envelope, control
+from repro.net.message import CONTROL, NORMAL, Envelope, control
 from repro.runtime import wire
-from repro.types import TreeId
+from repro.types import MessageId, TreeId
 
 FUZZ = settings(derandomize=True, max_examples=300, deadline=None, database=None)
-
-DECODERS = [wire._py_loads_frame]
-if wire.native_active():
-    DECODERS.append(wire._NATIVE.decode_envelope_binary)
 
 # One value per control-body field name: a new field without a sample here
 # is a KeyError, so the corpus cannot silently stop covering a kind.
@@ -41,17 +34,64 @@ _FIELD_SAMPLES = {
     "source": 3, "commit_set": (_T, TreeId(0, 1)), "decisions": ((_T, "abort"),),
     "uncommitted_seq": 6, "spooled": ((1, 4), (2, None)),
 }
-CORPUS = wire._probe_corpus() + [
+
+
+def _rich_corpus():
+    """Envelopes exercising every value tag, both categories, the flag
+    combinations and the multi-byte varints of big ints."""
+    rich_payload = {
+        "ints": [0, 1, -1, 63, 64, -65, 2**40, -(2**40), 2**70, -(2**70) - 1],
+        "floats": (0.0, -0.0, 2.5, -1e300, float("inf")),
+        "text": ["", "ascii", "snowman ☃", "\U0001f600"],
+        ("tuple", "key"): None,
+        3: {"nested": {"deep": (1, (2, (3,)))}},
+        "flags": [True, False, None],
+        "ids": (MessageId(3, 2**40), TreeId(-2, 9)),
+        "sets": [{5, -17, 2**66}, frozenset({"b", "a", "ab"})],
+    }
+    bodies = [
+        None,
+        NormalBody(),
+        NormalBody(
+            payload=rich_payload,
+            markers=(TreeId(1, 2), TreeId(0, 0)),
+            marker_seq=7,
+            incarnation=1,
+        ),
+    ]
+    corpus = []
+    for i, body in enumerate(bodies):
+        corpus.append(
+            Envelope(
+                src=i,
+                dst=-i,
+                category=NORMAL,
+                body=body,
+                msg_id=MessageId(i, 2**40 + i),
+                label=-3 - i,
+                send_time=0.25 * i,
+            )
+        )
+        corpus.append(
+            Envelope(src=-1, dst=2**31 - 1, category=CONTROL, body=body,
+                     msg_id=None, label=None, send_time=-1.5)
+        )
+    return corpus
+
+
+RICH_CORPUS = _rich_corpus()
+CONTROL_CORPUS = [
     control(0, 1, cls(**{f.name: _FIELD_SAMPLES[f.name] for f in dataclasses.fields(cls)}))
     for cls in CONTROL_KINDS
 ]
-PAYLOADS = [wire._py_dumps_frame(envelope)[wire.HEADER_SIZE:] for envelope in CORPUS]
+CORPUS = RICH_CORPUS + CONTROL_CORPUS
+PAYLOADS = [wire.dumps_frame(envelope)[wire.HEADER_SIZE:] for envelope in CORPUS]
 
 
-def _decode(decoder, blob):
+def _decode(blob):
     """The envelope, or None for a WireError; anything else propagates."""
     try:
-        envelope = decoder(blob)
+        envelope = wire.loads_frame(blob)
     except WireError:
         return None
     assert type(envelope) is Envelope
@@ -59,21 +99,15 @@ def _decode(decoder, blob):
 
 
 def _check(blob):
-    """Every decoder: Envelope or WireError, the same one, stable to re-encode."""
-    encoded = set()
-    for decoder in DECODERS:
-        envelope = _decode(decoder, blob)
-        if envelope is None:
-            encoded.add(None)
-            continue
-        # Compared as bytes: the format is type-tagged, and NaN != NaN.
-        once = wire._py_dumps_frame(envelope)
-        again = _decode(decoder, once[wire.HEADER_SIZE:])
-        assert again is not None and wire._py_dumps_frame(again) == once
-        assert wire.dumps_frame(envelope) == once
-        encoded.add(once)
-    assert len(encoded) == 1, "backends disagree"
-    return encoded.pop()
+    """Envelope or WireError, and stable to re-encode: the frame, or None."""
+    envelope = _decode(blob)
+    if envelope is None:
+        return None
+    # Compared as bytes: the format is type-tagged, and NaN != NaN.
+    once = wire.dumps_frame(envelope)
+    again = _decode(once[wire.HEADER_SIZE:])
+    assert again is not None and wire.dumps_frame(again) == once
+    return once
 
 
 def _normal(payload):
@@ -81,7 +115,7 @@ def _normal(payload):
 
 
 # ``_HEAD + <one value> + _TAIL`` is a whole NormalBody frame around that value.
-_NONE = wire._py_dumps_frame(_normal(None))[wire.HEADER_SIZE:]
+_NONE = wire.dumps_frame(_normal(None))[wire.HEADER_SIZE:]
 _HEAD, _TAIL = _NONE[: wire._V2_FIXED.size], _NONE[wire._V2_FIXED.size + 1:]
 
 mutations = st.lists(
@@ -107,7 +141,7 @@ def test_the_corpus_covers_every_kind_and_decodes_to_itself():
     assert {type(e.body) for e in CORPUS if e.body is not None} == set(wire.BODY_REGISTRY.values())
     for envelope, payload in zip(CORPUS, PAYLOADS):
         assert _check(payload)[wire.HEADER_SIZE:] == payload
-        assert wire._py_loads_frame(payload) == envelope
+        assert wire.loads_frame(payload) == envelope
 
 
 @FUZZ
@@ -130,28 +164,66 @@ def test_mutated_frames_decode_or_raise_wire_error(payload, edits):
 
 @pytest.mark.parametrize("depth, accepted", [(wire.MAX_VALUE_DEPTH, True),
                                              (wire.MAX_VALUE_DEPTH + 1, False)])
-def test_nesting_bound_is_the_same_on_both_backends_and_both_directions(depth, accepted):
+def test_nesting_bound_is_the_same_in_both_directions(depth, accepted):
     blob = _HEAD + b"\x06\x01" * depth + b"\x00" + _TAIL
     assert (_check(blob) is not None) == accepted
     value = None
     for _ in range(depth):
         value = (value,)
     envelope = _normal(value)
-    for encode in (wire._py_dumps_frame, wire.dumps_frame):
-        if accepted:
-            assert encode(envelope)[wire.HEADER_SIZE:] == blob
-        else:
-            with pytest.raises(WireError, match="nesting"):
-                encode(envelope)
+    if accepted:
+        assert wire.dumps_frame(envelope)[wire.HEADER_SIZE:] == blob
+    else:
+        with pytest.raises(WireError, match="nesting"):
+            wire.dumps_frame(envelope)
+
+
+class _Touched(bytes):
+    """Bytes that remember the highest index read one byte at a time."""
+
+    highest = -1
+
+    def __getitem__(self, index):
+        if isinstance(index, int):
+            self.highest = max(self.highest, index)
+        return super().__getitem__(index)
+
+
+@FUZZ
+@given(
+    st.sampled_from([b"\x03", b"\x05", b"\x06", b"\x0a", b"\x0b"]),
+    st.integers(wire.MAX_VARINT_BYTES, 64),
+    st.binary(max_size=8),
+)
+@example(b"\x03", 1 << 20, b"")  # 1 MB of continuation bytes under _T_INT,
+@example(b"\x05", 1 << 20, b"")  # a _T_STR length,
+@example(b"\x06", 1 << 20, b"")  # a _T_TUPLE count,
+@example(b"\x0a", 1 << 20, b"")  # a _T_MID sender
+@example(b"\x0b", 1 << 20, b"")  # and a _T_TID initiator
+def test_an_overlong_varint_is_rejected_by_its_length(tag, run, tail):
+    """The decoder gives up at byte MAX_VARINT_BYTES of a varint, whatever
+    follows: ORing a whole run into one growing int is quadratic in the run,
+    and a 16 MB frame of it would hold a node's event loop for a minute."""
+    blob = _Touched(_HEAD + tag + b"\x80" * run + tail)
+    with pytest.raises(WireError, match="varint longer than MAX_VARINT_BYTES"):
+        wire.loads_frame(blob)
+    assert blob.highest == len(_HEAD) + wire.MAX_VARINT_BYTES
+
+
+def test_varint_bound_is_the_same_in_both_directions():
+    widest = (1 << 7 * wire.MAX_VARINT_BYTES - 1) - 1  # zigzag doubles it
+    for value in (widest, -widest - 1):
+        assert wire.roundtrip(_normal(value)).body.payload == value
+    for value in (widest + 1, -widest - 2):
+        with pytest.raises(WireError, match="MAX_VARINT_BYTES"):
+            wire.dumps_frame(_normal(value))
 
 
 def test_trailing_bytes_are_rejected():
-    """Pinned: a payload is exactly one envelope (it used to be accepted,
-    silently, by both backends)."""
+    """Pinned: a payload is exactly one envelope."""
     for payload in PAYLOADS:
-        for decoder in DECODERS:
-            with pytest.raises(WireError, match="1 trailing byte"):
-                decoder(payload + b"\x00")
+        with pytest.raises(WireError, match="1 trailing byte"):
+            wire.loads_frame(payload + b"\x00")
 
 
 def _split_reference(stream):
@@ -191,10 +263,8 @@ def test_frame_decoder_is_indifferent_to_chunk_boundaries(frames, stream_edits, 
             pos, k = pos + size, k + 1
             for view in decoder.frames():
                 got.append(bytes(view))
-                from_bytes = _check(got[-1])
-                for decode in DECODERS:  # a view decodes as its bytes do
-                    from_view = _decode(decode, view)
-                    assert (from_view and wire._py_dumps_frame(from_view)) == from_bytes
+                from_view = _decode(view)  # a view decodes as its bytes do
+                assert (from_view and wire.dumps_frame(from_view)) == _check(got[-1])
     except WireError:
         assert ending == "oversize"
     else:
