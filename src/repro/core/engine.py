@@ -71,7 +71,7 @@ from repro.core.recovery import RecoveryMixin
 from repro.core.rollback_protocol import RollProtocolMixin
 from repro.core.trees import TreeRegistry
 from repro.errors import ProtocolError
-from repro.net.message import Envelope, control, normal
+from repro.net.message import NORMAL, Envelope, control, normal
 from repro.priorities import PRIORITY_NORMAL, PRIORITY_TIMER
 from repro.stable.checkpoint import CheckpointStore
 from repro.stable.snapshot import FrozenList
@@ -484,7 +484,7 @@ class EngineBase:
     def on_envelope(self, envelope: Envelope) -> None:
         if self.crashed:
             return
-        if envelope.is_normal:
+        if envelope.category == NORMAL:  # ``is_normal`` without the property call
             self._on_normal(envelope)
         else:
             self._dispatch_control(envelope.src, envelope.body)
@@ -510,8 +510,8 @@ class EngineBase:
         """Extension hook: act on piggybacked markers before consuming."""
 
     def _dispatch_control(self, src: ProcessId, body: Any) -> None:
-        self._trace(
-            K_CTRL_RECEIVE, src=src, msg_type=body.kind, tree=getattr(body, "tree", None)
+        self.host.trace(
+            K_CTRL_RECEIVE, {"src": src, "msg_type": body.kind, "tree": getattr(body, "tree", None)}
         )
         name = _CONTROL_DISPATCH.get(body.__class__)
         if name is not None:  # unknown control bodies are ignored

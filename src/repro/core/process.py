@@ -83,11 +83,12 @@ class CheckpointProcess(Node):
     # The engine's host port (``send`` is :meth:`Node.send`)
     # ------------------------------------------------------------------
     # Here and in the per-message inputs below the kernel is read as
-    # ``self._sim``: a node the kernel calls is bound, and the checking
-    # ``sim`` / ``now`` properties cost two to four calls per message.
+    # ``self._sim`` and its clock as ``scheduler.now``: a node the kernel
+    # calls is bound, and the checking ``sim`` / ``now`` properties cost two
+    # to four calls per message.
     def trace(self, kind: str, fields: Dict[str, Any]) -> None:
         sim = self._sim
-        sim.trace.record(sim.now, kind, pid=self.node_id, **fields)
+        sim.trace.record(sim.scheduler.now, kind, self.node_id, **fields)
 
     # ------------------------------------------------------------------
     # Kernel callbacks -> engine inputs
@@ -98,7 +99,7 @@ class CheckpointProcess(Node):
         Environment views ride on events but are built once per liveness
         generation: the detector hands out the same pair until then.
         """
-        detector = self.sim.failure_detector
+        detector = self._sim.failure_detector
         if detector is None:
             return None, None
         return detector.views()
@@ -109,11 +110,11 @@ class CheckpointProcess(Node):
     def on_envelope(self, envelope: Envelope) -> None:
         if self.crashed:
             return
-        self.engine.stamp(self._sim.now, *self._detector_views())
+        self.engine.stamp(self._sim.scheduler.now, *self._detector_views())
         self.engine.on_envelope(envelope)
 
     def _timer_fired(self, name: str) -> None:
-        self.engine.stamp(self._sim.now, *self._detector_views())
+        self.engine.stamp(self._sim.scheduler.now, *self._detector_views())
         self.engine._on_timer_fired(name)
 
     def initiate_checkpoint(self) -> Optional[TreeId]:
@@ -133,16 +134,16 @@ class CheckpointProcess(Node):
         return self.engine.last_result
 
     def send_app_message(self, dst: ProcessId, payload: Any) -> None:
-        self.engine.stamp(self._sim.now)
+        self.engine.stamp(self._sim.scheduler.now)
         self.engine.send_app_message(dst, payload)
 
     def local_step(self) -> None:
-        self.engine.stamp(self._sim.now)
+        self.engine.stamp(self._sim.scheduler.now)
         self.engine.local_step()
 
     def app_op(self, op: Any) -> None:
         """Apply a tracked application-state mutation (see ``repro.app``)."""
-        self.engine.stamp(self._sim.now)
+        self.engine.stamp(self._sim.scheduler.now)
         self.engine.apply_app_op(op)
 
     def on_crash(self) -> None:
@@ -205,12 +206,13 @@ class CheckpointProcess(Node):
             raise ProtocolError(f"unknown engine effect {eff!r}")
         handler(self, eff)
 
-    # Per-effect interpreters bound through _EFFECT_DISPATCH.
+    # Per-effect interpreters bound through _EFFECT_DISPATCH (the engine
+    # that emits an effect belongs to a bound node: ``_sim`` as above).
     def _fx_set_timer(self, eff: FX.SetTimer) -> None:
         delay = eff.delay
         if eff.jitter is not None:
             stream, lo, hi = eff.jitter
-            delay += self.sim.rng.stream(stream, self.node_id).uniform(lo, hi)
+            delay += self._sim.rng.stream(stream, self.node_id).uniform(lo, hi)
         self.set_timer(
             eff.name,
             delay,
@@ -222,10 +224,10 @@ class CheckpointProcess(Node):
         self.cancel_timer(eff.name)
 
     def _fx_observe_decision(self, eff: FX.ObserveDecision) -> None:
-        self.sim.network.observe_decision((eff.kind, eff.tree))
+        self._sim.network.observe_decision((eff.kind, eff.tree))
 
     def _fx_redeliver(self, eff: FX.Redeliver) -> None:
-        self.sim.network.redeliver(eff.envelope)
+        self._sim.network.redeliver(eff.envelope)
 
     def _fx_broadcast(self, eff: FX.Broadcast) -> None:
         body = eff.body

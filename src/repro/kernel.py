@@ -82,7 +82,7 @@ class KernelCore:
 
     Subclasses (:class:`~repro.sim.simulation.Simulation`,
     :class:`~repro.runtime.loop.AsyncRuntime`) must provide ``scheduler``,
-    ``trace``, ``network``, ``rng`` and a ``now`` property; everything here
+    ``trace``, ``network`` and ``rng`` (``now`` is the scheduler's); everything here
     is kernel-agnostic and — crucially — byte-identical between the two, so
     crash/recovery semantics cannot drift between simulation and deployment.
     """

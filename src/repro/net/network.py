@@ -17,6 +17,7 @@ comparison benchmarks (normal/control messages sent, drops, spools).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set
 
 from repro import tracekinds as T
@@ -137,7 +138,7 @@ class Network:
         restart decisions that were propagated while they were down; spoolers
         are the paper's mechanism for that.
         """
-        alive = self.sim.is_alive
+        alive = self._sim.is_alive
         for group in self._spoolers.values():
             group.observe_decision(decision, alive)
 
@@ -151,7 +152,7 @@ class Network:
         so the Section 5 message-count comparisons mean the same thing in
         both worlds.
         """
-        envelope.send_time = self.sim.now
+        envelope.send_time = self._sim.scheduler.now
         if envelope.category == CONTROL:
             self.control_sent += 1
         else:
@@ -162,7 +163,7 @@ class Network:
 
     def transmit(self, envelope: Envelope) -> None:
         """Accept an envelope from ``envelope.src`` and schedule its delivery."""
-        sim = self.sim
+        sim = self._sim
         if envelope.dst not in sim.nodes:
             if self._is_departed(envelope.dst):
                 # A member left gracefully while this sender still held a
@@ -173,19 +174,18 @@ class Network:
                 return
             raise NetworkError(f"unknown destination P{envelope.dst}")
         self._accept(envelope)
+        scheduler = sim.scheduler
         delay = self.delay_model.sample(sim.rng, envelope.src, envelope.dst)
-        deliver_at = self.channel.delivery_time(envelope.src, envelope.dst, sim.now, delay)
-        priority = getattr(envelope.body, "priority", PRIORITY_NORMAL)
-        sim.scheduler.at(
-            deliver_at,
-            lambda: self._deliver(envelope),
-            priority=priority,
-            label=f"deliver P{envelope.src}->P{envelope.dst}",
+        deliver_at = self.channel.delivery_time(
+            envelope.src, envelope.dst, scheduler.now, delay
         )
+        priority = getattr(envelope.body, "priority", PRIORITY_NORMAL)
+        # A C-level ``partial``, not a lambda: no Python frame per delivery.
+        scheduler.at(deliver_at, partial(self._deliver, envelope), priority)
 
     def _deliver(self, envelope: Envelope) -> None:
-        sim = self.sim
-        envelope.deliver_time = sim.now
+        sim = self._sim
+        envelope.deliver_time = sim.scheduler.now
         dst_node = sim.nodes.get(envelope.dst)
         if dst_node is None:
             # The destination departed while this envelope was in flight.
@@ -193,10 +193,10 @@ class Network:
             self.spool_or_drop(envelope, "departed")
             return
 
-        if not self.reachable(envelope.src, envelope.dst):
+        if self._partition is not None and not self.reachable(envelope.src, envelope.dst):
             self.dropped += 1
             sim.trace.record(
-                sim.now,
+                sim.scheduler.now,
                 T.K_DISCARD,
                 pid=envelope.dst,
                 msg_id=envelope.msg_id,

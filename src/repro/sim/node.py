@@ -72,7 +72,8 @@ class Node:
     # ------------------------------------------------------------------
     def send(self, envelope: "Envelope") -> None:
         """Hand an envelope to the network for (eventual) delivery."""
-        self.sim.network.transmit(envelope)
+        # ``_sim``, not the checking ``sim``: a node that sends is bound.
+        self._sim.network.transmit(envelope)
 
     def set_timer(
         self,
@@ -100,7 +101,7 @@ class Node:
             if not self.crashed:
                 action()
 
-        self._timers[name] = self.sim.scheduler.after(
+        self._timers[name] = self._sim.scheduler.after(
             delay, fire, priority=priority, label=f"P{self.node_id}.{name}"
         )
 

@@ -169,13 +169,12 @@ class Scheduler(TimerHeap):
 
     def __init__(self) -> None:
         super().__init__()
-        self._now: SimTime = 0.0
+        #: Current simulation time (time of the event being processed).  A
+        #: plain attribute, written only by :meth:`run` and :meth:`step`: the
+        #: clock is read several times per message, and a property would add
+        #: a Python call to every read.
+        self.now: SimTime = 0.0
         self._running = False
-
-    @property
-    def now(self) -> SimTime:
-        """Current simulation time (time of the event being processed)."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -191,11 +190,17 @@ class Scheduler(TimerHeap):
     ) -> Timer:
         """As :meth:`TimerHeap.at`; scheduling in the past is an error (the
         kernel never travels back)."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule event at t={time} before current time t={self._now}"
+                f"cannot schedule event at t={time} before current time t={self.now}"
             )
-        return super().at(time, action, priority, label)
+        # ``TimerHeap.at`` spelled inline: every simulated message is
+        # scheduled through here, and one call per delivery is the budget.
+        seq = self._seq
+        self._seq = seq + 1
+        timer = Timer(time, priority, seq, action, label, self)
+        heapq.heappush(self._heap, (time, priority, seq, timer))
+        return timer
 
     def step(self) -> bool:
         """Fire the next non-cancelled event.
@@ -205,7 +210,7 @@ class Scheduler(TimerHeap):
         if self._peek() is None:
             return False
         timer = self._pop()
-        self._now = timer.when
+        self.now = timer.when
         timer.action()
         return True
 
@@ -219,10 +224,15 @@ class Scheduler(TimerHeap):
         ``until`` is inclusive: events at exactly ``until`` still fire.
         Returns the final simulation time.  ``max_events`` guards against
         livelocked protocols in tests — hitting it raises, because a healthy
-        run should always terminate by exhaustion or by the time bound.
+        run should always terminate by exhaustion or by the time bound.  An
+        ``until`` earlier than :attr:`now` raises: the clock never goes back.
         """
         if self._running:
             raise SimulationError("scheduler is not re-entrant")
+        if until is not None and until < self.now:
+            raise SimulationError(
+                f"cannot run until t={until} before current time t={self.now}"
+            )
         self._running = True
         fired = 0
         heap = self._heap
@@ -237,11 +247,11 @@ class Scheduler(TimerHeap):
                     self._cancelled_in_heap -= 1
                     continue
                 if until is not None and when > until:
-                    self._now = until
+                    self.now = until
                     break
                 heappop(heap)
                 timer._owner = None
-                self._now = when
+                self.now = when
                 self.timers_fired += 1
                 timer.action()
                 fired += 1
@@ -251,4 +261,4 @@ class Scheduler(TimerHeap):
                     )
         finally:
             self._running = False
-        return self._now
+        return self.now

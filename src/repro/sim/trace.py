@@ -429,7 +429,9 @@ class Trace:
         self._sinks: List[TraceSink] = []
         # Fast dispatch: with exactly one sink attached (the common bench
         # and production shape), record() calls its bound emit directly
-        # instead of looping over a one-element list.
+        # instead of looping over a one-element list — and when that sink
+        # is a plain InMemorySink, its list's own ``append``, so storing a
+        # record costs no Python call at all.
         self._solo_emit: Optional[Callable[[TraceEvent], None]] = None
         for sink in (sinks if sinks is not None else [InMemorySink()]):
             self.add_sink(sink)
@@ -457,7 +459,10 @@ class Trace:
         if self._index is None and sink.is_index:
             self._index = sink
         self._sinks.append(sink)
-        self._solo_emit = self._sinks[0].emit if len(self._sinks) == 1 else None
+        self._solo_emit = None
+        if len(self._sinks) == 1:
+            # Exactly InMemorySink: a subclass may override ``emit``.
+            self._solo_emit = sink.events.append if type(sink) is InMemorySink else sink.emit
         return sink
 
     @property
@@ -493,8 +498,12 @@ class Trace:
         pid: Optional[ProcessId] = None,
         **fields: Any,
     ) -> TraceEvent:
-        """Append a record, dispatch it to every sink, and return it."""
-        event = TraceEvent(index=self._recorded, time=time, kind=kind, pid=pid, fields=fields)
+        """Append a record, dispatch it to every sink, and return it.
+
+        The one entry for every record: the benchmark's ``sim.trace_emit``
+        span wraps it by name and counts its calls.
+        """
+        event = TraceEvent(self._recorded, time, kind, pid, fields)
         self._recorded += 1
         if self._solo_emit is not None:
             self._solo_emit(event)

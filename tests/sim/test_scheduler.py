@@ -270,3 +270,19 @@ def test_scheduler_not_reentrant():
     sched.at(1.0, reenter)
     sched.run()
     assert len(errors) == 1
+
+
+def test_run_until_before_now_raises_instead_of_rewinding():
+    sched = Scheduler()
+    fired = []
+    sched.at(10.0, lambda: fired.append(10))
+    sched.at(20.0, lambda: fired.append(20))
+    sched.run(until=10.0)
+    with pytest.raises(SimulationError, match="before current time"):
+        sched.run(until=5.0)
+    # The clock stayed put, so the past is still closed to new timers.
+    assert sched.now == 10.0
+    with pytest.raises(SimulationError):
+        sched.at(6.0, lambda: fired.append(6))
+    sched.run()
+    assert fired == [10, 20]

@@ -200,3 +200,47 @@ def test_jsonl_sink_close_is_idempotent_and_guards_late_emits(tmp_path):
 def test_jsonl_sink_rejects_bad_flush_every(tmp_path):
     with pytest.raises(ValueError):
         JsonlStreamSink(str(tmp_path / "x.jsonl"), flush_every=0)
+
+
+def test_index_attached_mid_run_over_the_memory_fast_path_sees_each_event_once():
+    trace = Trace()
+    (memory,) = trace.sinks
+    # A lone plain InMemorySink is stored into by its list's own append.
+    assert trace._solo_emit == memory.events.append
+    record_sample(trace)
+    index = trace.index  # backfilled from memory; from here on two sinks
+    assert trace._solo_emit is None
+    record_sample(trace)
+
+    assert [e.index for e in memory.events] == list(range(12))
+    assert index.events_indexed == 12
+    indexed = index.by_kind(*index.kinds())
+    assert len(indexed) == 12
+    assert all(a is b for a, b in zip(indexed, memory.events))
+
+
+def test_memory_sink_subclass_overriding_emit_receives_every_event():
+    class CountingSink(InMemorySink):
+        def __init__(self):
+            super().__init__()
+            self.emitted = 0
+
+        def emit(self, event):
+            self.emitted += 1
+            super().emit(event)
+
+    sink = CountingSink()
+    trace = Trace(sinks=[sink])
+    record_sample(trace)
+    assert sink.emitted == len(sink.events) == 6
+
+
+def test_record_returns_the_object_it_stored():
+    trace = Trace()
+    first = trace.record(1.0, T.K_CRASH, pid=3)
+    second = trace.record(2.0, T.K_SEND, pid=0, msg_id=MessageId(0, 1), dst=1, label=1)
+    assert trace.events[0] is first and trace.events[1] is second
+    assert (first.index, first.time, first.kind, first.pid, first.fields) == (
+        0, 1.0, T.K_CRASH, 3, {}
+    )
+    assert second.index == 1 and second.fields["dst"] == 1
