@@ -18,7 +18,6 @@ from repro.analysis.consistency import (
 from repro.analysis.diagram import space_time
 from repro.analysis.domino import (
     domino_metrics,
-    domino_metrics_from_trace,
     histories_from_trace,
     recovery_line,
     rollback_distance,
@@ -53,7 +52,6 @@ __all__ = [
     "check_rollback_minimality",
     "collect",
     "domino_metrics",
-    "domino_metrics_from_trace",
     "histories_from_trace",
     "reconstruct_trees",
     "recovery_line",

@@ -19,7 +19,10 @@ stress suites use them as oracles.
 The ``*_from_trace`` variants run the same definitions against the
 :class:`~repro.analysis.index.TraceIndex`'s reconstructed manifests and
 ledger shadows instead of live process objects — so the oracles also apply
-to a trace loaded from disk (``load_jsonl``) long after the run is gone.
+to a trace loaded from disk long after the run is gone
+(:meth:`~repro.analysis.index.TraceIndex.from_jsonl_files`, or the events
+``load_jsonl(path) -> (events, truncated_tail_lines)`` returns, fed to a
+``TraceIndex``).
 """
 
 from __future__ import annotations

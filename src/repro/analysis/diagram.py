@@ -28,8 +28,8 @@ from __future__ import annotations
 import heapq
 from typing import Dict, List, Optional, Sequence
 
+from repro import tracekinds as T
 from repro.analysis.index import as_index
-from repro.sim import trace as T
 from repro.types import ProcessId
 
 # Later entries override earlier ones when several events share a cell.

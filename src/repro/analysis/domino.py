@@ -124,19 +124,6 @@ def domino_metrics(processes: Iterable, initiator: ProcessId) -> Dict[str, float
     Returns the mean/max rollback distance and how many processes moved.
     """
     histories = {p.node_id: views_from_history(p) for p in processes}
-    return _domino_metrics(histories, initiator)
-
-
-def domino_metrics_from_trace(
-    trace, initiator: ProcessId, pids: Optional[Iterable[ProcessId]] = None
-) -> Dict[str, float]:
-    """:func:`domino_metrics`, with histories rebuilt from the trace."""
-    return _domino_metrics(histories_from_trace(trace, pids), initiator)
-
-
-def _domino_metrics(
-    histories: Dict[ProcessId, List[CheckpointView]], initiator: ProcessId
-) -> Dict[str, float]:
     start = {pid: len(h) - 1 for pid, h in histories.items()}
     line = recovery_line(histories, start)
     distances = rollback_distance(histories, start, line)

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro import tracekinds as T
 from repro.analysis.index import as_index
-from repro.sim import trace as T
 from repro.sim.trace import Trace, TraceEvent
 from repro.types import ProcessId
 

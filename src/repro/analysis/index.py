@@ -26,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from repro.sim import trace as T
-from repro.sim.trace import TraceEvent, TraceSink
+from repro import tracekinds as T
+from repro.sim.trace import TraceEvent, TraceSink, load_jsonl
 from repro.types import ProcessId, Seq, TreeId
 
 MsgKey = Tuple[ProcessId, Any]  # (sender pid, send index) — globally unique
@@ -119,7 +119,7 @@ class TraceIndex(TraceSink):
         position = 0
         truncated = 0
         for path in paths:
-            events, dropped = T.load_jsonl_tolerant(path)
+            events, dropped = load_jsonl(path)
             truncated += dropped
             for event in events:
                 keyed.append((event.time, event.index, position, event))

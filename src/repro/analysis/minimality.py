@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Set, Tuple
 
+from repro import tracekinds as T
 from repro.analysis.index import as_index
 from repro.analysis.tree_view import InstanceTree, reconstruct_trees
 from repro.errors import ConsistencyViolation
-from repro.sim import trace as T
 from repro.types import ProcessId, TreeId
 
 

@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
+from repro import tracekinds as T
 from repro.analysis.tree_view import reconstruct_trees
-from repro.sim import trace as T
 from repro.types import SimTime
 
 if TYPE_CHECKING:  # pragma: no cover

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro import tracekinds as T
 from repro.analysis.index import as_index
-from repro.sim import trace as T
 from repro.types import ProcessId, TreeId
 
 

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
+from repro import tracekinds as T
 from repro.analysis import check_recovery_line, collect, reconstruct_trees
 from repro.core import ProtocolConfig
 from repro.failure import FailureInjector
 from repro.net import UniformDelay
-from repro.sim import trace as T
 from repro.testing import build_sim, run_random_workload
 from repro.workloads import (
     ClientServerWorkload,
@@ -108,7 +108,7 @@ def experiment_checkpoint_frequency(
                 sink.append(before - after)
             sim.scheduler.at(70.0, inject)
             sim.run(until=300.0, max_events=800000)
-            checkpoints += len(sim.trace.of_kind(T.K_CHKPT_COMMIT))
+            checkpoints += len(sim.trace.index.by_kind(T.K_CHKPT_COMMIT))
         rows.append({
             "checkpoint_interval": interval,
             "mean_work_lost_per_rollback": sum(losses) / len(losses),

@@ -31,12 +31,12 @@ import os
 import time
 from typing import Any, Dict, List, Sequence, Type
 
+from repro import tracekinds as T
 from repro.analysis import check_c1_from_trace
 from repro.analysis.stats import collect
 from repro.baselines import CooperativeProcess
 from repro.core.process import CheckpointProcess
 from repro.net import UniformDelay
-from repro.sim import trace as T
 from repro.testing import build_sim
 from repro.workloads import RandomPeerWorkload
 

@@ -89,7 +89,7 @@ def experiment_fig2() -> List[Dict[str, Any]]:
     ScriptedWorkload(figure2_steps()).install(sim, procs)
     sim.run()
     names = ["m", "l", "x", "y", "z"]
-    sends = [ev for ev in sim.trace.of_kind("send") if ev.pid == 0]
+    sends = [ev for ev in sim.trace.index.by_kind("send") if ev.pid == 0]
     return [
         {"message": name, "label": ev.label, "paper_label": expected}
         for name, ev, expected in zip(names, sends, [1, 2, 3, 3, 4])
@@ -124,7 +124,7 @@ def experiment_fig4() -> Dict[str, Any]:
     check_c1(procs.values())
     check_quiescent(procs.values())
     shared = {
-        pid: len(sim.trace.for_process(pid, "chkpt_tentative"))
+        pid: len(sim.trace.index.for_process(pid, "chkpt_tentative"))
         for pid in (3, 4)
     }
     return {
@@ -324,7 +324,7 @@ def experiment_nonfifo(seeds: int = 8) -> Dict[str, Any]:
                             error_rate=0.02)
         # Confirm genuine reordering occurred on some channel.
         arrivals: Dict[tuple, List[int]] = {}
-        for event in sim.trace.of_kind("receive"):
+        for event in sim.trace.index.by_kind("receive"):
             key = (event.fields["src"], event.pid)
             arrivals.setdefault(key, []).append(event.fields["msg_id"].send_index)
         if any(seq != sorted(seq) for seq in arrivals.values()):

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional, Tuple
 
+from repro import tracekinds as T
 from repro.core import effects as FX
 from repro.core import events as EV
 from repro.core import messages as M
@@ -41,7 +42,6 @@ from repro.core.app import Application
 from repro.core.engine import ProtocolConfig, ProtocolEngine  # noqa: F401  (re-export)
 from repro.errors import ProtocolError
 from repro.net.message import Envelope, control
-from repro.sim import trace as T
 from repro.sim.node import Node
 from repro.stable.storage import StableStorage
 from repro.types import ProcessId, TreeId

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Protocol, runtime_checkable
 
+from repro import tracekinds as T
 from repro.errors import SimulationError
 from repro.membership import MembershipPlane
 from repro.types import ProcessId, SimTime
@@ -140,8 +141,6 @@ class KernelCore:
         hears ``on_join_peer``.  The joiner itself learns the world through
         its ordinary ``on_start``.
         """
-        from repro.sim import trace as T  # deferred: repro.sim imports this module
-
         pid = node.node_id
         self.membership.begin_join(pid)
         node.bind(self)
@@ -163,8 +162,6 @@ class KernelCore:
         ``on_leave`` (which may transmit a handoff to ``successor``), and
         only then is it removed and the view change published.
         """
-        from repro.sim import trace as T  # deferred: repro.sim imports this module
-
         node = self.nodes.get(pid)
         if node is None:
             raise SimulationError(f"P{pid} is not a member")
@@ -244,8 +241,6 @@ class KernelCore:
     # ------------------------------------------------------------------
     def crash(self, pid: ProcessId) -> None:
         """Crash ``pid``: clean fail-stop, volatile state and timers lost."""
-        from repro.sim import trace as T  # deferred: repro.sim imports this module
-
         node = self.nodes[pid]
         if node.crashed:
             raise SimulationError(f"P{pid} is already crashed")
@@ -258,8 +253,6 @@ class KernelCore:
 
     def recover(self, pid: ProcessId) -> None:
         """Restart ``pid`` from its stable storage."""
-        from repro.sim import trace as T  # deferred: repro.sim imports this module
-
         node = self.nodes[pid]
         if not node.crashed:
             raise SimulationError(f"P{pid} is not crashed")

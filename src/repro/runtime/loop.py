@@ -46,7 +46,6 @@ from repro.sim.trace import Trace
 from repro.types import SimTime
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.net.channel import Channel
     from repro.net.delay import DelayModel
     from repro.runtime.transport import Transport
     from repro.sim.trace import TraceSink
@@ -175,7 +174,7 @@ class AsyncRuntime(KernelCore):
     """A live cluster kernel: one asyncio loop hosting N protocol nodes.
 
     Construction mirrors :class:`~repro.sim.simulation.Simulation` (seed,
-    delay model, channel, sinks) plus a :class:`~repro.runtime.transport.
+    delay model, sinks) plus a :class:`~repro.runtime.transport.
     Transport` that physically carries envelopes — in-process loopback
     timers or length-prefixed TCP frames.  The asyncio loop provides the
     paper's "execution of any procedure is exclusive" exactly as the
@@ -199,9 +198,7 @@ class AsyncRuntime(KernelCore):
         seed: int = 0,
         transport: Optional["Transport"] = None,
         delay_model: Optional["DelayModel"] = None,
-        channel: Optional["Channel"] = None,
         sinks: Optional[Sequence["TraceSink"]] = None,
-        trace: Optional[Trace] = None,
         time_scale: float = 0.05,
     ) -> None:
         super().__init__()
@@ -210,13 +207,9 @@ class AsyncRuntime(KernelCore):
 
         self.rng = Rng(seed)
         self.scheduler = AsyncScheduler(time_scale=time_scale)
-        if trace is not None and sinks is not None:
-            raise SimulationError("pass either trace= or sinks=, not both")
-        self.trace = trace if trace is not None else Trace(sinks=sinks)
+        self.trace = Trace(sinks=sinks)
         self.transport: "Transport" = transport or LoopbackTransport()
-        self.network = RuntimeNetwork(
-            self.transport, delay_model=delay_model, channel=channel
-        )
+        self.network = RuntimeNetwork(self.transport, delay_model=delay_model)
         self.network.bind(self)
         self.transport.bind(self)
         self._started = False

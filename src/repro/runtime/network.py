@@ -19,7 +19,6 @@ from repro.errors import NetworkError
 from repro.net.network import Network
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.net.channel import Channel
     from repro.net.delay import DelayModel
     from repro.net.message import Envelope
     from repro.runtime.transport import Transport
@@ -32,9 +31,8 @@ class RuntimeNetwork(Network):
         self,
         transport: "Transport",
         delay_model: Optional["DelayModel"] = None,
-        channel: Optional["Channel"] = None,
     ) -> None:
-        super().__init__(delay_model=delay_model, channel=channel)
+        super().__init__(delay_model=delay_model)
         self.transport = transport
 
     def transmit(self, envelope: "Envelope") -> None:

@@ -343,18 +343,11 @@ class ShardTransport(LinkTransport):
         if envelope.dst in self.runtime.nodes:
             self._deliver_after_delay(envelope)
             return
-        # A frame for a pid this shard does not host: the sender routed on
-        # a stale ring (mid view change) or the pid departed.  Count it,
-        # then salvage: re-forward via the *current* ring when it names
-        # another owner, else hand it to the spool-or-drop policy.
+        # Every sender routes by the same fixed ring, so the destination is
+        # ours but no longer hosted here (it departed): count it and hand it
+        # to the spool-or-drop policy.
         self.misrouted += 1
-        if (
-            self.ring.shard_of(envelope.dst) != self.shard
-            and self.runtime.is_member(envelope.dst)
-        ):
-            self.send(envelope)
-        else:
-            self.runtime.network.spool_or_drop(envelope, "misrouted")
+        self.runtime.network.spool_or_drop(envelope, "misrouted")
 
 
 # ----------------------------------------------------------------------
@@ -590,15 +583,20 @@ class _WorkerHandle:
     final_summary: Optional[Dict[str, Any]] = None
 
     def post(self, command: str, payload: Any = None) -> None:
-        self.conn.send((command, payload))
+        try:
+            self.conn.send((command, payload))
+        except OSError:  # the pipe broke: the worker is gone
+            self.process.join(timeout=10.0)
+            raise self._died() from None
+
+    def _died(self) -> SimulationError:
+        return SimulationError(f"shard {self.shard} worker died (exit {self.process.exitcode})")
 
     def wait(self, timeout: float = 120.0) -> Any:
         deadline = time.monotonic() + timeout
         while not self.conn.poll(0.05):
             if not self.process.is_alive():
-                raise SimulationError(
-                    f"shard {self.shard} worker died (exit {self.process.exitcode})"
-                )
+                raise self._died()
             if time.monotonic() > deadline:
                 raise SimulationError(f"shard {self.shard} worker timed out")
         status, payload = self.conn.recv()

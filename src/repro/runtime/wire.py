@@ -137,6 +137,9 @@ def _read_uvarint(blob: Buffer, pos: int) -> Tuple[int, int]:
         pos += 1
         result |= (byte & 0x7F) << shift
         if not byte & 0x80:
+            if not byte and shift:
+                # A zero final byte only pads: the value has a shorter encoding.
+                raise WireError("non-canonical varint in binary frame")
             return result, pos
         shift += 7
         if shift == _MAX_VARINT_BITS:

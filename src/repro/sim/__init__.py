@@ -23,8 +23,6 @@ from repro.sim.simulation import Simulation
 from repro.sim.trace import (
     InMemorySink,
     JsonlStreamSink,
-    MetricsSink,
-    NullSink,
     Trace,
     TraceEvent,
     TraceSink,
@@ -34,9 +32,7 @@ from repro.sim.trace import (
 __all__ = [
     "InMemorySink",
     "JsonlStreamSink",
-    "MetricsSink",
     "Node",
-    "NullSink",
     "PRIORITY_CHECKPOINT",
     "PRIORITY_NORMAL",
     "PRIORITY_ROLLBACK",

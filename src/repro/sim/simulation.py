@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional
 
-from repro.errors import SimulationError
 from repro.kernel import KernelCore
 from repro.net.network import Network
 from repro.sim.rng import Rng
@@ -52,17 +51,13 @@ class Simulation(KernelCore):
         seed: int = 0,
         delay_model: Optional["DelayModel"] = None,
         channel: Optional["Channel"] = None,
-        network: Optional[Network] = None,
         sinks: Optional[List["TraceSink"]] = None,
-        trace: Optional[Trace] = None,
     ):
         super().__init__()
         self.rng = Rng(seed)
         self.scheduler = Scheduler()
-        if trace is not None and sinks is not None:
-            raise SimulationError("pass either trace= or sinks=, not both")
-        self.trace = trace if trace is not None else Trace(sinks=sinks)
-        self.network = network or Network(delay_model=delay_model, channel=channel)
+        self.trace = Trace(sinks=sinks)
+        self.network = Network(delay_model=delay_model, channel=channel)
         self.network.bind(self)
         self._started = False
 

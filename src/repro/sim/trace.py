@@ -7,67 +7,30 @@ analysis package (happens-before, C1/C2 consistency, minimality, domino
 distance) is written entirely against traces, so the protocol
 implementations stay free of measurement code.
 
-The trace itself is a *dispatch point* over pluggable :class:`TraceSink`\\ s:
+The trace records events, stores them and closes its sinks; it answers no
+queries itself.  It dispatches each event to pluggable :class:`TraceSink`\\ s:
 
-* :class:`InMemorySink` — the default; keeps every event in a list and backs
-  the classic query helpers (``events``, ``of_kind``, ``for_process``, …).
+* :class:`InMemorySink` — the default; keeps every event in a list
+  (``trace.events``).
 * :class:`JsonlStreamSink` — streams each event to a JSON-lines file at emit
   time, so arbitrarily long runs need no resident trace memory; the file
   round-trips back into the identical event sequence via :func:`load_jsonl`.
-* :class:`NullSink` — discards everything (pure-throughput runs).
-* :class:`MetricsSink` — maintains rolling counters only (events by kind,
-  control-message volume per tree, checkpoint commits/aborts, rollback
-  depths) with O(1) memory per counter.
-* :class:`repro.analysis.index.TraceIndex` — the *index* layer; built
+* :class:`repro.analysis.index.TraceIndex` — the *index* layer and the one
+  query surface (``by_kind``, ``for_process``, ``last_of``, …); built
   incrementally at emit time and reachable as :attr:`Trace.index`.
 
-Record kinds are plain strings (see the ``K_*`` constants) rather than an
-enum: benchmarks and tests grep traces constantly and string kinds keep that
-frictionless; the constants prevent typos at the production sites.
+Record kinds are the plain-string ``K_*`` constants of
+:mod:`repro.tracekinds`.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.compat import slotted_dataclass
 from repro.types import MessageId, ProcessId, SimTime, TreeId
-
-# The K_* record-kind constants live in the dependency-free
-# :mod:`repro.tracekinds` (so the sans-IO engine can emit them without
-# importing this package); re-exported here for backward compatibility.
-from repro.tracekinds import (  # noqa: F401
-    K_CHKPT_ABORT,
-    K_CHKPT_COMMIT,
-    K_CHKPT_TENTATIVE,
-    K_CRASH,
-    K_CTRL_RECEIVE,
-    K_CTRL_SEND,
-    K_DISCARD,
-    K_INSTANCE_ABORT,
-    K_INSTANCE_COMMIT,
-    K_HANDOFF,
-    K_INSTANCE_REJECTED,
-    K_INSTANCE_START,
-    K_JOIN,
-    K_LEAVE,
-    K_MERGE,
-    K_PARTITION,
-    K_RECEIVE,
-    K_RECOVER,
-    K_RESTART,
-    K_RESUME_ALL,
-    K_RESUME_SEND,
-    K_ROLLBACK,
-    K_SEND,
-    K_SUSPEND_ALL,
-    K_SUSPEND_SEND,
-    K_UNDO_RECEIVE,
-    K_UNDO_SEND,
-)
 
 
 @slotted_dataclass()
@@ -108,8 +71,8 @@ class TraceEvent:
 def json_safe(value: Any) -> Any:
     """Readable (lossy) JSON projection: rich values become their reprs.
 
-    Used by the legacy :meth:`Trace.to_jsonl` export and by the benchmark
-    JSON artifacts, where human-readable ids beat reconstructability.
+    Used by the benchmark JSON artifacts, where human-readable ids beat
+    reconstructability.
     """
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
@@ -190,38 +153,15 @@ def decode_event(payload: Dict[str, Any]) -> TraceEvent:
     )
 
 
-def load_jsonl(path: str, tolerate_truncated_tail: bool = False) -> List[TraceEvent]:
-    """Reload a :class:`JsonlStreamSink` file into its event sequence.
+def load_jsonl(path: str) -> Tuple[List[TraceEvent], int]:
+    """Reload a :class:`JsonlStreamSink` file: ``(events, truncated_tail_lines)``.
 
-    With ``tolerate_truncated_tail`` a *final* line that fails to parse is
-    skipped instead of raising — the exact artifact a killed writer leaves
-    behind when it dies mid-flush (the buffered sink writes whole lines, but
-    the OS may persist only a prefix of the last write).  Corruption
-    anywhere *before* the tail still raises: that is not a crash artifact
-    but a damaged file, and silently resuming past it would desynchronise
-    every index the trace feeds.  Use :func:`load_jsonl_tolerant` to also
-    learn how many tail lines were dropped.
-    """
-    return load_jsonl_tolerant(path)[0] if tolerate_truncated_tail else _load_strict(path)
-
-
-def _load_strict(path: str) -> List[TraceEvent]:
-    events: List[TraceEvent] = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                events.append(decode_event(json.loads(line)))
-    return events
-
-
-def load_jsonl_tolerant(path: str) -> Tuple[List[TraceEvent], int]:
-    """Like :func:`load_jsonl`, returning ``(events, truncated_tail_lines)``.
-
-    ``truncated_tail_lines`` is 1 when the file ends in a partial record
-    (0 otherwise); merge tooling surfaces the count so a multi-shard
-    analysis knows events were lost to a crash rather than pretending the
-    stream ended cleanly.
+    A *final* line that fails to parse is dropped and counted (1, else 0):
+    the exact artifact a killed writer leaves when the OS persists only a
+    prefix of its last write, which merge tooling surfaces so an analysis
+    knows events were lost to a crash.  Corruption anywhere *before* the
+    tail raises: that is a damaged file, and resuming past it would
+    desynchronise every index the trace feeds.
     """
     events: List[TraceEvent] = []
     with open(path) as handle:
@@ -271,23 +211,19 @@ class InMemorySink(TraceSink):
         self.events.append(event)
 
 
-class NullSink(TraceSink):
-    """Discards every event (zero-overhead tracing for throughput runs)."""
-
-    def emit(self, event: TraceEvent) -> None:
-        pass
+#: Events a :class:`JsonlStreamSink` buffers before one ``write``.
+FLUSH_EVERY = 64
 
 
 class JsonlStreamSink(TraceSink):
     """Streams events to a JSON-lines file with constant resident memory.
 
     Emits are *buffered*: encoded lines accumulate in memory and hit the
-    file once every ``flush_every`` events (default 64) in a single
-    ``write`` call, cutting the per-event syscall overhead that dominated
-    the unbuffered sink on large runs.  ``flush_every=1`` restores the old
-    write-per-event behaviour; :meth:`flush` forces the buffer out at any
-    point (e.g. before a reader opens the file mid-run).  Resident memory
-    stays bounded by ``flush_every`` lines.
+    file once every :data:`FLUSH_EVERY` events in a single ``write`` call,
+    cutting the per-event syscall overhead that dominated the unbuffered
+    sink on large runs; :meth:`flush` forces the buffer out at any point
+    (e.g. before a reader opens the file mid-run).  Resident memory stays
+    bounded by :data:`FLUSH_EVERY` lines.
 
     The file reloads with :func:`load_jsonl` into the identical
     :class:`TraceEvent` sequence (the codec is lossless for the trace
@@ -297,11 +233,8 @@ class JsonlStreamSink(TraceSink):
     handle would produce mid-run.
     """
 
-    def __init__(self, path: str, flush_every: int = 64):
-        if flush_every < 1:
-            raise ValueError(f"flush_every must be >= 1, got {flush_every}")
+    def __init__(self, path: str):
         self.path = str(path)
-        self.flush_every = flush_every
         self._handle = open(self.path, "w")
         self._buffer: List[str] = []
         self.written = 0
@@ -318,7 +251,7 @@ class JsonlStreamSink(TraceSink):
             )
         self._buffer.append(json.dumps(encode_event(event)))
         self.written += 1
-        if len(self._buffer) >= self.flush_every:
+        if len(self._buffer) >= FLUSH_EVERY:
             self.flush()
 
     def flush(self) -> None:
@@ -339,87 +272,19 @@ class JsonlStreamSink(TraceSink):
             self._handle = None
 
 
-class MetricsSink(TraceSink):
-    """Rolling counters over the event stream — O(counters) memory, no log.
-
-    Tracks exactly the aggregates operators watch on a large run:
-
-    * ``events_by_kind`` — every kind's event count;
-    * ``control_sends_per_tree`` — control-message volume per instance tree
-      (``None`` key: control traffic outside any instance);
-    * ``checkpoints_committed`` / ``checkpoints_aborted`` /
-      ``checkpoints_tentative`` — checkpoint lifecycle outcomes;
-    * ``rollbacks`` and rollback *depth* (ledger records undone per
-      rollback): ``rollback_depth_total`` / ``max_rollback_depth``.
-    """
-
-    def __init__(self) -> None:
-        self.events_by_kind: Counter = Counter()
-        self.control_sends_per_tree: Counter = Counter()
-        self.checkpoints_tentative = 0
-        self.checkpoints_committed = 0
-        self.checkpoints_aborted = 0
-        self.rollbacks = 0
-        self.rollback_depth_total = 0
-        self.max_rollback_depth = 0
-
-    @property
-    def total_events(self) -> int:
-        return sum(self.events_by_kind.values())
-
-    @property
-    def mean_rollback_depth(self) -> float:
-        return self.rollback_depth_total / self.rollbacks if self.rollbacks else 0.0
-
-    def emit(self, event: TraceEvent) -> None:
-        kind = event.kind
-        self.events_by_kind[kind] += 1
-        if kind == K_CTRL_SEND:
-            self.control_sends_per_tree[event.fields.get("tree")] += 1
-        elif kind == K_CHKPT_TENTATIVE:
-            self.checkpoints_tentative += 1
-        elif kind == K_CHKPT_COMMIT:
-            self.checkpoints_committed += 1
-        elif kind == K_CHKPT_ABORT:
-            self.checkpoints_aborted += 1
-        elif kind == K_ROLLBACK:
-            self.rollbacks += 1
-            depth = (event.fields.get("undone_sends", 0)
-                     + event.fields.get("undone_receives", 0))
-            self.rollback_depth_total += depth
-            if depth > self.max_rollback_depth:
-                self.max_rollback_depth = depth
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Flat dict of every counter (for dashboards and bench artifacts)."""
-        return {
-            "total_events": self.total_events,
-            "events_by_kind": dict(self.events_by_kind),
-            "control_sends_per_tree": {
-                str(tree): count for tree, count in self.control_sends_per_tree.items()
-            },
-            "checkpoints_tentative": self.checkpoints_tentative,
-            "checkpoints_committed": self.checkpoints_committed,
-            "checkpoints_aborted": self.checkpoints_aborted,
-            "rollbacks": self.rollbacks,
-            "mean_rollback_depth": self.mean_rollback_depth,
-            "max_rollback_depth": self.max_rollback_depth,
-        }
-
-
 # ----------------------------------------------------------------------
 # The trace (dispatch point)
 # ----------------------------------------------------------------------
 
 class Trace:
-    """An append-only log of :class:`TraceEvent` records with query helpers.
+    """An append-only log of :class:`TraceEvent` records.
 
-    ``Trace()`` keeps everything in memory (an :class:`InMemorySink`), which
-    is what the query helpers and the analysis layer read.  Passing
-    ``sinks=[...]`` replaces that default — e.g. ``[JsonlStreamSink(path),
-    MetricsSink()]`` for a constant-memory large run.  Sinks can also be
-    attached later with :meth:`add_sink`, which replays already-recorded
-    events into the newcomer when an in-memory sink is present.
+    ``Trace()`` keeps everything in memory (an :class:`InMemorySink`).
+    Passing ``sinks=[...]`` replaces that default — e.g.
+    ``[JsonlStreamSink(path)]`` for a constant-memory large run.  Sinks
+    attached later with :meth:`add_sink` are replayed the events recorded
+    so far, which needs an in-memory sink.  Queries go through
+    :attr:`index`.
     """
 
     def __init__(self, sinks: Optional[Sequence[TraceSink]] = None) -> None:
@@ -436,17 +301,14 @@ class Trace:
         for sink in (sinks if sinks is not None else [InMemorySink()]):
             self.add_sink(sink)
 
-    # ------------------------------------------------------------------
-    # Sink management
-    # ------------------------------------------------------------------
-    def add_sink(self, sink: TraceSink, backfill: bool = True) -> TraceSink:
-        """Attach ``sink``; replay prior events into it when possible.
+    def add_sink(self, sink: TraceSink) -> TraceSink:
+        """Attach ``sink`` and replay the events recorded so far into it.
 
-        Backfill needs the events, so attaching to a non-empty trace that
+        Replay needs the events, so attaching to a non-empty trace that
         kept no :class:`InMemorySink` is an error — attach sinks up front on
         streaming configurations.
         """
-        if backfill and self._recorded:
+        if self._recorded:
             if self._memory is None:
                 raise RuntimeError(
                     "cannot backfill a sink: this Trace kept no InMemorySink; "
@@ -464,10 +326,6 @@ class Trace:
             # Exactly InMemorySink: a subclass may override ``emit``.
             self._solo_emit = sink.events.append if type(sink) is InMemorySink else sink.emit
         return sink
-
-    @property
-    def sinks(self) -> List[TraceSink]:
-        return list(self._sinks)
 
     @property
     def index(self):
@@ -488,9 +346,6 @@ class Trace:
         for sink in self._sinks:
             sink.close()
 
-    # ------------------------------------------------------------------
-    # Emit
-    # ------------------------------------------------------------------
     def record(
         self,
         time: SimTime,
@@ -513,17 +368,12 @@ class Trace:
         return event
 
     # ------------------------------------------------------------------
-    # Queries (served by the in-memory sink / the index)
+    # The stored events (in-memory configurations only)
     # ------------------------------------------------------------------
     @property
     def events_recorded(self) -> int:
         """Total events ever emitted (independent of retention)."""
         return self._recorded
-
-    @property
-    def retained_events(self) -> int:
-        """Events currently resident in memory (0 on streaming configs)."""
-        return len(self._memory.events) if self._memory is not None else 0
 
     def _require_memory(self) -> List[TraceEvent]:
         if self._memory is None:
@@ -546,61 +396,3 @@ class Trace:
     def events(self) -> List[TraceEvent]:
         """The underlying record list (treat as read-only)."""
         return self._require_memory()
-
-    def of_kind(self, *kinds: str) -> List[TraceEvent]:
-        """All records whose kind is one of ``kinds``, in order."""
-        if self._index is not None:
-            return self._index.by_kind(*kinds)
-        wanted = set(kinds)
-        return [e for e in self._require_memory() if e.kind in wanted]
-
-    def for_process(self, pid: ProcessId, *kinds: str) -> List[TraceEvent]:
-        """Records of ``pid``, optionally restricted to ``kinds``."""
-        if self._index is not None:
-            return self._index.for_process(pid, *kinds)
-        wanted = set(kinds) if kinds else None
-        return [
-            e
-            for e in self._require_memory()
-            if e.pid == pid and (wanted is None or e.kind in wanted)
-        ]
-
-    def where(self, predicate: Callable[[TraceEvent], bool]) -> List[TraceEvent]:
-        """Records satisfying an arbitrary predicate, in order."""
-        return [e for e in self._require_memory() if predicate(e)]
-
-    def last(self, kind: str, pid: Optional[ProcessId] = None) -> Optional[TraceEvent]:
-        """Most recent record of ``kind`` (for ``pid`` if given), or None."""
-        if self._index is not None:
-            return self._index.last_of(kind, pid)
-        for event in reversed(self._require_memory()):
-            if event.kind == kind and (pid is None or event.pid == pid):
-                return event
-        return None
-
-    def dump(self, limit: Optional[int] = None) -> str:
-        """Human-readable rendering of the trace (for debugging and docs)."""
-        events = self._require_memory()
-        if limit is not None:
-            events = events[:limit]
-        return "\n".join(repr(e) for e in events)
-
-    def to_jsonl(self, path: str) -> int:
-        """Export the trace as *readable* JSON lines for offline analysis.
-
-        Non-JSON field values (tree timestamps, message ids) are stringified
-        with their readable reprs — use :class:`JsonlStreamSink` +
-        :func:`load_jsonl` when the file must round-trip losslessly.
-        Returns the number of records written.
-        """
-        events = self._require_memory()
-        with open(path, "w") as handle:
-            for event in events:
-                handle.write(json.dumps({
-                    "index": event.index,
-                    "time": event.time,
-                    "kind": event.kind,
-                    "pid": event.pid,
-                    **{k: json_safe(v) for k, v in event.fields.items()},
-                }) + "\n")
-        return len(events)

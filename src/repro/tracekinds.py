@@ -3,7 +3,7 @@
 These string constants name every kind of protocol event the tracer records.
 They live in a dependency-free module so that :mod:`repro.core.engine` can
 trace through its host port without importing :mod:`repro.sim`;
-:mod:`repro.sim.trace` re-exports them for backward compatibility.
+:mod:`repro.sim.trace` and the analysis package import them from here.
 
 The comment after each constant lists the fields recorded with it.
 """

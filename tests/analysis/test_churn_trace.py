@@ -8,11 +8,11 @@ checkers and :func:`audit_jobs` treat such traces as first-class — no
 KeyError on late pids, no phantom violations from departed ones.
 """
 
+from repro import tracekinds as T
 from repro.analysis import audit_jobs, check_c1, check_c1_from_trace
 from repro.analysis.consistency import check_recovery_line_from_trace
 from repro.analysis.index import TraceIndex
 from repro.core.process import CheckpointProcess
-from repro.sim import trace as T
 from repro.sim.trace import JsonlStreamSink, TraceEvent
 from repro.testing import build_sim
 

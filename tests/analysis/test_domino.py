@@ -3,6 +3,7 @@
 from repro.analysis.domino import (
     CheckpointView,
     domino_metrics,
+    histories_from_trace,
     recovery_line,
     rollback_distance,
     views_from_history,
@@ -51,6 +52,14 @@ def test_domino_metrics_on_uncoordinated_run():
     metrics = domino_metrics(procs.values(), initiator=0)
     assert metrics["max_distance"] >= 0
     assert set(metrics["line"]) == {0, 1, 2, 3}
+
+
+def test_histories_from_trace_match_the_processes_histories():
+    sim, procs = build_sim(n=4, seed=7, cls=UncoordinatedProcess)
+    run_random_workload(sim, procs, duration=40.0, checkpoint_rate=0.1)
+    assert histories_from_trace(sim.trace) == {
+        pid: views_from_history(proc) for pid, proc in procs.items()
+    }
 
 
 def test_views_from_history():

@@ -1,7 +1,7 @@
 """Unit tests for vector-clock happens-before analysis."""
 
+from repro import tracekinds as T
 from repro.analysis import HappensBefore
-from repro.sim import trace as T
 from repro.sim.trace import Trace
 from repro.types import MessageId
 
@@ -69,6 +69,6 @@ def test_real_run_hb_matches_message_flow():
     sim.scheduler.at(2.0, lambda: procs[1].send_app_message(2, "y"))
     sim.run()
     hb = HappensBefore(sim.trace)
-    sends = sim.trace.of_kind(T.K_SEND)
-    receives = sim.trace.of_kind(T.K_RECEIVE)
+    sends = sim.trace.index.by_kind(T.K_SEND)
+    receives = sim.trace.index.by_kind(T.K_RECEIVE)
     assert hb.happens_before(sends[0], receives[-1])

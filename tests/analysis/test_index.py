@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro import tracekinds as T
 from repro.analysis import collect, reconstruct_trees
 from repro.analysis.index import BIRTH_SEQ, TraceIndex, as_index
 from repro.net import UniformDelay
-from repro.sim import JsonlStreamSink, trace as T
+from repro.sim import JsonlStreamSink
 from repro.testing import build_sim, run_random_workload
 
 
@@ -63,7 +64,7 @@ def test_last_of_matches_scan():
 def test_send_receive_matching():
     sim, _ = run_workload()
     index = sim.trace.index
-    for event in sim.trace.of_kind(T.K_RECEIVE):
+    for event in sim.trace.index.by_kind(T.K_RECEIVE):
         send = index.send_of(event.fields["msg_id"])
         assert send is not None and send.kind == T.K_SEND
         assert send.fields["msg_id"] == event.fields["msg_id"]
@@ -122,8 +123,10 @@ def test_reconstruct_trees_from_reloaded_stream(tmp_path):
     stream = JsonlStreamSink(path)
     sim2, _ = run_workload(sinks=[stream])
     sim2.trace.close()
+    events, truncated = load_jsonl(path)
+    assert truncated == 0
     offline = TraceIndex()
-    for event in load_jsonl(path):
+    for event in events:
         offline.emit(event)
     offline_trees = reconstruct_trees(offline)
 
@@ -161,9 +164,7 @@ def test_index_on_streaming_trace_must_attach_up_front():
     index = TraceIndex()
     sim, procs = run_workload(sinks=[index])
     assert sim.trace.index is index
-    assert sim.trace.retained_events == 0
     # Queries still work without any in-memory event list.
-    assert sim.trace.of_kind(T.K_SEND) == index.by_kind(T.K_SEND)
     assert len(index.by_kind(T.K_SEND)) > 0
     with pytest.raises(RuntimeError):
         sim.trace.events

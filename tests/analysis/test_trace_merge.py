@@ -7,8 +7,8 @@ stream one global trace would have recorded — time-ordered, densely
 renumbered, with cross-file send/receive matching intact.
 """
 
+from repro import tracekinds as T
 from repro.analysis.index import TraceIndex
-from repro.sim import trace as T
 from repro.sim.trace import JsonlStreamSink, TraceEvent
 from repro.types import MessageId
 

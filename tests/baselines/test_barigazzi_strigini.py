@@ -1,9 +1,9 @@
 """Tests for the Barigazzi-Strigini baseline: atomic sends, full blocking."""
 
+from repro import tracekinds as T
 from repro.analysis import check_c1, check_no_dangling_receives, collect
 from repro.baselines import BarigazziStriginiProcess
 from repro.net import UniformDelay
-from repro.sim import trace as T
 from repro.testing import build_sim, run_random_workload
 
 
@@ -18,7 +18,7 @@ def test_atomic_sends_serialise():
     sim.scheduler.at(1.0, lambda: procs[0].send_app_message(1, "a"))
     sim.scheduler.at(1.0, lambda: procs[0].send_app_message(2, "b"))
     sim.run(until=60.0)
-    sends = [e for e in sim.trace.of_kind(T.K_SEND) if e.pid == 0]
+    sends = [e for e in sim.trace.index.by_kind(T.K_SEND) if e.pid == 0]
     assert len(sends) == 2
     # The second transmit happened at least one round-trip later.
     assert sends[1].time - sends[0].time >= 0.8
@@ -27,7 +27,7 @@ def test_atomic_sends_serialise():
 def test_every_message_acknowledged():
     sim, procs = build()
     run_random_workload(sim, procs, duration=20.0, message_rate=0.5)
-    acks = [e for e in sim.trace.of_kind("ctrl_receive")
+    acks = [e for e in sim.trace.index.by_kind("ctrl_receive")
             if e.fields.get("msg_type") == "delivery_ack"]
     # Control receives of acks are not traced (no tree); count via network:
     # every normal message produced exactly one ack control message.
@@ -39,7 +39,7 @@ def test_checkpoint_blocks_sends_and_receives():
     sim.scheduler.at(1.0, lambda: procs[0].send_app_message(1, "m"))
     sim.scheduler.at(4.0, lambda: procs[1].initiate_checkpoint())
     sim.run(until=60.0)
-    assert sim.trace.for_process(1, T.K_SUSPEND_ALL)  # receive-blocking too
+    assert sim.trace.index.for_process(1, T.K_SUSPEND_ALL)  # receive-blocking too
     check_c1(procs.values())
 
 

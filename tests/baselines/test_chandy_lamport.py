@@ -1,9 +1,9 @@
 """Tests for the Chandy-Lamport snapshot baseline."""
 
+from repro import tracekinds as T
 from repro.analysis import check_c1, collect
 from repro.baselines import ChandyLamportProcess
 from repro.net import UniformDelay
-from repro.sim import trace as T
 from repro.testing import build_sim, run_random_workload
 
 
@@ -16,7 +16,7 @@ def test_snapshot_reaches_every_process():
     sim, procs = build()
     sim.scheduler.at(2.0, lambda: procs[1].initiate_checkpoint())
     sim.run(until=60.0)
-    commits = sim.trace.of_kind(T.K_CHKPT_COMMIT)
+    commits = sim.trace.index.by_kind(T.K_CHKPT_COMMIT)
     assert {e.pid for e in commits} == {0, 1, 2, 3}
 
 
@@ -24,7 +24,7 @@ def test_marker_cost_is_n_squared():
     sim, procs = build(n=5)
     sim.scheduler.at(2.0, lambda: procs[0].initiate_checkpoint())
     sim.run(until=60.0)
-    markers = [e for e in sim.trace.of_kind("ctrl_send")
+    markers = [e for e in sim.trace.index.by_kind("ctrl_send")
                if e.fields["msg_type"] == "marker"]
     assert len(markers) == 5 * 4  # one marker per directed channel
 

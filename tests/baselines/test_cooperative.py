@@ -1,9 +1,9 @@
 """Tests for the cooperative partial-snapshot baseline (arXiv:2103.15285)."""
 
+from repro import tracekinds as T
 from repro.analysis import check_c1
 from repro.baselines import CooperativeProcess
 from repro.net import UniformDelay
-from repro.sim import trace as T
 from repro.testing import build_sim, run_random_workload
 
 
@@ -19,7 +19,7 @@ def test_snapshot_scope_is_the_dependency_set():
     sim.scheduler.at(1.0, lambda: procs[0].send_app_message(1, "m"))
     sim.scheduler.at(3.0, lambda: procs[0].initiate_checkpoint())
     sim.run(until=60.0)
-    commits = sim.trace.of_kind(T.K_CHKPT_COMMIT)
+    commits = sim.trace.index.by_kind(T.K_CHKPT_COMMIT)
     assert {e.pid for e in commits} == {0, 1}
     assert procs[0].snapshot_group_sizes == [2]
 
@@ -32,7 +32,7 @@ def test_group_expands_transitively():
     sim.scheduler.at(2.0, lambda: procs[1].send_app_message(2, "b"))
     sim.scheduler.at(4.0, lambda: procs[0].initiate_checkpoint())
     sim.run(until=60.0)
-    commits = sim.trace.of_kind(T.K_CHKPT_COMMIT)
+    commits = sim.trace.index.by_kind(T.K_CHKPT_COMMIT)
     assert {e.pid for e in commits} == {0, 1, 2}
     assert procs[0].snapshot_group_sizes == [3]
 
@@ -47,13 +47,13 @@ def test_concurrent_instances_cooperate_by_sharing_checkpoints():
     sim.scheduler.at(3.0, lambda: procs[0].initiate_checkpoint())
     sim.scheduler.at(3.0, lambda: procs[1].initiate_checkpoint())
     sim.run(until=60.0)
-    instance_commits = sim.trace.of_kind(T.K_INSTANCE_COMMIT)
+    instance_commits = sim.trace.index.by_kind(T.K_INSTANCE_COMMIT)
     assert len(instance_commits) == 2
     for pid in (0, 1):
-        tentatives = [e for e in sim.trace.of_kind(T.K_CHKPT_TENTATIVE)
+        tentatives = [e for e in sim.trace.index.by_kind(T.K_CHKPT_TENTATIVE)
                       if e.pid == pid]
         assert len(tentatives) == 1
-    aborts = sim.trace.of_kind(T.K_INSTANCE_ABORT)
+    aborts = sim.trace.index.by_kind(T.K_INSTANCE_ABORT)
     assert not aborts
 
 
@@ -61,7 +61,7 @@ def test_empty_dependency_set_commits_locally():
     sim, procs = build()
     sim.scheduler.at(1.0, lambda: procs[3].initiate_checkpoint())
     sim.run(until=30.0)
-    commits = sim.trace.of_kind(T.K_CHKPT_COMMIT)
+    commits = sim.trace.index.by_kind(T.K_CHKPT_COMMIT)
     assert {e.pid for e in commits} == {3}
     assert procs[3].snapshot_group_sizes == [1]
 
@@ -80,7 +80,7 @@ def test_graceful_leave_unblocks_open_groups():
     sim.scheduler.at(3.0, lambda: procs[0].initiate_checkpoint())
     sim.scheduler.at(3.05, lambda: sim.leave_node(2, successor=0))
     sim.run(until=80.0)
-    instance_commits = [e for e in sim.trace.of_kind(T.K_INSTANCE_COMMIT)
+    instance_commits = [e for e in sim.trace.index.by_kind(T.K_INSTANCE_COMMIT)
                         if e.pid == 0]
     assert len(instance_commits) == 1
 

@@ -1,9 +1,9 @@
 """Tests for the Koo-Toueg baseline: single instance, reject-and-retry."""
 
+from repro import tracekinds as T
 from repro.analysis import check_c1, check_no_dangling_receives, collect
 from repro.baselines import KooTouegProcess
 from repro.net import UniformDelay
-from repro.sim import trace as T
 from repro.testing import build_sim, run_random_workload
 
 
@@ -33,7 +33,7 @@ def test_concurrent_instances_cause_rejections():
         sim.scheduler.at(3.0, lambda: procs[1].initiate_checkpoint())
         sim.scheduler.at(3.0, lambda: procs[2].initiate_checkpoint())
         sim.run(until=120.0)
-        rejections += len(sim.trace.of_kind(T.K_INSTANCE_REJECTED))
+        rejections += len(sim.trace.index.by_kind(T.K_INSTANCE_REJECTED))
         check_c1(procs.values())
     assert rejections > 0
 

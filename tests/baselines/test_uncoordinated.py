@@ -3,7 +3,6 @@
 from repro.analysis import domino_metrics
 from repro.baselines import UncoordinatedProcess
 from repro.core import CheckpointProcess
-from repro.sim import trace as T
 from repro.testing import build_sim, run_random_workload
 
 

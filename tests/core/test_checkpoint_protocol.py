@@ -2,8 +2,8 @@
 
 from repro.testing import build_sim
 
+from repro import tracekinds as T
 from repro.analysis import check_c1, check_quiescent, reconstruct_trees
-from repro.sim import trace as T
 
 
 def at(sim, t, fn):
@@ -91,9 +91,9 @@ def test_shared_checkpoint_between_two_instances():
     at(sim, 3.0, lambda: procs[2].initiate_checkpoint())
     sim.run()
     # P0 is recruited by both instances but takes ONE checkpoint.
-    tentatives = sim.trace.for_process(0, T.K_CHKPT_TENTATIVE)
+    tentatives = sim.trace.index.for_process(0, T.K_CHKPT_TENTATIVE)
     assert len(tentatives) == 1
-    commits = sim.trace.for_process(0, T.K_CHKPT_COMMIT)
+    commits = sim.trace.index.for_process(0, T.K_CHKPT_COMMIT)
     assert len(commits) == 1
     assert procs[0].store.oldchkpt.seq == 2
     check_quiescent(procs.values())
@@ -129,8 +129,8 @@ def test_instance_latency_traced():
     at(sim, 1.0, lambda: procs[0].send_app_message(1, "m"))
     at(sim, 3.0, lambda: procs[1].initiate_checkpoint())
     sim.run()
-    start = sim.trace.last(T.K_INSTANCE_START)
-    commit = sim.trace.last(T.K_INSTANCE_COMMIT)
+    start = sim.trace.index.last_of(T.K_INSTANCE_START)
+    commit = sim.trace.index.last_of(T.K_INSTANCE_COMMIT)
     assert commit.time > start.time
 
 

@@ -5,9 +5,9 @@ from repro.analysis import (
     check_no_dangling_receives,
     check_recovery_line,
 )
+from repro import tracekinds as T
 from repro.core import ExtendedCheckpointProcess
 from repro.core.messages import NormalBody
-from repro.sim import trace as T
 from repro.testing import build_sim, run_random_workload
 
 
@@ -58,8 +58,8 @@ def test_marker_triggers_receiver_checkpoint_before_consume():
     at(sim, 3.0, lambda: procs[1].initiate_checkpoint())
     at(sim, 3.1, lambda: procs[1].send_app_message(2, "marked"))
     sim.run()
-    tentative = sim.trace.for_process(2, T.K_CHKPT_TENTATIVE)
-    receive = [e for e in sim.trace.for_process(2, T.K_RECEIVE)
+    tentative = sim.trace.index.for_process(2, T.K_CHKPT_TENTATIVE)
+    receive = [e for e in sim.trace.index.for_process(2, T.K_RECEIVE)
                if e.fields["src"] == 1]
     assert tentative and receive
     assert tentative[0].index < receive[0].index
@@ -106,4 +106,4 @@ def test_extension_blocking_time_is_zero_for_checkpoints():
     """The headline claim: no send-blocking from checkpointing."""
     sim, procs = build(n=4, seed=3)
     run_random_workload(sim, procs, duration=30.0, checkpoint_rate=0.1)
-    assert not sim.trace.of_kind(T.K_SUSPEND_SEND)
+    assert not sim.trace.index.by_kind(T.K_SUSPEND_SEND)

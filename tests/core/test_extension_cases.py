@@ -1,8 +1,8 @@
 """The Section 3.5.3 case analysis, exercised scenario by scenario."""
 
+from repro import tracekinds as T
 from repro.analysis import check_no_dangling_receives, check_recovery_line
 from repro.core import ExtendedCheckpointProcess
-from repro.sim import trace as T
 from repro.testing import build_sim
 
 
@@ -25,7 +25,7 @@ def test_case1_message_before_oldchkpt_rejected():
     # ...so P1's later instance gets a neg_ack from P0.
     at(sim, 6.0, lambda: procs[1].initiate_checkpoint())
     sim.run()
-    negs = [e for e in sim.trace.of_kind("ctrl_send")
+    negs = [e for e in sim.trace.index.by_kind("ctrl_send")
             if e.pid == 0 and e.fields["msg_type"] == "chkpt_ack"
             and not e.fields["positive"]]
     assert negs
@@ -43,7 +43,7 @@ def test_case2_pending_checkpoint_reused():
     at(sim, 3.0, lambda: procs[1].initiate_checkpoint())
     at(sim, 3.0, lambda: procs[2].initiate_checkpoint())
     sim.run()
-    tentatives = sim.trace.for_process(0, T.K_CHKPT_TENTATIVE)
+    tentatives = sim.trace.index.for_process(0, T.K_CHKPT_TENTATIVE)
     assert len(tentatives) == 1  # reused, not duplicated
     check_recovery_line(procs.values())
 
@@ -58,7 +58,7 @@ def test_case3_post_checkpoint_send_needs_new_checkpoint():
     at(sim, 3.6, lambda: procs[0].send_app_message(2, "late"))
     at(sim, 4.6, lambda: procs[2].initiate_checkpoint())   # needs ckpt B
     sim.run()
-    tentatives = sim.trace.for_process(0, T.K_CHKPT_TENTATIVE)
+    tentatives = sim.trace.index.for_process(0, T.K_CHKPT_TENTATIVE)
     assert len(tentatives) == 2
     seqs = [e.fields["seq"] for e in tentatives]
     assert seqs[1] > seqs[0]
@@ -79,7 +79,7 @@ def test_rollback_case3_undoes_to_newest_pending():
     at(sim, 3.6, lambda: procs[2].send_app_message(0, "doomed"))
     at(sim, 4.2, lambda: procs[2].initiate_rollback())
     sim.run()
-    rolls = [e for e in sim.trace.of_kind(T.K_ROLLBACK) if e.pid == 0]
+    rolls = [e for e in sim.trace.index.by_kind(T.K_ROLLBACK) if e.pid == 0]
     assert rolls and rolls[0].fields["target"] == "newchkpt"
     check_no_dangling_receives(procs.values())
 
@@ -95,7 +95,7 @@ def test_rollback_case2_discards_pending_suffix():
     at(sim, 3.0, lambda: procs[1].initiate_checkpoint())   # P0 pending ckpt
     at(sim, 3.4, lambda: procs[2].initiate_rollback())
     sim.run()
-    aborts = sim.trace.for_process(0, T.K_CHKPT_ABORT)
+    aborts = sim.trace.index.for_process(0, T.K_CHKPT_ABORT)
     assert aborts, "the doomed pending checkpoint must be discarded"
     check_no_dangling_receives(procs.values())
     check_recovery_line(procs.values())
@@ -111,6 +111,6 @@ def test_marker_dedup_one_checkpoint_per_instance():
     for k, t in enumerate((3.1, 3.2, 3.3)):
         at(sim, t, lambda i=k: procs[1].send_app_message(2, f"mk{i}"))
     sim.run()
-    tentatives = sim.trace.for_process(2, T.K_CHKPT_TENTATIVE)
+    tentatives = sim.trace.index.for_process(2, T.K_CHKPT_TENTATIVE)
     assert len(tentatives) == 1
     assert procs[2].app.consumed == 3  # all messages still consumed

@@ -51,7 +51,7 @@ def test_merge_wakes_minority_via_rule3():
     assert coord.dormant == set()
     assert not procs[3].crashed and not procs[4].crashed
     # The woken processes performed their rule-3 recovery rollback.
-    rolls = [e for e in sim.trace.of_kind("rollback") if e.pid in (3, 4)]
+    rolls = [e for e in sim.trace.index.by_kind("rollback") if e.pid in (3, 4)]
     assert rolls
     check_recovery_line(procs.values())
     check_app_states(procs.values())

@@ -1,7 +1,7 @@
 """Unit tests for CheckpointProcess plumbing: suspension, queueing, app."""
 
+from repro import tracekinds as T
 from repro.core import CounterApp
-from repro.sim import trace as T
 from repro.testing import build_sim
 
 
@@ -63,7 +63,7 @@ def test_checkpoint_timer_fires_periodically():
 
     sim, procs = build_sim(n=2, config=ProtocolConfig(checkpoint_interval=5.0))
     sim.run(until=22.0)
-    starts = [e for e in sim.trace.of_kind(T.K_INSTANCE_START)
+    starts = [e for e in sim.trace.index.by_kind(T.K_INSTANCE_START)
               if e.fields["instance"] == "checkpoint"]
     assert len(starts) >= 6  # both processes, ~4 rounds each
 
@@ -100,8 +100,8 @@ def test_trace_records_suspend_resume_pairs():
     at(sim, 1.0, lambda: procs[0].send_app_message(1, "m"))
     at(sim, 3.0, lambda: procs[1].initiate_checkpoint())
     sim.run()
-    suspends = sim.trace.for_process(1, T.K_SUSPEND_SEND)
-    resumes = sim.trace.for_process(1, T.K_RESUME_SEND)
+    suspends = sim.trace.index.for_process(1, T.K_SUSPEND_SEND)
+    resumes = sim.trace.index.for_process(1, T.K_RESUME_SEND)
     assert len(suspends) == len(resumes) == 1
     assert suspends[0].time <= resumes[0].time
 

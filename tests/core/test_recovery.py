@@ -5,8 +5,8 @@ from repro.analysis import (
     check_no_dangling_receives,
     check_recovery_line,
 )
+from repro import tracekinds as T
 from repro.core import CheckpointProcess, ProtocolConfig
-from repro.sim import trace as T
 from repro.testing import build_sim
 
 
@@ -41,9 +41,9 @@ def test_rule1_dead_child_aborts_instance_and_rolls_back():
     # The instance cannot complete without P0; rule 1 aborts it and P1
     # rolls back.
     assert procs[1].store.newchkpt is None
-    aborts = sim.trace.for_process(1, T.K_CHKPT_ABORT)
+    aborts = sim.trace.index.for_process(1, T.K_CHKPT_ABORT)
     assert aborts
-    rolls = [e for e in sim.trace.of_kind(T.K_INSTANCE_START)
+    rolls = [e for e in sim.trace.index.by_kind(T.K_INSTANCE_START)
              if e.fields["instance"] == "rollback" and e.pid == 1]
     assert rolls
     quiesced(procs)
@@ -66,7 +66,7 @@ def test_rule3_recovering_process_rolls_back():
     at(sim, 3.0, lambda: sim.crash(1))
     at(sim, 10.0, lambda: sim.recover(1))
     sim.run(until=60.0)
-    rolls = [e for e in sim.trace.of_kind(T.K_ROLLBACK) if e.pid == 1]
+    rolls = [e for e in sim.trace.index.by_kind(T.K_ROLLBACK) if e.pid == 1]
     assert rolls and rolls[0].time >= 10.0
     quiesced(procs)
     check_recovery_line([p for p in procs.values() if not p.crashed])
@@ -109,7 +109,7 @@ def test_voted_child_waits_for_dead_initiator_then_resolves():
     sim.run(until=30.0)
     # While the initiator is down, P0 holds its tentative and keeps asking.
     assert procs[0].store.newchkpt is not None
-    assert sim.trace.of_kind("ctrl_send")  # inquiries in flight
+    assert sim.trace.index.by_kind("ctrl_send")  # inquiries in flight
     sim.scheduler.at(31.0, lambda: sim.recover(1))
     sim.run(until=120.0)
     # The recovered initiator aborted its own instance; P0's inquiry found

@@ -6,8 +6,8 @@ from repro.analysis import (
     check_quiescent,
     reconstruct_trees,
 )
+from repro import tracekinds as T
 from repro.net import AdversarialReorderDelay
-from repro.sim import trace as T
 from repro.testing import build_sim
 
 
@@ -21,7 +21,7 @@ def test_solo_rollback_renumbers_interval():
     sim.run()
     assert procs[0].ledger.n == 2  # rollback point numbered
     assert not procs[0].comm_suspended
-    assert sim.trace.last(T.K_RESTART, pid=0).new_interval == 2
+    assert sim.trace.index.last_of(T.K_RESTART, pid=0).new_interval == 2
 
 
 def test_receiver_of_undone_message_rolls_back():
@@ -30,7 +30,7 @@ def test_receiver_of_undone_message_rolls_back():
     at(sim, 3.0, lambda: procs[0].initiate_rollback())
     sim.run()
     assert procs[1].app.consumed == 0  # receive undone
-    rolls = sim.trace.of_kind(T.K_ROLLBACK)
+    rolls = sim.trace.index.by_kind(T.K_ROLLBACK)
     assert {e.pid for e in rolls} == {0, 1}
     check_no_dangling_receives(procs.values())
     check_app_states(procs.values())
@@ -42,7 +42,7 @@ def test_rollback_cascades_transitively():
     at(sim, 2.0, lambda: procs[1].send_app_message(2, "b"))
     at(sim, 4.0, lambda: procs[0].initiate_rollback())
     sim.run()
-    rolls = sim.trace.of_kind(T.K_ROLLBACK)
+    rolls = sim.trace.index.by_kind(T.K_ROLLBACK)
     assert {e.pid for e in rolls} == {0, 1, 2}
     trees = reconstruct_trees(sim.trace)
     tree = next(t for t in trees.values() if t.kind == "rollback")
@@ -56,7 +56,7 @@ def test_uninvolved_process_not_rolled():
     at(sim, 1.0, lambda: procs[2].send_app_message(1, "c"))
     at(sim, 4.0, lambda: procs[0].initiate_rollback())
     sim.run()
-    rolls = sim.trace.of_kind(T.K_ROLLBACK)
+    rolls = sim.trace.index.by_kind(T.K_ROLLBACK)
     assert 2 not in {e.pid for e in rolls}
     # P1 rolled back, undoing BOTH receives (it restored an older state);
     # but P2's send survives, so the system stays consistent: P2's message
@@ -78,7 +78,7 @@ def test_rollback_to_newchkpt_preserves_instance():
     sim.run()
     # P1's checkpoint instance still committed (rolled to newchkpt).
     assert procs[1].store.oldchkpt.seq == 2
-    roll = [e for e in sim.trace.of_kind(T.K_ROLLBACK) if e.pid == 1]
+    roll = [e for e in sim.trace.index.by_kind(T.K_ROLLBACK) if e.pid == 1]
     assert roll and roll[0].fields["target"] == "newchkpt"
     check_no_dangling_receives(procs.values())
     check_quiescent(procs.values())
@@ -125,7 +125,7 @@ def test_in_transit_undone_message_discarded():
     at(sim, 2.0, lambda: procs[0].initiate_rollback())
     sim.run()
     discards = [
-        e for e in sim.trace.of_kind(T.K_DISCARD)
+        e for e in sim.trace.index.by_kind(T.K_DISCARD)
         if e.fields.get("reason") == "undone_in_transit"
     ]
     assert discards, "the in-transit undone message must be discarded"
@@ -154,7 +154,7 @@ def test_comm_suspension_discards_incoming():
     at(sim, 3.4, lambda: procs[2].send_app_message(1, "during"))
     sim.run()
     discards = [
-        e for e in sim.trace.of_kind(T.K_DISCARD)
+        e for e in sim.trace.index.by_kind(T.K_DISCARD)
         if e.fields.get("reason") == "roll_suspended" and e.pid == 1
     ]
     assert discards
@@ -180,6 +180,6 @@ def test_restart_advances_exactly_once_for_multiple_instances():
     at(sim, 3.0, lambda: procs[0].initiate_rollback())
     at(sim, 3.0, lambda: procs[1].initiate_rollback())
     sim.run()
-    restarts = sim.trace.for_process(2, T.K_RESTART)
+    restarts = sim.trace.index.for_process(2, T.K_RESTART)
     assert len(restarts) == 1  # one rollback point despite two instances
     check_quiescent(procs.values())

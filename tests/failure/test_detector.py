@@ -75,8 +75,8 @@ def test_injector_schedules():
     injector.crash_at(3.0, pid=1)
     injector.recover_at(8.0, pid=1)
     sim.run()
-    crash = sim.trace.last("crash")
-    recover = sim.trace.last("recover")
+    crash = sim.trace.index.last_of("crash")
+    recover = sim.trace.index.last_of("recover")
     assert crash.pid == 1 and crash.time == 3.0
     assert recover.pid == 1 and recover.time == 8.0
 
@@ -89,8 +89,8 @@ def test_injector_tolerates_redundant_events():
     injector.recover_at(8.0, pid=1)
     injector.recover_at(9.0, pid=1)  # already up: no-op
     sim.run()
-    assert len(sim.trace.of_kind("crash")) == 1
-    assert len(sim.trace.of_kind("recover")) == 1
+    assert len(sim.trace.index.by_kind("crash")) == 1
+    assert len(sim.trace.index.by_kind("recover")) == 1
 
 
 def test_injector_partition_schedule():
@@ -99,5 +99,5 @@ def test_injector_partition_schedule():
     injector.partition_at(2.0, [{0}, {1, 2}])
     injector.merge_at(5.0)
     sim.run()
-    assert len(sim.trace.of_kind("partition")) == 1
-    assert len(sim.trace.of_kind("merge")) == 1
+    assert len(sim.trace.index.by_kind("partition")) == 1
+    assert len(sim.trace.index.by_kind("merge")) == 1

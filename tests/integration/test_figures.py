@@ -98,8 +98,8 @@ def test_figure4_example2_interfering_instances():
     # One tentative + one commit per shared process: the checkpoint was
     # shared between the trees, not duplicated.
     for pid in (3, 4):
-        assert len(sim.trace.for_process(pid, "chkpt_tentative")) == 1
-        assert len(sim.trace.for_process(pid, "chkpt_commit")) == 1
+        assert len(sim.trace.index.for_process(pid, "chkpt_tentative")) == 1
+        assert len(sim.trace.index.for_process(pid, "chkpt_commit")) == 1
     assert all(procs[i].store.oldchkpt.seq == 2 for i in (1, 2, 3, 4))
     check_quiescent(procs.values())
     check_c1(procs.values())

@@ -88,7 +88,7 @@ def test_replica_holds_one_entry_per_tree_after_a_kill_restart_run():
 
     trees = {tree for _kind, tree in observed}
     decision_sends = [
-        e for e in sim.trace.of_kind(K_CTRL_SEND)
+        e for e in sim.trace.index.by_kind(K_CTRL_SEND)
         if e.fields["msg_type"] in ("commit", "abort", "restart")
     ]
     assert len(trees) > 10

@@ -9,6 +9,8 @@ run does.
 """
 
 import asyncio
+import os
+import signal
 
 import pytest
 
@@ -350,6 +352,26 @@ def test_worker_errors_surface_in_the_parent(tmp_path):
         cluster.shutdown()
     finally:
         cluster.close()
+
+
+def test_a_killed_worker_fails_requests_with_the_shard_named(tmp_path):
+    cluster = build(
+        tmp_path, n=4, shards=2, config=None, workload=None,
+        detector_latency=None, spoolers=False, delay=0.0, time_scale=0.005,
+    )
+    survivor, victim = cluster._workers
+    try:
+        cluster.start()
+        os.kill(victim.process.pid, signal.SIGKILL)
+        victim.process.join(timeout=30.0)
+        # The send to the dead worker's pipe fails before any liveness
+        # poll could: it must still name the shard, not leak BrokenPipeError.
+        with pytest.raises(SimulationError, match=r"shard 1 worker died \(exit -9\)"):
+            cluster.summary()
+    finally:
+        cluster.close()
+    assert not survivor.process.is_alive()
+    assert survivor.process.exitcode is not None
 
 
 def test_front_door_routes_by_pid_without_caller_knowing_shards(tmp_path):

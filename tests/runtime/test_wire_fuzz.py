@@ -219,6 +219,17 @@ def test_varint_bound_is_the_same_in_both_directions():
             wire.dumps_frame(_normal(value))
 
 
+@pytest.mark.parametrize("padded", [b"\x80\x00", b"\xff\x00", b"\x81\x80\x00"])
+def test_a_varint_padded_with_a_zero_byte_is_rejected(padded):
+    """One value, one encoding: a multi-byte varint never ends in 0x00."""
+    with pytest.raises(WireError, match="non-canonical varint"):
+        wire._read_uvarint(padded, 0)
+    with pytest.raises(WireError, match="non-canonical varint"):
+        wire.loads_frame(_HEAD + b"\x03" + padded + _TAIL)
+    # The lone zero byte is zero's canonical encoding.
+    assert wire._read_uvarint(b"\x00", 0) == (0, 1)
+
+
 def test_trailing_bytes_are_rejected():
     """Pinned: a payload is exactly one envelope."""
     for payload in PAYLOADS:

@@ -8,11 +8,11 @@ handoff to a successor, and the network's departed-destination salvage.
 
 import pytest
 
+from repro import tracekinds as T
 from repro.analysis import check_c1, check_c1_from_trace
 from repro.core.process import CheckpointProcess
 from repro.errors import SimulationError
 from repro.membership import MembershipPlane
-from repro.sim import trace as T
 from repro.testing import build_sim
 
 
@@ -68,14 +68,14 @@ def test_join_makes_the_new_process_a_full_participant():
     sim.scheduler.at(6.0, lambda: sim.nodes[3].initiate_checkpoint())
     sim.run(until=40.0)
     assert sim.membership.epoch == 2
-    joins = sim.trace.of_kind(T.K_JOIN)
+    joins = sim.trace.index.by_kind(T.K_JOIN)
     assert [e.pid for e in joins] == [3]
     # Every pre-existing engine learned the new peer.
     for pid in (0, 1, 2):
         assert 3 in procs[pid].engine.peers
     # The joiner's checkpoint instance recruited its correspondent and
     # committed — it is a first-class protocol member.
-    commits = {e.pid for e in sim.trace.of_kind(T.K_CHKPT_COMMIT)}
+    commits = {e.pid for e in sim.trace.index.by_kind(T.K_CHKPT_COMMIT)}
     assert {0, 3} <= commits
     check_c1(sim.nodes.values())
 
@@ -86,12 +86,12 @@ def test_leave_hands_obligations_to_the_successor():
     sim.scheduler.at(3.0, lambda: procs[1].initiate_checkpoint())
     sim.scheduler.at(10.0, lambda: sim.leave_node(1, successor=0))
     sim.run(until=40.0)
-    leaves = sim.trace.of_kind(T.K_LEAVE)
+    leaves = sim.trace.index.by_kind(T.K_LEAVE)
     assert [e.pid for e in leaves] == [1]
     assert leaves[0].fields["successor"] == 0
     # The successor adopted P1's obligations (decision log and commit-set
     # membership travel in the handoff message).
-    handoffs = sim.trace.of_kind(T.K_HANDOFF)
+    handoffs = sim.trace.index.by_kind(T.K_HANDOFF)
     assert [e.pid for e in handoffs] == [0]
     assert 1 in procs[0].engine.adopted
     # P1 is gone from the live membership and every survivor's peer set.
@@ -118,7 +118,7 @@ def test_leave_mid_instance_does_not_wedge_the_round():
         assert not proc.chkpt_commit_set
         assert not proc.roll_restart_set
     # The post-departure instance committed without touching P2.
-    commits = sim.trace.of_kind(T.K_CHKPT_COMMIT)
+    commits = sim.trace.index.by_kind(T.K_CHKPT_COMMIT)
     assert any(e.pid == 1 and e.time > 12.0 for e in commits)
     assert not any(e.pid == 2 and e.time > 4.0 for e in commits)
     check_c1_from_trace(sim.trace)

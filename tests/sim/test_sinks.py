@@ -5,13 +5,13 @@ from collections import Counter
 import pytest
 
 from repro.net import UniformDelay
-from repro.sim import trace as T
+from repro import tracekinds as T
 from repro.sim.trace import (
+    FLUSH_EVERY,
     InMemorySink,
     JsonlStreamSink,
-    MetricsSink,
-    NullSink,
     Trace,
+    TraceEvent,
     load_jsonl,
 )
 from repro.testing import build_sim, run_random_workload
@@ -32,31 +32,32 @@ def record_sample(trace):
 def test_default_trace_keeps_events_in_memory():
     trace = Trace()
     record_sample(trace)
-    assert len(trace) == 6
-    assert trace.retained_events == 6
+    assert len(trace) == len(trace.events) == 6
     assert [e.kind for e in trace][:2] == [T.K_SEND, T.K_RECEIVE]
-    assert len(trace.of_kind(T.K_SEND)) == 1
+    assert len(trace.index.by_kind(T.K_SEND)) == 1
 
 
 def test_null_sink_retains_nothing_but_counts():
-    trace = Trace(sinks=[NullSink()])
+    trace = Trace(sinks=[])
     record_sample(trace)
     assert len(trace) == 6
     assert trace.events_recorded == 6
-    assert trace.retained_events == 0
+    with pytest.raises(RuntimeError, match="no InMemorySink"):
+        trace.events
 
 
-def test_streaming_trace_rejects_memory_queries():
-    trace = Trace(sinks=[NullSink()])
+def test_streaming_trace_rejects_memory_queries(tmp_path):
+    trace = Trace(sinks=[JsonlStreamSink(str(tmp_path / "t.jsonl"))])
     record_sample(trace)
+    assert len(trace) == trace.events_recorded == 6
     with pytest.raises(RuntimeError, match="no InMemorySink"):
         trace.events
     with pytest.raises(RuntimeError, match="no InMemorySink"):
         list(trace)
 
 
-def test_backfill_requires_memory_sink():
-    trace = Trace(sinks=[NullSink()])
+def test_backfill_requires_memory_sink(tmp_path):
+    trace = Trace(sinks=[JsonlStreamSink(str(tmp_path / "t.jsonl"))])
     record_sample(trace)
     with pytest.raises(RuntimeError, match="backfill"):
         trace.add_sink(InMemorySink())
@@ -79,7 +80,8 @@ def test_jsonl_round_trip_is_lossless(tmp_path):
     trace.close()
     assert sink.written == 6
 
-    reloaded = load_jsonl(path)
+    reloaded, truncated = load_jsonl(path)
+    assert truncated == 0
     assert len(reloaded) == len(trace.events)
     for original, copy in zip(trace.events, reloaded):
         assert copy.index == original.index
@@ -106,105 +108,62 @@ def test_jsonl_streaming_run_matches_in_memory_run(tmp_path):
                         error_rate=0.02)
     sim_str.trace.close()
 
-    assert sim_str.trace.retained_events == 0
     assert stream.written == len(sim_mem.trace) > 0
-    reloaded = load_jsonl(path)
+    reloaded, _ = load_jsonl(path)
     assert [(e.time, e.kind, e.pid) for e in reloaded] == [
         (e.time, e.kind, e.pid) for e in sim_mem.trace
     ]
 
 
-def test_metrics_sink_counters_match_brute_force():
+def test_index_counts_match_brute_force():
     memory = InMemorySink()
-    metrics = MetricsSink()
-    sim, procs = build_sim(n=5, seed=3, delay=UniformDelay(0.3, 0.9),
-                           sinks=[memory, metrics])
+    sim, procs = build_sim(n=5, seed=3, delay=UniformDelay(0.3, 0.9), sinks=[memory])
     run_random_workload(sim, procs, duration=20.0, checkpoint_rate=0.1,
                         error_rate=0.05)
 
     by_kind = Counter(e.kind for e in memory.events)
-    assert metrics.events_by_kind == by_kind
-    assert metrics.total_events == len(memory.events)
-    assert metrics.checkpoints_tentative == by_kind[T.K_CHKPT_TENTATIVE]
-    assert metrics.checkpoints_committed == by_kind[T.K_CHKPT_COMMIT]
-    assert metrics.checkpoints_aborted == by_kind[T.K_CHKPT_ABORT]
-    assert metrics.rollbacks == by_kind[T.K_ROLLBACK]
-
-    per_tree = Counter(
-        e.fields.get("tree") for e in memory.events if e.kind == T.K_CTRL_SEND
-    )
-    assert metrics.control_sends_per_tree == per_tree
-
-    depths = [
-        e.fields.get("undone_sends", 0) + e.fields.get("undone_receives", 0)
-        for e in memory.events
-        if e.kind == T.K_ROLLBACK
-    ]
-    assert metrics.rollback_depth_total == sum(depths)
-    assert metrics.max_rollback_depth == (max(depths) if depths else 0)
-
-    snap = metrics.snapshot()
-    assert snap["total_events"] == len(memory.events)
-    assert snap["rollbacks"] == metrics.rollbacks
-
-
-def test_trace_or_sinks_are_exclusive():
-    from repro.errors import SimulationError
-    from repro.sim import Simulation
-
-    with pytest.raises(SimulationError, match="not both"):
-        Simulation(trace=Trace(), sinks=[NullSink()])
-
-
-def test_shared_trace_can_be_passed_in():
-    from repro.sim import Simulation
-
-    trace = Trace()
-    sim = Simulation(trace=trace)
-    assert sim.trace is trace
+    index = sim.trace.index
+    assert sorted(index.kinds()) == sorted(by_kind)
+    for kind, count in by_kind.items():
+        assert index.count(kind) == count
+    assert index.count(*by_kind) == len(memory.events)
 
 
 def test_jsonl_sink_buffers_until_flush_threshold(tmp_path):
     path = str(tmp_path / "buffered.jsonl")
-    sink = JsonlStreamSink(path, flush_every=4)
+    sink = JsonlStreamSink(path)
     trace = Trace(sinks=[sink])
-    # Three events sit in the buffer; nothing has hit the file yet.
-    trace.record(0.0, T.K_SEND, pid=0, msg_id=MessageId(0, 1), dst=1, label=1)
-    trace.record(0.5, T.K_RECEIVE, pid=1, msg_id=MessageId(0, 1), src=0, label=1)
-    trace.record(1.0, T.K_CRASH, pid=0)
+    # One event short of the threshold: nothing has hit the file yet.
+    for step in range(FLUSH_EVERY - 1):
+        trace.record(float(step), T.K_CRASH, pid=0)
     with open(path, encoding="utf-8") as handle:
         assert handle.read() == ""
-    # The fourth crosses flush_every: all four land in one write.
-    trace.record(1.5, T.K_RECOVER, pid=0)
-    assert len(load_jsonl(path)) == 4
+    # The next crosses FLUSH_EVERY: the whole buffer lands in one write.
+    trace.record(float(FLUSH_EVERY), T.K_RECOVER, pid=0)
+    assert len(load_jsonl(path)[0]) == FLUSH_EVERY
     # An explicit flush forces a partial buffer out.
-    trace.record(2.0, T.K_CRASH, pid=1)
+    trace.record(99.0, T.K_CRASH, pid=1)
     sink.flush()
-    assert len(load_jsonl(path)) == 5
+    assert len(load_jsonl(path)[0]) == FLUSH_EVERY + 1
     trace.close()
 
 
 def test_jsonl_sink_close_is_idempotent_and_guards_late_emits(tmp_path):
     path = str(tmp_path / "closed.jsonl")
-    sink = JsonlStreamSink(path, flush_every=64)
+    sink = JsonlStreamSink(path)
     trace = Trace(sinks=[sink])
     record_sample(trace)
     trace.close()
     trace.close()  # idempotent
     assert sink.closed
-    assert len(load_jsonl(path)) == 6  # close flushed the buffer
+    assert len(load_jsonl(path)[0]) == 6  # close flushed the buffer
     with pytest.raises(RuntimeError, match="closed"):
-        sink.emit(T.TraceEvent(index=99, time=9.0, kind=T.K_CRASH, pid=0, fields={}))
-
-
-def test_jsonl_sink_rejects_bad_flush_every(tmp_path):
-    with pytest.raises(ValueError):
-        JsonlStreamSink(str(tmp_path / "x.jsonl"), flush_every=0)
+        sink.emit(TraceEvent(index=99, time=9.0, kind=T.K_CRASH, pid=0, fields={}))
 
 
 def test_index_attached_mid_run_over_the_memory_fast_path_sees_each_event_once():
-    trace = Trace()
-    (memory,) = trace.sinks
+    memory = InMemorySink()
+    trace = Trace(sinks=[memory])
     # A lone plain InMemorySink is stored into by its list's own append.
     assert trace._solo_emit == memory.events.append
     record_sample(trace)

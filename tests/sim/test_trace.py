@@ -1,7 +1,7 @@
 """Unit tests for the structured trace."""
 
-from repro.sim import trace as T
-from repro.sim.trace import Trace
+from repro import tracekinds as T
+from repro.sim.trace import Trace, json_safe
 
 
 def make_trace():
@@ -37,49 +37,26 @@ def test_missing_field_raises_attribute_error():
 
 
 def test_of_kind_filters():
-    tr = make_trace()
-    assert len(tr.of_kind(T.K_SEND)) == 1
-    assert len(tr.of_kind(T.K_SEND, T.K_RECEIVE)) == 2
+    index = make_trace().index
+    assert len(index.by_kind(T.K_SEND)) == 1
+    assert len(index.by_kind(T.K_SEND, T.K_RECEIVE)) == 2
 
 
 def test_for_process_filters():
-    tr = make_trace()
-    assert len(tr.for_process(1)) == 3
-    assert len(tr.for_process(1, T.K_CHKPT_COMMIT)) == 1
-
-
-def test_where_predicate():
-    tr = make_trace()
-    late = tr.where(lambda e: e.time >= 3.0)
-    assert len(late) == 3
+    index = make_trace().index
+    assert len(index.for_process(1)) == 3
+    assert len(index.for_process(1, T.K_CHKPT_COMMIT)) == 1
 
 
 def test_last():
-    tr = make_trace()
-    assert tr.last(T.K_CHKPT_COMMIT).seq == 2
-    assert tr.last(T.K_SEND, pid=1) is None
+    index = make_trace().index
+    assert index.last_of(T.K_CHKPT_COMMIT).seq == 2
+    assert index.last_of(T.K_SEND, pid=1) is None
 
 
-def test_dump_renders_lines():
-    tr = make_trace()
-    text = tr.dump(limit=2)
-    assert text.count("\n") == 1
-    assert "send" in text
-
-
-def test_to_jsonl_roundtrips(tmp_path):
-    import json
-
+def test_json_safe_renders_ids_readably():
     from repro.types import MessageId, TreeId
 
-    tr = Trace()
-    tr.record(1.0, T.K_SEND, pid=0, msg_id=MessageId(0, 0), dst=1, label=1)
-    tr.record(2.0, T.K_CHKPT_TENTATIVE, pid=1, seq=2, tree=TreeId(1, 0))
-    path = str(tmp_path / "trace.jsonl")
-    written = tr.to_jsonl(path)
-    assert written == 2
-    lines = [json.loads(line) for line in open(path)]
-    assert lines[0]["kind"] == "send"
-    assert lines[0]["msg_id"] == "m(P0#0)"
-    assert lines[1]["tree"] == "T(P1@0)"
-    assert lines[1]["time"] == 2.0
+    row = json_safe({"msg_id": MessageId(0, 0), "tree": TreeId(1, 0), "time": 2.0,
+                     "peers": {2, 1}})
+    assert row == {"msg_id": "m(P0#0)", "tree": "T(P1@0)", "time": 2.0, "peers": [1, 2]}

@@ -79,7 +79,7 @@ def test_bursty_traffic_is_modulated():
     BurstyWorkload(burst_rate=5.0, idle_rate=0.1, burst_length=10.0,
                    idle_length=10.0, duration=40.0).install(sim, procs)
     sim.run()
-    sends = sim.trace.of_kind("send")
+    sends = sim.trace.index.by_kind("send")
     busy = [e for e in sends if e.time % 20.0 < 10.0]
     idle = [e for e in sends if e.time % 20.0 >= 10.0]
     assert len(busy) > 5 * max(len(idle), 1)

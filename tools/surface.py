@@ -16,7 +16,9 @@ and option counts CHANGES.md quotes before -> after for subtraction PRs.
 With ``--unreferenced`` it lists instead the public top-level names those
 modules *define* that nothing refers to: no whole-word occurrence in the code
 of any ``.py`` file under ``src tests examples bench_e2e benchmarks tools``
-outside the defining statement itself.  Code means every token but comments
+outside the defining statement itself.  A package ``__init__.py`` that
+imports a name and lists it in ``__all__`` only re-exports it: those two
+mentions are not references.  Code means every token but comments
 and docstrings (a name that only prose mentions is not referenced); other
 string literals count, since boundary tables and ``getattr`` name things that
 way.  Exit status 1 when the list is not empty.
@@ -31,7 +33,7 @@ import re
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from code_lines import code_tokens  # sibling script: tools/ is sys.path[0]
 
@@ -115,14 +117,42 @@ def _python_files(args: List[str]) -> List[Path]:
     return paths
 
 
+def _reexports(path: Path) -> Tuple[Set[str], List[Tuple[int, int]]]:
+    """For a package ``__init__.py``: the names it imports *and* lists in
+    ``__all__``, and the line spans of those imports and of ``__all__``.
+    A re-export there names the definition; it does not use it."""
+    if path.name != "__init__.py":
+        return set(), []
+    tree = ast.parse(path.read_text(), filename=str(path))
+    listed = set(_literal_all(tree) or ())
+    imported: Set[str] = set()
+    spans: List[Tuple[int, int]] = []
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.asname or alias.name for alias in node.names)
+            spans.append((node.lineno, node.end_lineno))
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            spans.append((node.lineno, node.end_lineno))
+    return imported & listed, spans
+
+
+def _reference_words(path: Path) -> Iterator[str]:
+    names, spans = _reexports(path)
+    for tok in code_tokens(path):
+        in_span = any(lo <= tok.start[0] <= hi for lo, hi in spans)
+        for word in re.findall(r"\w+", tok.string):
+            if not (in_span and word in names):
+                yield word
+
+
 def unreferenced(paths: List[Path]) -> List[str]:
     """``path: name`` for each public top-level name defined in ``paths``
-    that occurs nowhere under :data:`SEARCH_ROOTS` but in its own definition."""
+    that occurs nowhere under :data:`SEARCH_ROOTS` but in its own definition
+    and its package re-exports."""
     words = Counter(
-        word
-        for path in _python_files(list(SEARCH_ROOTS))
-        for tok in code_tokens(path)
-        for word in re.findall(r"\w+", tok.string)
+        word for path in _python_files(list(SEARCH_ROOTS)) for word in _reference_words(path)
     )
     found: List[str] = []
     for path in paths:
