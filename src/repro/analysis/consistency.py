@@ -212,8 +212,5 @@ def check_quiescent(processes: Iterable) -> None:
 
 
 def _last_committed(proc):
-    """Last committed checkpoint of a base or extended process."""
-    store = getattr(proc, "multi_store", None)
-    if store is not None:
-        return store.oldchkpt
+    """Last committed checkpoint of a process."""
     return proc.store.oldchkpt

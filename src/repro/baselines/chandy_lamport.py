@@ -94,7 +94,7 @@ class ChandyLamportEngine(ProtocolEngine):
         # The snapshot is also this process's checkpoint: committed
         # immediately (Chandy-Lamport has no decision phase).
         self.store.take_new(seq, snapshot.state, made_at=self.now, **self._ledger_manifest())
-        self.committed_history.append(self.store.commit_new())
+        self.committed_history.append(self.store.commit_through(seq))
         self._trace(T.K_CHKPT_TENTATIVE, seq=seq, tree=tree_id)
         self._trace(T.K_CHKPT_COMMIT, seq=seq, tree=tree_id)
         for pid in others:

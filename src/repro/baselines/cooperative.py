@@ -177,7 +177,7 @@ class CooperativeEngine(ProtocolEngine):
         if self.store.newchkpt is None or tree_id not in self.tentative_trees:
             return  # an overlapping instance already committed it
         seq = self.store.newchkpt.seq
-        self.committed_history.append(self.store.commit_new())
+        self.committed_history.append(self.store.commit_through(seq))
         self.tentative_trees = set()
         self._trace(T.K_CHKPT_COMMIT, seq=seq, tree=tree_id)
 
@@ -185,7 +185,7 @@ class CooperativeEngine(ProtocolEngine):
         """Drop one sharer; discard the tentative once nobody shares it."""
         self.tentative_trees.discard(tree_id)
         if not self.tentative_trees and self.store.newchkpt is not None:
-            self.store.discard_new()
+            self.store.discard(self.store.newchkpt.seq)
 
     # ------------------------------------------------------------------
     # Snapshot-id piggybacking (post-cut receive detection)

@@ -195,7 +195,7 @@ class TamirSequinEngine(ProtocolEngine):
 
     def _local_commit(self, tree_id: TreeId) -> None:
         if self.store.newchkpt is not None and tree_id in self.chkpt_commit_set:
-            committed = self.store.commit_new()
+            committed = self.store.commit_through(self.store.newchkpt.seq)
             self.committed_history.append(committed)
             self._trace(T.K_CHKPT_COMMIT, seq=committed.seq, tree=tree_id)
         self.chkpt_commit_set = set()

@@ -34,7 +34,7 @@ class UncoordinatedEngine(ProtocolEngine):
         tree_id = self._new_tree_id()
         seq = self.ledger.advance()
         self.store.take_new(seq, self.app.snapshot(), made_at=self.now, **self._ledger_manifest())
-        record = self.store.commit_new()
+        record = self.store.commit_through(seq)
         self.committed_history.append(record)
         self._trace(T.K_INSTANCE_START, tree=tree_id, instance="checkpoint")
         self._trace(T.K_CHKPT_TENTATIVE, seq=seq, tree=tree_id)

@@ -5,14 +5,10 @@ Usage::
     python -m repro.bench                       # everything (minutes)
     python -m repro.bench fig3 table5           # a selection
     python -m repro.bench fig2 --json out.json  # + machine-readable artifact
-    python -m repro.bench --parallel 4          # fan experiments out over 4 processes
+    python -m cProfile -o bench.pstats -m repro.bench fig3  # profiled
 
 The printed tables are what EXPERIMENTS.md records; ``--json`` writes the
 same rows (experiment name → title + row dicts) for scripted consumers.
-``--parallel N`` runs the selected experiments across ``N`` worker
-processes; every experiment seeds its simulations explicitly, so the merged
-artifact is identical to a serial run (rows merge in registry order, not
-completion order).
 """
 
 from __future__ import annotations
@@ -26,7 +22,6 @@ from repro.bench import app as APP
 from repro.bench import churn as CH
 from repro.bench import experiments as E
 from repro.bench.harness import format_table, print_experiment, rows_to_json, write_json
-from repro.bench.parallel import run_registry_parallel
 
 # name -> (table title, thunk returning the table's rows).  Experiments that
 # produce a single summary dict are wrapped into one-row tables here so every
@@ -81,15 +76,6 @@ def main(argv: list) -> int:
         help="also write the artifacts as JSON to PATH",
     )
     parser.add_argument(
-        "--parallel", metavar="N", type=int, default=1,
-        help="run experiments across N worker processes (default: 1, serial)",
-    )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="run under cProfile and write a .pstats file next to the JSON "
-             "artifact (or ./bench.pstats); forces serial execution",
-    )
-    parser.add_argument(
         "--list", action="store_true",
         help="list available experiments with one-line descriptions and exit",
     )
@@ -98,9 +84,6 @@ def main(argv: list) -> int:
         print("available experiments:")
         print(format_registry())
         return 0
-    if args.parallel < 1:
-        print(f"--parallel must be >= 1, got {args.parallel}")
-        return 2
 
     names = args.names or list(REGISTRY)
     unknown = [n for n in names if n not in REGISTRY]
@@ -121,34 +104,11 @@ def main(argv: list) -> int:
             print(f"cannot write --json file {args.json}: {error}")
             return 2
 
-    profiler = None
-    workers = args.parallel
-    if args.profile:
-        import cProfile
-
-        if workers != 1:
-            print("--profile forces serial execution (profiling one process)")
-            workers = 1
-        profiler = cProfile.Profile()
-        profiler.enable()
-
     artifacts: Dict[str, Dict[str, Any]] = {}
-    try:
-        results = run_registry_parallel(names, workers=workers)
-        for name, (title, rows) in zip(names, results):
-            print_experiment(name, format_table(rows, title=title))
-            artifacts[name] = {"title": title, "rows": rows_to_json(rows)}
-    finally:
-        if profiler is not None:
-            profiler.disable()
-            stats_path = (
-                f"{args.json}.pstats" if args.json is not None else "bench.pstats"
-            )
-            profiler.dump_stats(stats_path)
-            print(
-                f"wrote cProfile stats to {stats_path} "
-                "(inspect with: python -m pstats ... or snakeviz)"
-            )
+    for name in names:
+        title, rows = run_experiment(name)
+        print_experiment(name, format_table(rows, title=title))
+        artifacts[name] = {"title": title, "rows": rows_to_json(rows)}
     if args.json is not None:
         write_json(args.json, artifacts)
         print(f"wrote JSON artifacts for {len(artifacts)} experiment(s) to {args.json}")

@@ -19,6 +19,7 @@ from typing import Dict, List, Optional
 from repro import tracekinds as T
 from repro.core import messages as M
 from repro.core.trees import ChkptTreeState
+from repro.errors import ProtocolError
 from repro.priorities import PRIORITY_NORMAL
 from repro.types import ProcessId, TreeId
 
@@ -122,8 +123,13 @@ class ChkptProtocolMixin:
         """Take the uncommitted checkpoint and suspend normal sends.
 
         Mirrors the common block of b1/b2: snapshot state, advance ``n_i``,
-        set ``chkpt_commit_set := {t}``, suspend normal message send.
+        set ``chkpt_commit_set := {t}``, suspend normal message send.  The
+        store keeps a stack for the Section 3.5.3 extension; the base
+        algorithm holds at most one uncommitted checkpoint, and this is its
+        only take.
         """
+        if self.store.has_new:
+            raise ProtocolError("newchkpt already exists; commit or discard it first")
         seq = self.ledger.advance()
         self.store.take_new(
             seq, self.app.snapshot(), made_at=self.now, **self._ledger_manifest()
@@ -332,7 +338,7 @@ class ChkptProtocolMixin:
         tree = self.trees.chkpt.get(tree_id)
         if tree is not None:
             self._forward_decision(tree, "commit")
-        committed = self.store.commit_new()
+        committed = self.store.commit_through(self.store.newchkpt.seq)
         self.committed_history.append(committed)
         shared = self.chkpt_commit_set
         self.chkpt_commit_set = set()
@@ -359,7 +365,7 @@ class ChkptProtocolMixin:
             self._persist_commit_set()
             if not self.chkpt_commit_set and self.store.has_new:
                 discarded = self.store.newchkpt
-                self.store.discard_new()
+                self.store.discard(discarded.seq)
                 self._trace(T.K_CHKPT_ABORT, seq=discarded.seq, tree=tree_id)
                 self._resume_send()
         if tree is not None:

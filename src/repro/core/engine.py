@@ -10,15 +10,17 @@ the discrete-event simulation, the live asyncio runtime, and the
 three *ports* — host objects the engine holds: the hosted application
 (``app``), stable storage (``storage``) and the :class:`Host` (``host``),
 which has exactly ``send(envelope)`` and ``trace(kind, fields)``.
-Checkpoints live in the one :class:`~repro.stable.checkpoint.CheckpointStore`
-the engine builds over that storage (every transition written through), and
-the Section 6 commit set and decision log are put/appended there and read
-back on ``Recover`` — the paper keeps all three "in stable storage" and
-restarts from it.  What happens *per decision, failure or departure* — a
-timer armed or cancelled, a decision shown to the spoolers, a spooled
-envelope redelivered, an inquiry broadcast, a handoff — is a typed effect
-from :mod:`repro.core.effects`, applied by ``engine._sink`` the moment it is
-emitted and collected by ``handle`` for its caller.  Either way the output
+Checkpoints — ``oldchkpt`` and the stack of uncommitted ones, at most one
+deep in the base algorithm — live in the one
+:class:`~repro.stable.checkpoint.CheckpointStore` the engine builds over that
+storage (every transition written through), and the Section 6 commit set and
+decision log are put/appended there and read back on ``Recover`` — the paper
+keeps all three "in stable storage" and restarts from it.  What happens *per
+decision, failure or departure* — a timer armed or cancelled, a decision
+shown to the spoolers, a spooled envelope redelivered, an inquiry broadcast,
+a handoff — is a typed effect from :mod:`repro.core.effects`, applied by
+``engine._sink`` the moment it is emitted and collected by ``handle`` for its
+caller.  Either way the output
 takes place at the instant the engine produces it, which preserves the exact
 interleaving of traces, sends and synchronous redeliveries (a spool
 redelivery re-enters the engine mid-event).

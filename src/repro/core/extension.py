@@ -26,9 +26,15 @@ which the paper's cases are instances — see DESIGN.md §5.
 
 Split like the base algorithm: :class:`ExtendedProtocolEngine` is the
 sans-IO variant (safe to import from :mod:`repro.core.engine` consumers) and
-owns the pending stack, a :class:`~repro.stable.checkpoint.MultiCheckpointStore`
-over the engine's stable storage; :class:`ExtendedCheckpointProcess` is the
-kernel adapter that drives it.
+keeps the pending stack in the engine's one
+:class:`~repro.stable.checkpoint.CheckpointStore`, of which the base
+algorithm uses depth one; :class:`ExtendedCheckpointProcess` is the kernel
+adapter that drives it.
+
+The paper gives the extension no Section 6 rules: what a restarting or
+departing process should do with a *stack* of uncommitted checkpoints is
+undefined.  The engine therefore refuses ``Fail`` and its own ``Leave`` with
+a :class:`~repro.errors.ProtocolError` rather than improvise a rule.
 """
 
 from __future__ import annotations
@@ -36,12 +42,13 @@ from __future__ import annotations
 from typing import Dict, Optional, Set, Tuple
 
 from repro import tracekinds as T
+from repro.core import events as EV
 from repro.core import messages as M
 from repro.core.app import Application
 from repro.core.engine import ProtocolConfig, ProtocolEngine
 from repro.core.process import CheckpointProcess
 from repro.core.trees import ChkptTreeState
-from repro.stable.checkpoint import MultiCheckpointStore
+from repro.errors import ProtocolError
 from repro.stable.storage import StableStorage
 from repro.types import CheckpointRecord, ProcessId, Seq, TreeId
 
@@ -57,7 +64,6 @@ class ExtendedProtocolEngine(ProtocolEngine):
         storage: Optional[StableStorage] = None,
     ) -> None:
         super().__init__(pid, config=config, app=app, storage=storage)
-        self.multi_store = MultiCheckpointStore(self.storage, namespace="mckpt")
         # Per-pending-checkpoint commit sets: seq -> {tree timestamps}.
         self.commit_sets: Dict[Seq, Set[TreeId]] = {}
         self.tree_to_seq: Dict[TreeId, Seq] = {}
@@ -65,22 +71,25 @@ class ExtendedProtocolEngine(ProtocolEngine):
         self._seen_markers: Set[TreeId] = set()
 
     # ------------------------------------------------------------------
-    # Lifecycle
+    # Lifecycle: no Section 6 rule covers a stack of pending checkpoints
     # ------------------------------------------------------------------
-    def on_start(self) -> None:
-        self.ledger.n = 1
-        initial = self.multi_store.initialize(
-            self.app.snapshot(), made_at=self.now, meta=self._ledger_manifest()
+    def _ev_fail(self, event: EV.Fail) -> None:
+        raise ProtocolError(
+            f"P{self.node_id}: the Section 3.5.3 extension defines no crash recovery "
+            "(Section 6 rule 3) for a stack of uncommitted checkpoints"
         )
-        self.store.initialize(self.app.snapshot(), made_at=self.now)  # unused mirror
-        self.committed_history = [initial]
-        self._reset_checkpoint_timer()
+
+    def _depart(self, event: EV.Leave) -> None:
+        raise ProtocolError(
+            f"P{self.node_id}: the Section 3.5.3 extension defines no graceful departure "
+            "for a stack of uncommitted checkpoints"
+        )
 
     # ------------------------------------------------------------------
     # Markers on the normal plane
     # ------------------------------------------------------------------
     def _current_markers(self) -> Tuple[TreeId, ...]:
-        newest = self.multi_store.newest
+        newest = self.store.newchkpt
         if newest is None:
             return ()
         return tuple(sorted(self.commit_sets.get(newest.seq, set())))
@@ -109,7 +118,7 @@ class ExtendedProtocolEngine(ProtocolEngine):
 
     def _push_new_checkpoint(self, tree_id: TreeId) -> CheckpointRecord:
         seq = self.ledger.advance()
-        record = self.multi_store.push(
+        record = self.store.take_new(
             seq, self.app.snapshot(), made_at=self.now, **self._ledger_manifest()
         )
         self.commit_sets[seq] = {tree_id}
@@ -129,7 +138,7 @@ class ExtendedProtocolEngine(ProtocolEngine):
         children are the senders of live messages in the interval range
         ``[oldchkpt.seq, serving.seq - 1]``.
         """
-        oldchkpt = self.multi_store.oldchkpt
+        oldchkpt = self.store.oldchkpt
         potentials = self.ledger.senders_in_range(oldchkpt.seq, serving.seq - 1)
         potentials.pop(self.node_id, None)
         tree.pending_acks |= set(potentials)
@@ -186,7 +195,7 @@ class ExtendedProtocolEngine(ProtocolEngine):
             return False
         if self.decisions_seen.get(req.tree) == "abort":
             return False  # aborted trees never recruit again (see base class)
-        oldchkpt = self.multi_store.oldchkpt
+        oldchkpt = self.store.oldchkpt
         if oldchkpt is None or oldchkpt.seq > req.max_label:
             return False
         if self.ledger.has_undone_send_with_label(src, req.max_label):
@@ -195,7 +204,7 @@ class ExtendedProtocolEngine(ProtocolEngine):
 
     def _covering_checkpoint(self, label: Seq) -> Optional[CheckpointRecord]:
         """Earliest pending checkpoint taken after the labelled send."""
-        for record in self.multi_store.pending:
+        for record in self.store.pending:
             if record.seq > label:
                 return record
         return None
@@ -232,7 +241,7 @@ class ExtendedProtocolEngine(ProtocolEngine):
         if tree is not None:
             self._forward_decision(tree, "commit")
         seq = self.tree_to_seq[tree_id]
-        committed = self.multi_store.commit_through(seq)
+        committed = self.store.commit_through(seq)
         self.committed_history.append(committed)
         self._trace(T.K_CHKPT_COMMIT, seq=committed.seq, tree=tree_id)
         # Instances attached to this or older pending checkpoints are now
@@ -274,12 +283,9 @@ class ExtendedProtocolEngine(ProtocolEngine):
                     orphaned.append(seq)
         for seq in orphaned:
             del self.commit_sets[seq]
-            if self.multi_store.find(seq) is not None:
-                # Remove just this pending checkpoint: newer pending
-                # checkpoints capture their own (still live) states.
-                remaining = [r for r in self.multi_store.discard_from(seq) if r.seq > seq]
-                for record in remaining:
-                    self.multi_store.push(record.seq, record.state, record.made_at, **record.meta)
+            # Remove just this pending checkpoint: newer pending
+            # checkpoints capture their own (still live) states.
+            if self.store.discard(seq) is not None:
                 self._trace(T.K_CHKPT_ABORT, seq=seq, tree=tree_id)
         self._sync_union_set()
         if tree is not None:
@@ -298,8 +304,7 @@ class ExtendedProtocolEngine(ProtocolEngine):
         tree_id = self._new_tree_id()
         self._trace(T.K_INSTANCE_START, tree=tree_id, instance="rollback")
         tree = self.trees.open_roll(tree_id, parent=None)
-        target = self.multi_store.newest or self.multi_store.oldchkpt
-        self._discard_pending_after(target.seq, keep_target=True)
+        target = self.store.newchkpt or self.store.oldchkpt
         self._perform_rollback(tree, target, discard_newchkpt=False)
         self._roll_maybe_complete(tree)
         return tree_id
@@ -326,7 +331,7 @@ class ExtendedProtocolEngine(ProtocolEngine):
                 self._trace(T.K_INSTANCE_START, tree=tree.tree, instance="rollback")
 
         target = self._latest_checkpoint_at_or_before(earliest)
-        self._discard_pending_after(target.seq, keep_target=True)
+        self._discard_pending_after(target.seq)
         self._perform_rollback(tree, target, discard_newchkpt=False)
         self._roll_maybe_complete(tree)
 
@@ -338,15 +343,16 @@ class ExtendedProtocolEngine(ProtocolEngine):
         ``seq <= interval`` therefore undoes the doomed receive while
         preserving as much later state as possible (paper cases 2.1/2.2/3).
         """
-        candidates = [r for r in self.multi_store.pending if r.seq <= interval]
+        candidates = [r for r in self.store.pending if r.seq <= interval]
         if candidates:
             return candidates[-1]
-        return self.multi_store.oldchkpt
+        return self.store.oldchkpt
 
-    def _discard_pending_after(self, seq: Seq, keep_target: bool) -> None:
+    def _discard_pending_after(self, seq: Seq) -> None:
         """Abort every pending checkpoint newer than ``seq`` (doomed states)."""
-        threshold = seq + 1 if keep_target else seq
-        dropped = self.multi_store.discard_from(threshold)
+        dropped = [record for record in self.store.pending if record.seq > seq]
+        for record in dropped:
+            self.store.discard(record.seq)
         for record in dropped:
             members = self.commit_sets.pop(record.seq, set())
             for tree_id in sorted(members):

@@ -101,7 +101,7 @@ class RecoveryMixin:
 
         decision = self._decision_from_spoolers(others)
         if decision == "commit":
-            self.committed_history.append(self.store.commit_new())
+            self.committed_history.append(self.store.commit_through(self.store.newchkpt.seq))
             self._trace(T.K_CHKPT_COMMIT, seq=self.store.oldchkpt.seq, tree=None)
             self.chkpt_commit_set = set()
             self._persist_commit_set()
@@ -120,7 +120,7 @@ class RecoveryMixin:
     def _recovery_abort_newchkpt(self) -> None:
         doomed = self.store.newchkpt
         if doomed is not None:
-            self.store.discard_new()
+            self.store.discard(doomed.seq)
             self._trace(T.K_CHKPT_ABORT, seq=doomed.seq, tree=None)
         self.chkpt_commit_set = set()
         self._persist_commit_set()

@@ -172,7 +172,7 @@ class RollProtocolMixin:
         self.chkpt_commit_set = set()
         self._persist_commit_set()
         if doomed is not None:
-            self.store.discard_new()
+            self.store.discard(doomed.seq)
             self._trace(T.K_CHKPT_ABORT, seq=doomed.seq, tree=None)
         self._resume_send()  # the checkpoint suspension lapses with newchkpt
 

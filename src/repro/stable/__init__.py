@@ -1,6 +1,6 @@
-"""Stable storage, frozen snapshots, and the checkpoint slots."""
+"""Stable storage, frozen snapshots, and the checkpoint store."""
 
-from repro.stable.checkpoint import CheckpointStore, MultiCheckpointStore
+from repro.stable.checkpoint import CheckpointStore
 from repro.stable.snapshot import FrozenDict, FrozenList, freeze, thaw
 from repro.stable.storage import (
     FileStableStorage,
@@ -17,7 +17,6 @@ __all__ = [
     "FrozenDict",
     "FrozenList",
     "InMemoryStableStorage",
-    "MultiCheckpointStore",
     "StableStorage",
     "WriteBehindFileStableStorage",
     "escape_key",

@@ -5,9 +5,14 @@ from repro.analysis import (
     check_no_dangling_receives,
     check_recovery_line,
 )
+import pytest
+
 from repro import tracekinds as T
 from repro.core import ExtendedCheckpointProcess
+from repro.core import events as EV
+from repro.core.extension import ExtendedProtocolEngine
 from repro.core.messages import NormalBody
+from repro.errors import ProtocolError
 from repro.testing import build_sim, run_random_workload
 
 
@@ -82,7 +87,7 @@ def test_multiple_pending_checkpoints_stack():
     sim.run(until=7.4)
     at(sim, 7.5, lambda: procs[0].initiate_checkpoint())
     peak = []
-    at(sim, 7.55, lambda: peak.append(len(procs[0].multi_store.pending)))
+    at(sim, 7.55, lambda: peak.append(len(procs[0].store.pending)))
     sim.run()
     assert peak and peak[0] >= 1
     check_recovery_line(procs.values())
@@ -107,3 +112,18 @@ def test_extension_blocking_time_is_zero_for_checkpoints():
     sim, procs = build(n=4, seed=3)
     run_random_workload(sim, procs, duration=30.0, checkpoint_rate=0.1)
     assert not sim.trace.index.by_kind(T.K_SUSPEND_SEND)
+
+
+def test_extension_refuses_crash_and_self_departure():
+    """No Section 6 rule covers a stack of pending checkpoints: fail loudly."""
+    engine = ExtendedProtocolEngine(0)
+    engine.handle(EV.Start(peers=(0, 1), at=0.0))
+    with pytest.raises(ProtocolError, match="Section 3.5.3 extension defines no crash"):
+        engine.handle(EV.Fail(at=1.0))
+    with pytest.raises(ProtocolError, match="Section 3.5.3 extension defines no graceful"):
+        engine.handle(EV.Leave(pid=0, successor=1, at=1.0))
+    engine.handle(EV.Leave(pid=1, successor=None, at=2.0))  # a peer may still leave
+    assert engine.peers == (0,)
+    sim, procs = build(n=2)
+    with pytest.raises(ProtocolError):
+        sim.crash(1)

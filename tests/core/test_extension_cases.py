@@ -21,7 +21,7 @@ def test_case1_message_before_oldchkpt_rejected():
     # P0 commits its own checkpoint covering the send...
     at(sim, 3.0, lambda: procs[0].initiate_checkpoint())
     sim.run()
-    assert procs[0].multi_store.oldchkpt.seq == 2
+    assert procs[0].store.oldchkpt.seq == 2
     # ...so P1's later instance gets a neg_ack from P0.
     at(sim, 6.0, lambda: procs[1].initiate_checkpoint())
     sim.run()
@@ -29,7 +29,7 @@ def test_case1_message_before_oldchkpt_rejected():
             if e.pid == 0 and e.fields["msg_type"] == "chkpt_ack"
             and not e.fields["positive"]]
     assert negs
-    assert procs[0].multi_store.oldchkpt.seq == 2  # unchanged
+    assert procs[0].store.oldchkpt.seq == 2  # unchanged
 
 
 def test_case2_pending_checkpoint_reused():

@@ -1,9 +1,10 @@
 """One checkpoint store, owned by the engine, written through to storage.
 
-The engine holds the only ``CheckpointStore`` (``MultiCheckpointStore`` for
-the Section 3.5.3 extension) over the only ``StableStorage``; the adapter
-exposes them read-only.  What is on storage is what the store holds, on every
-backend, and rule 3 reads its commit set and decision log back from storage.
+The engine holds the only ``CheckpointStore`` (the Section 3.5.3 extension
+keeps its stack of pending checkpoints there too) over the only
+``StableStorage``; the adapter exposes them read-only.  What is on storage
+is what the store holds, on every backend, and rule 3 reads its commit set
+and decision log back from storage.
 """
 
 import json
@@ -16,7 +17,7 @@ from repro.core.engine import ProtocolEngine
 from repro.errors import ProtocolError
 from repro.failure import FailureInjector
 from repro.net.message import control
-from repro.stable import CheckpointStore, InMemoryStableStorage, MultiCheckpointStore
+from repro.stable import CheckpointStore, InMemoryStableStorage
 from repro.testing import build_sim, run_random_workload
 from repro.tracekinds import K_CTRL_RECEIVE
 from repro.types import TreeId
@@ -52,9 +53,8 @@ def test_adapter_exposes_the_engines_store_and_storage():
 
 def test_extended_adapter_exposes_the_engines_stack():
     proc = ExtendedCheckpointProcess(0)
-    assert proc.multi_store is proc.engine.multi_store
     assert proc.store is proc.engine.store
-    assert vars(proc).keys().isdisjoint({"store", "multi_store", "storage"})
+    assert vars(proc).keys().isdisjoint({"store", "storage"})
 
 
 def test_adapter_view_is_read_only():
@@ -77,23 +77,38 @@ def test_birth_checkpoint_is_persisted_with_its_manifest(backend, tmp_path):
 
 def test_extension_birth_checkpoint_is_persisted_with_its_manifest():
     sim, procs = build_sim(n=1, cls=ExtendedCheckpointProcess)
-    assert procs[0].storage.get("mckpt.old")["meta"] == BIRTH_MANIFEST
+    assert procs[0].storage.get("ckpt.old")["meta"] == BIRTH_MANIFEST
+
+
+def test_extension_start_stores_one_checkpoint_key():
+    sim, procs = build_sim(n=1, cls=ExtendedCheckpointProcess)
+    assert [k for k in procs[0].storage.keys() if k.startswith("ckpt")] == ["ckpt.old"]
 
 
 # ----------------------------------------------------------------------
 # (b) write-through: a fresh store over the storage equals the live one
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_fresh_store_over_storage_equals_live_store(backend, tmp_path):
+#: The base engine under crashes, and the extension (which has no Section 6
+#: rules for its stack) fault-free; ids keep the base cases' backend names.
+FRESH_CASES = [pytest.param(CheckpointProcess, b, id=b) for b in BACKENDS] + [
+    pytest.param(ExtendedCheckpointProcess, b, id=f"extended-{b}") for b in BACKENDS
+]
+
+
+@pytest.mark.parametrize("cls, backend", FRESH_CASES)
+def test_fresh_store_over_storage_equals_live_store(cls, backend, tmp_path):
     roots, storages = storages_for(backend, tmp_path, 4)
-    sim, procs = build_sim(
-        n=4, seed=3, config=RESILIENT, detector_latency=1.0, spoolers=True,
-        storage_factory=storages.get,
-    )
-    injector = FailureInjector(sim)
-    injector.crash_at(12.0, pid=2)
-    injector.recover_at(20.0, pid=2)
-    # Cut mid-run, while some processes still hold an uncommitted newchkpt.
+    if cls is CheckpointProcess:
+        sim, procs = build_sim(
+            n=4, seed=3, config=RESILIENT, detector_latency=1.0, spoolers=True,
+            storage_factory=storages.get,
+        )
+        injector = FailureInjector(sim)
+        injector.crash_at(12.0, pid=2)
+        injector.recover_at(20.0, pid=2)
+    else:
+        sim, procs = build_sim(n=4, seed=3, cls=cls, storage_factory=storages.get)
+    # Cut mid-run, while some processes still hold uncommitted checkpoints.
     run_random_workload(
         sim, procs, duration=40.0, checkpoint_rate=0.1, error_rate=0.03, horizon=33.3
     )
@@ -105,31 +120,8 @@ def test_fresh_store_over_storage_equals_live_store(backend, tmp_path):
         live = proc.store
         assert as_stored(fresh.oldchkpt) == as_stored(live.oldchkpt)
         assert fresh.has_new == live.has_new
-        if live.has_new:
-            pending += 1
-            assert as_stored(fresh.newchkpt) == as_stored(live.newchkpt)
-    assert pending > 0
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_fresh_stack_over_storage_equals_live_stack(backend, tmp_path):
-    roots, storages = storages_for(backend, tmp_path, 4)
-    sim, procs = build_sim(
-        n=4, seed=3, cls=ExtendedCheckpointProcess, storage_factory=storages.get
-    )
-    run_random_workload(
-        sim, procs, duration=40.0, checkpoint_rate=0.1, error_rate=0.03, horizon=33.3
-    )
-    assert sim.trace.index.count("rollback") > 0
-    pending = 0
-    for pid, proc in procs.items():
-        fresh = MultiCheckpointStore(reopen(backend, storages[pid], roots[pid]), "mckpt")
-        live = proc.multi_store
-        assert live.oldchkpt.seq > 1
-        assert as_stored(fresh.oldchkpt) == as_stored(live.oldchkpt)
-        assert fresh.pending_seqs == live.pending_seqs
         assert [as_stored(r) for r in fresh.pending] == [as_stored(r) for r in live.pending]
-        pending += live.pending_count
+        pending += len(live.pending)
     assert pending > 0
 
 
