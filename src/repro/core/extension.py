@@ -305,7 +305,7 @@ class ExtendedProtocolEngine(ProtocolEngine):
         self._trace(T.K_INSTANCE_START, tree=tree_id, instance="rollback")
         tree = self.trees.open_roll(tree_id, parent=None)
         target = self.store.newchkpt or self.store.oldchkpt
-        self._perform_rollback(tree, target, discard_newchkpt=False)
+        self._perform_rollback(tree, target)
         self._roll_maybe_complete(tree)
         return tree_id
 
@@ -332,7 +332,7 @@ class ExtendedProtocolEngine(ProtocolEngine):
 
         target = self._latest_checkpoint_at_or_before(earliest)
         self._discard_pending_after(target.seq)
-        self._perform_rollback(tree, target, discard_newchkpt=False)
+        self._perform_rollback(tree, target)
         self._roll_maybe_complete(tree)
 
     def _latest_checkpoint_at_or_before(self, interval: Seq) -> CheckpointRecord:

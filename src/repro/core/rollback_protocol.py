@@ -49,7 +49,7 @@ class RollProtocolMixin:
         tree = self.trees.open_roll(tree_id, parent=None)
 
         target = self.store.newchkpt or self.store.oldchkpt
-        self._perform_rollback(tree, target, discard_newchkpt=False)
+        self._perform_rollback(tree, target)
         self._roll_maybe_complete(tree)
         return tree_id
 
@@ -141,7 +141,7 @@ class RollProtocolMixin:
             # All undone receives happened after newchkpt was made: rolling
             # back to newchkpt suffices and the uncommitted checkpoint (and
             # its instances) survives.
-            self._perform_rollback(tree, newchkpt, discard_newchkpt=False)
+            self._perform_rollback(tree, newchkpt)
         elif newchkpt is not None:
             # Some undone receive predates newchkpt: the tentative
             # checkpoint captured a doomed state.  Abort every instance
@@ -150,9 +150,9 @@ class RollProtocolMixin:
             # send-resume could flush them into the network.
             self.output_queue.clear()
             self._abort_shared_checkpoint_instances()
-            self._perform_rollback(tree, self.store.oldchkpt, discard_newchkpt=True)
+            self._perform_rollback(tree, self.store.oldchkpt)
         else:
-            self._perform_rollback(tree, self.store.oldchkpt, discard_newchkpt=False)
+            self._perform_rollback(tree, self.store.oldchkpt)
 
     def _abort_shared_checkpoint_instances(self) -> None:
         """b6's middle branch: abort every instance sharing ``newchkpt``.
@@ -179,16 +179,10 @@ class RollProtocolMixin:
     # ------------------------------------------------------------------
     # The rollback action shared by b5/b6
     # ------------------------------------------------------------------
-    def _perform_rollback(
-        self,
-        tree: RollTreeState,
-        target: Optional[CheckpointRecord],
-        discard_newchkpt: bool,
-    ) -> None:
+    def _perform_rollback(self, tree: RollTreeState, target: Optional[CheckpointRecord]) -> None:
         """Restore ``target``, undo the ledger, and propagate roll_reqs.
 
-        ``discard_newchkpt`` is handled by the caller before invoking us (it
-        is only a tracing hint here); the parameter documents intent.
+        A doomed ``newchkpt`` is discarded by the caller before this runs.
         """
         assert target is not None, "a process always has a committed checkpoint"
         self.app.restore(target.state)

@@ -10,12 +10,13 @@ def build_trace():
     """P0 sends m to P1; P1 then sends m2 to P2; P2 acts independently first."""
     tr = Trace()
     m1, m2 = MessageId(0, 0), MessageId(1, 0)
-    e_local = tr.record(0.5, T.K_CHKPT_TENTATIVE, pid=2, seq=2, tree=None)
-    e_send1 = tr.record(1.0, T.K_SEND, pid=0, msg_id=m1, dst=1, label=1)
-    e_recv1 = tr.record(2.0, T.K_RECEIVE, pid=1, msg_id=m1, src=0, label=1)
-    e_send2 = tr.record(3.0, T.K_SEND, pid=1, msg_id=m2, dst=2, label=1)
-    e_recv2 = tr.record(4.0, T.K_RECEIVE, pid=2, msg_id=m2, src=1, label=1)
-    return tr, (e_local, e_send1, e_recv1, e_send2, e_recv2)
+    tr.record(0.5, T.K_CHKPT_TENTATIVE, pid=2, seq=2, tree=None)
+    tr.record(1.0, T.K_SEND, pid=0, msg_id=m1, dst=1, label=1)
+    tr.record(2.0, T.K_RECEIVE, pid=1, msg_id=m1, src=0, label=1)
+    tr.record(3.0, T.K_SEND, pid=1, msg_id=m2, dst=2, label=1)
+    tr.record(4.0, T.K_RECEIVE, pid=2, msg_id=m2, src=1, label=1)
+    # (local on P2, send m1, receive m1, send m2, receive m2)
+    return tr, tuple(tr.events)
 
 
 def test_local_order():

@@ -4,8 +4,10 @@
 Builds one ``sim_msg`` / ``sim_mixed`` rep with ``bench_e2e``'s own builders
 (imported, never edited), runs it to its horizon under ``sys.setprofile`` and
 prints the total number of Python function calls, calls per scheduler event
-and the ten most-called functions.  Same seed => same trace => same
-integers, so the rep is built and run twice and the two counts must agree to
+and the ten most-called functions, then the container objects the garbage
+collector tracks once the rep is over (after a full collection, the whole
+process), in total and per trace record.  Same seed => same trace => same
+integers, so the rep is built and run twice and both counts must agree to
 the unit: this is a deterministic work proxy (ROADMAP item 2(b)), to be read
 as a count, never as a speed-up.  C-level calls are not counted.
 
@@ -15,6 +17,7 @@ as a count, never as a speed-up.  C-level calls are not counted.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from typing import Any, Dict, Tuple
@@ -27,8 +30,9 @@ from bench_e2e import scenarios  # noqa: E402
 BUILDERS = {"sim_msg": scenarios.build_sim_msg, "sim_mixed": scenarios.build_sim_mixed}
 
 
-def count_rep(workload: str, seed: int) -> Tuple[int, int, Dict[Any, int]]:
-    """``(calls, scheduler events, calls per code object)`` of one rep."""
+def count_rep(workload: str, seed: int) -> Tuple[int, int, int, int, Dict[Any, int]]:
+    """``(calls, scheduler events, trace records, tracked objects, calls per
+    code object)`` of one rep."""
     built = BUILDERS[workload](seed)
     sim = built["sim"]
     per_code: Dict[Any, int] = {}
@@ -44,7 +48,10 @@ def count_rep(workload: str, seed: int) -> Tuple[int, int, Dict[Any, int]]:
         sim.run(until=built["until"])
     finally:
         sys.setprofile(None)
-    return sum(per_code.values()), sim.scheduler.events_processed - events0, per_code
+    gc.collect()
+    tracked = len(gc.get_objects())
+    return (sum(per_code.values()), sim.scheduler.events_processed - events0,
+            sim.trace.events_recorded, tracked, per_code)
 
 
 def callee_name(code: Any) -> str:
@@ -58,16 +65,19 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=3)
     args = parser.parse_args()
 
-    calls, events, per_code = count_rep(args.workload, args.seed)
-    again = count_rep(args.workload, args.seed)
-    if (calls, events) != again[:2]:
-        print(f"NOT REPEATABLE: {calls} calls / {events} events, then "
-              f"{again[0]} / {again[1]}", file=sys.stderr)
+    # Only integers survive the first rep, so both censuses see the same heap.
+    first = count_rep(args.workload, args.seed)[:4]
+    calls, events, records, tracked, per_code = count_rep(args.workload, args.seed)
+    if first != (calls, events, records, tracked):
+        print(f"NOT REPEATABLE: {first[0]} calls / {first[1]} events / {first[3]} tracked, "
+              f"then {calls} / {events} / {tracked}", file=sys.stderr)
         return 1
     print(f"{args.workload} seed {args.seed}: {calls} python calls, {events} scheduler "
           f"events, {calls / events:.2f} calls/event (two runs, identical)")
     for code, n in sorted(per_code.items(), key=lambda kv: (-kv[1], callee_name(kv[0])))[:10]:
         print(f"{n:>10}  {100.0 * n / calls:5.1f}%  {callee_name(code)}")
+    print(f"{tracked} tracked objects after the rep, {records} trace records, "
+          f"{tracked / records:.2f} tracked per record (two runs, identical)")
     return 0
 
 
