@@ -1,8 +1,9 @@
 """Trace analysis: happens-before, consistency oracles, minimality, metrics.
 
 Every consumer here reads the trace through
-:class:`~repro.analysis.index.TraceIndex`, the incrementally-maintained
-query index built at emit time (see :mod:`repro.analysis.index`).
+:class:`~repro.analysis.index.TraceIndex`, a query view over the trace's
+in-memory record store that catches up on new records when queried and
+builds only the events a query returns (see :mod:`repro.analysis.index`).
 """
 
 from repro.analysis.consistency import (

@@ -25,7 +25,6 @@ Use :func:`space_time` on any finished simulation's trace.
 
 from __future__ import annotations
 
-import heapq
 from typing import Dict, List, Optional, Sequence
 
 from repro import tracekinds as T
@@ -63,12 +62,7 @@ def space_time(
     significant symbol wins (commits over sends, etc.).
     """
     index = as_index(trace)
-    events = list(
-        heapq.merge(
-            *(index.for_process(pid) for pid in index.pids()),
-            key=lambda e: e.index,
-        )
-    )
+    events = [e for e in index.by_kind(*index.kinds()) if e.pid is not None]
     if not events:
         return "(empty trace)"
     if pids is None:

@@ -4,8 +4,7 @@ Assigns a vector clock to every trace event, with the two generators of the
 Lamport relation: local order within a process, and send → receive matching
 of normal messages (by ``msg_id``).  Control messages also induce causality
 in reality, but Definition 1 and the consistency constraints are stated over
-*normal* messages, so by default control events only advance their local
-component (``include_control=True`` widens the relation for debugging).
+*normal* messages, so control events only advance their local component.
 
 Usage::
 
@@ -16,7 +15,7 @@ Usage::
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from repro import tracekinds as T
 from repro.analysis.index import as_index
@@ -27,31 +26,18 @@ from repro.types import ProcessId
 class HappensBefore:
     """Vector-clock index over a trace."""
 
-    def __init__(self, trace: Trace, include_control: bool = False):
+    def __init__(self, trace: Trace):
         self.trace = trace
         self.index = as_index(trace)
-        self.include_control = include_control
         self._clocks: Dict[int, Dict[ProcessId, int]] = {}
         self._build()
-
-    def _event_stream(self):
-        """Every process-attributed event in trace order, via the index.
-
-        Merging the per-process index lists recovers the global order
-        without needing the trace to retain an in-memory event list (the
-        lists share the same event objects, so this costs pointers only).
-        """
-        import heapq
-
-        streams = [self.index.for_process(pid) for pid in self.index.pids()]
-        return heapq.merge(*streams, key=lambda e: e.index)
 
     def _build(self) -> None:
         current: Dict[ProcessId, Dict[ProcessId, int]] = {}
         send_clock: Dict[object, Dict[ProcessId, int]] = {}
-        ctrl_clock: Dict[Tuple[ProcessId, ProcessId, str, object], List[Dict[ProcessId, int]]] = {}
 
-        for event in self._event_stream():
+        # Every process-attributed record, in trace order.
+        for event in self.index.by_kind(*self.index.kinds()):
             pid = event.pid
             if pid is None:
                 continue
@@ -63,23 +49,12 @@ class HappensBefore:
                     for other, value in origin.items():
                         if value > clock.get(other, 0):
                             clock[other] = value
-            elif self.include_control and event.kind == T.K_CTRL_RECEIVE:
-                key = (event.fields["src"], pid, event.fields["msg_type"], event.fields.get("tree"))
-                queue = ctrl_clock.get(key)
-                if queue:
-                    origin = queue.pop(0)
-                    for other, value in origin.items():
-                        if value > clock.get(other, 0):
-                            clock[other] = value
 
             clock[pid] = clock.get(pid, 0) + 1
             self._clocks[event.index] = dict(clock)
 
             if event.kind == T.K_SEND:
                 send_clock[event.fields["msg_id"]] = dict(clock)
-            elif self.include_control and event.kind == T.K_CTRL_SEND:
-                key = (pid, event.fields["dst"], event.fields["msg_type"], event.fields.get("tree"))
-                ctrl_clock.setdefault(key, []).append(dict(clock))
 
     # ------------------------------------------------------------------
     # Queries

@@ -6,9 +6,10 @@ parent → child exists exactly when the child answered the parent's request
 with a positive acknowledgement, so we pair each ``chkpt_req``/``roll_req``
 control send with the matching positive ack.
 
-Reconstruction consumes the :class:`~repro.analysis.index.TraceIndex`'s
-tree-id → lifecycle-event lists, so its cost is O(instance events), not
-O(trace): only events stamped with a tree id are ever touched.
+Reconstruction reads the instance start/commit/abort records and every
+``ctrl_send`` through the :class:`~repro.analysis.index.TraceIndex`, so its
+cost is O(instance events + control sends): the control sends are most of a
+protocol-heavy trace (45% of the ``sim_mixed`` benchmark's records).
 """
 
 from __future__ import annotations
@@ -86,8 +87,9 @@ def reconstruct_trees(trace) -> Dict[TreeId, InstanceTree]:
     """Rebuild every instance tree touched by the trace.
 
     ``trace`` may be a :class:`~repro.sim.trace.Trace` or a
-    :class:`~repro.analysis.index.TraceIndex`; only tree-stamped events are
-    visited (O(instance events)).  Also synthesises trees for instances
+    :class:`~repro.analysis.index.TraceIndex`; the instance lifecycle
+    records and every control send are visited (O(instance events + control
+    sends)).  Also synthesises trees for instances
     joined *without* an explicit ``instance_start`` (child membership): the
     root is the tree id's initiator by definition.
     """

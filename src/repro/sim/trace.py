@@ -1,4 +1,4 @@
-"""Structured execution traces: the *emit* layer of the observability stack.
+"""Structured execution traces: the *emit* layer and the in-memory store.
 
 Every observable action in a simulation — normal/control message sends and
 receives, checkpoint lifecycle transitions, rollbacks, crashes, partitions —
@@ -7,18 +7,19 @@ is recorded through :meth:`Trace.record` and read back as a
 consistency, minimality, domino distance) is written entirely against
 traces, so the protocol implementations stay free of measurement code.
 
-The trace records events, stores them and closes its sinks; it answers no
-queries itself.  It dispatches each event to pluggable :class:`TraceSink`\\ s:
+The trace records events, dispatches them to the :class:`TraceSink`\\ s it
+was built with and closes them; it answers no queries itself:
 
-* :class:`InMemorySink` — the default; keeps unread records as four
-  parallel columns and builds them into the event list (``trace.events``)
-  on first read.
+* :class:`InMemorySink` — the default, and the one in-memory record store:
+  four parallel columns, with each record built into a
+  :class:`TraceEvent` at most once, when something reads it.
 * :class:`JsonlStreamSink` — streams each event to a JSON-lines file at emit
   time, so arbitrarily long runs need no resident trace memory; the file
   round-trips back into the identical event sequence via :func:`load_jsonl`.
-* :class:`repro.analysis.index.TraceIndex` — the *index* layer and the one
-  query surface (``by_kind``, ``for_process``, ``last_of``, …); built
-  incrementally at emit time and reachable as :attr:`Trace.index`.
+
+Queries go through :attr:`Trace.index`, a
+:class:`repro.analysis.index.TraceIndex` view over the in-memory store
+(``by_kind``, ``for_process``, ``last_of``, …).
 
 Record kinds are the plain-string ``K_*`` constants of
 :mod:`repro.tracekinds`.
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import field
+from functools import cached_property
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.compat import slotted_dataclass
@@ -190,11 +192,8 @@ class TraceSink:
     """Receives every :class:`TraceEvent` as it is emitted.
 
     Subclass and override :meth:`emit`; override :meth:`close` if the sink
-    holds external resources.  ``is_index`` marks the sink as the trace's
-    query index (see :class:`repro.analysis.index.TraceIndex`).
+    holds external resources.
     """
-
-    is_index = False
 
     def emit(self, event: TraceEvent) -> None:
         raise NotImplementedError
@@ -204,14 +203,16 @@ class TraceSink:
 
 
 class InMemorySink(TraceSink):
-    """Every record, kept in memory (the default sink).
+    """Every record, kept in memory: the default sink and the one record store.
 
-    Records not read yet sit in four parallel columns, ``times``,
-    ``kinds``, ``pids`` and ``fields``.  A :class:`Trace` whose only sink is
-    exactly this class appends to them itself, so a run builds no
-    :class:`TraceEvent`.  :attr:`events` moves the columns into the event
-    list on first access, so each record is built at most once and held in
-    one place; an event emitted already built is kept as that same object.
+    The records are four parallel columns, ``times``, ``kinds``, ``pids``
+    and ``fields``; record ``i`` is position ``i`` of each.  A
+    :class:`Trace` whose only sink is exactly this class appends to them
+    itself, so a run builds no :class:`TraceEvent`.  Events are a cache
+    over the columns: :meth:`event` builds one record and :attr:`events`
+    all of them, each at most once, and an event emitted already built is
+    kept as that same object.  :class:`repro.analysis.index.TraceIndex`
+    queries the columns and builds only the records it returns.
     """
 
     def __init__(self) -> None:
@@ -219,12 +220,33 @@ class InMemorySink(TraceSink):
         self.kinds: List[str] = []
         self.pids: List[Optional[ProcessId]] = []
         self.fields: List[Dict[str, Any]] = []
+        # The built prefix (the list ``events`` returns), and records past it
+        # built one at a time by ``event``.
         self._built: List[TraceEvent] = []
+        self._loose: Dict[int, TraceEvent] = {}
+
+    def __len__(self) -> int:
+        return len(self.kinds)
 
     def emit(self, event: TraceEvent) -> None:
-        # The columns are empty here: only a Trace with this as its one sink
-        # fills them, and attaching a second sink reads them out first.
+        # A sink fed by emit gets every record this way, so its built prefix
+        # never falls behind the columns.
         self._built.append(event)
+        self.times.append(event.time)
+        self.kinds.append(event.kind)
+        self.pids.append(event.pid)
+        self.fields.append(event.fields)
+
+    def event(self, i: int) -> TraceEvent:
+        """Record ``i`` (a position, ``0 <= i < len(self)``), built on first read."""
+        if i < len(self._built):
+            return self._built[i]
+        event = self._loose.get(i)
+        if event is None:
+            event = self._loose[i] = TraceEvent(
+                i, self.times[i], self.kinds[i], self.pids[i], self.fields[i]
+            )
+        return event
 
     @property
     def events(self) -> List[TraceEvent]:
@@ -233,16 +255,11 @@ class InMemorySink(TraceSink):
         While a :class:`Trace` fills the columns the list does not grow with
         them: later records join it on the next read of ``events``.
         """
-        built = self._built
-        if self.times:
-            start = len(built)
-            built.extend(map(
-                TraceEvent, range(start, start + len(self.times)),
-                self.times, self.kinds, self.pids, self.fields,
-            ))
-            # Cleared in place: a recording Trace holds their bound appends.
-            for column in (self.times, self.kinds, self.pids, self.fields):
-                column.clear()
+        built, loose = self._built, self._loose
+        start = len(built)
+        columns = (self.times, self.kinds, self.pids, self.fields)
+        tail = zip(range(start, len(self.kinds)), *(column[start:] for column in columns))
+        built.extend(loose.pop(record[0], None) or TraceEvent(*record) for record in tail)
         return built
 
 
@@ -316,64 +333,36 @@ class Trace:
 
     ``Trace()`` keeps everything in memory (an :class:`InMemorySink`).
     Passing ``sinks=[...]`` replaces that default — e.g.
-    ``[JsonlStreamSink(path)]`` for a constant-memory large run.  Sinks
-    attached later with :meth:`add_sink` are replayed the events recorded
-    so far, which needs an in-memory sink.  Queries go through
+    ``[JsonlStreamSink(path)]`` for a constant-memory large run.  The sinks
+    are fixed here; every record goes to each of them.  Queries go through
     :attr:`index`.
     """
 
     def __init__(self, sinks: Optional[Sequence[TraceSink]] = None) -> None:
         self._recorded = 0
-        self._memory: Optional[InMemorySink] = None
-        self._index: Optional[TraceSink] = None
-        self._sinks: List[TraceSink] = []
+        self._sinks: List[TraceSink] = list(sinks if sinks is not None else [InMemorySink()])
+        self._memory: Optional[InMemorySink] = next(
+            (sink for sink in self._sinks if isinstance(sink, InMemorySink)), None
+        )
         # The simulator's shape: when the only sink is exactly an
         # InMemorySink (a subclass may override ``emit``), record() appends
         # to its four columns and builds no TraceEvent.
         self._columns: Optional[Tuple[Callable[[Any], None], ...]] = None
-        for sink in (sinks if sinks is not None else [InMemorySink()]):
-            self.add_sink(sink)
+        if len(self._sinks) == 1 and type(self._memory) is InMemorySink:
+            m = self._memory
+            self._columns = (m.times.append, m.kinds.append, m.pids.append, m.fields.append)
 
-    def add_sink(self, sink: TraceSink) -> TraceSink:
-        """Attach ``sink`` and replay the events recorded so far into it.
-
-        Replay needs the events, so attaching to a non-empty trace that
-        kept no :class:`InMemorySink` is an error — attach sinks up front on
-        streaming configurations.
-        """
-        if self._recorded:
-            if self._memory is None:
-                raise RuntimeError(
-                    "cannot backfill a sink: this Trace kept no InMemorySink; "
-                    "attach sinks before recording events"
-                )
-            for event in self._memory.events:
-                sink.emit(event)
-        if self._memory is None and isinstance(sink, InMemorySink):
-            self._memory = sink
-        if self._index is None and sink.is_index:
-            self._index = sink
-        self._sinks.append(sink)
-        self._columns = None
-        if len(self._sinks) == 1 and type(sink) is InMemorySink:
-            self._columns = (
-                sink.times.append, sink.kinds.append, sink.pids.append, sink.fields.append
-            )
-        return sink
-
-    @property
+    @cached_property
     def index(self):
-        """The trace's :class:`~repro.analysis.index.TraceIndex`.
+        """The :class:`~repro.analysis.index.TraceIndex` over the in-memory store.
 
-        Created (and backfilled) on first access; thereafter maintained
-        incrementally at emit time.  On streaming configurations access it
-        *before* the run so there is nothing to backfill.
+        Built on first access and kept; each query catches up on the records
+        added since the last, so recording stays columnar whatever is read.
+        A streaming trace has none: analyse its JSONL file offline.
         """
-        if self._index is None:
-            from repro.analysis.index import TraceIndex  # deferred: analysis imports sim
+        from repro.analysis.index import TraceIndex  # deferred: analysis imports sim
 
-            self.add_sink(TraceIndex())
-        return self._index
+        return TraceIndex(self._require_memory())
 
     def close(self) -> None:
         """Close every sink (flushes :class:`JsonlStreamSink` files)."""
@@ -414,22 +403,23 @@ class Trace:
         """Total events ever emitted (independent of retention)."""
         return self._recorded
 
-    def _require_memory(self) -> List[TraceEvent]:
+    def _require_memory(self) -> InMemorySink:
         if self._memory is None:
             raise RuntimeError(
                 "this Trace has no InMemorySink (streaming configuration); "
-                "use trace.index for queries or load the JSONL file offline"
+                "load its JSONL file offline with load_jsonl or "
+                "TraceIndex.from_jsonl_files"
             )
-        return self._memory.events
+        return self._memory
 
     def __len__(self) -> int:
         return self._recorded
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self._require_memory())
+        return iter(self._require_memory().events)
 
     def __getitem__(self, index: int) -> TraceEvent:
-        return self._require_memory()[index]
+        return self._require_memory().events[index]
 
     @property
     def events(self) -> List[TraceEvent]:
@@ -440,4 +430,4 @@ class Trace:
         are added: they join it on the next read of ``events``, so read it
         again after recording more rather than keeping it across a run.
         """
-        return self._require_memory()
+        return self._require_memory().events

@@ -4,15 +4,19 @@ Deterministic work counts, never timings: Python-level calls per scheduler
 event under ``sys.setprofile`` (the ``tools/work_count.py`` method) must not
 grow with the horizon nor pass a recorded ceiling, the per-message path must
 not read the clock or the kernel through a property nor build a trace
-record object, the run leaves the collector no per-record ``TraceEvent`` to
-scan, and one checkpoint's ``storage.put`` must make the same number of
-``freeze`` calls whatever the length of the ledger behind it.
+record object (not even after the trace's index was read), the run leaves
+the collector no per-record ``TraceEvent`` to scan, the trace gate builds
+only the records it reads, and one checkpoint's ``storage.put`` must make
+the same number of ``freeze`` calls whatever the length of the ledger
+behind it.
 """
 
 import gc
 import sys
-from typing import Dict, Tuple
+from typing import Any, Callable, Dict, Tuple
 
+from repro import tracekinds as T
+from repro.analysis import audit_jobs, check_c1_from_trace
 from repro.core import CheckpointProcess, ProtocolConfig
 from repro.kernel import KernelCore
 from repro.net.network import Network
@@ -54,13 +58,23 @@ def scenario(duration: float, sinks=None):
     return sim
 
 
-def profile_run(duration: float) -> Tuple[float, Dict[object, int]]:
-    """``(calls per event, calls per code object)`` over ``(WARM_UP, duration]``."""
+def profile_run(duration: float, read_index: bool = False) -> Tuple[float, Dict[object, int]]:
+    """``(calls per event, calls per code object)`` over ``(WARM_UP, duration]``,
+    after a query of ``trace.index`` at ``WARM_UP`` if ``read_index``."""
     sim = scenario(duration)
     # Not counted: the start-up, whose event mix differs (no checkpoint tree
     # before the first timers fire at t=5) and would weigh 4x more in the
     # short run than in the long one.
     sim.run(until=WARM_UP)
+    if read_index:
+        sim.trace.index.by_kind(T.K_CHKPT_COMMIT)
+    events0 = sim.scheduler.events_processed
+    per_code = calls_during(sim.run, until=duration)
+    return sum(per_code.values()) / (sim.scheduler.events_processed - events0), per_code
+
+
+def calls_during(action: Callable[..., object], *args: Any, **kwargs: Any) -> Dict[object, int]:
+    """Python calls per code object while ``action(*args, **kwargs)`` runs."""
     per_code: Dict[object, int] = {}
 
     def on_event(frame, event, _arg):
@@ -68,13 +82,12 @@ def profile_run(duration: float) -> Tuple[float, Dict[object, int]]:
             code = frame.f_code
             per_code[code] = per_code.get(code, 0) + 1
 
-    events0 = sim.scheduler.events_processed
     sys.setprofile(on_event)
     try:
-        sim.run(until=duration)
+        action(*args, **kwargs)
     finally:
         sys.setprofile(None)
-    return sum(per_code.values()) / (sim.scheduler.events_processed - events0), per_code
+    return per_code
 
 
 def test_calls_per_event_do_not_grow_with_the_horizon():
@@ -86,6 +99,27 @@ def test_per_message_path_takes_no_property_hop_and_keeps_its_budget():
     per_event, per_code = profile_run(20.0)
     assert {name: per_code.get(code, 0) for name, code in HOPS.items()} == dict.fromkeys(HOPS, 0)
     assert per_event <= CALLS_PER_EVENT_RECORDED * 1.02, per_event
+
+
+def test_records_after_an_index_read_stay_columns():
+    # The index is a view over the store's columns: reading it mid-run
+    # attaches nothing, so the records that follow build no TraceEvent.
+    per_event, per_code = profile_run(20.0, read_index=True)
+    assert {name: per_code.get(code, 0) for name, code in HOPS.items()} == dict.fromkeys(HOPS, 0)
+    assert per_event <= CALLS_PER_EVENT_RECORDED * 1.02, per_event
+
+
+def test_the_trace_gate_builds_only_the_records_it_reads():
+    sim = scenario(20.0)
+    sim.run(until=20.0)
+    index = sim.trace.index
+    per_code = calls_during(lambda: (check_c1_from_trace(index), audit_jobs(index)))
+    built = per_code.get(TraceEvent.__init__.__code__, 0)
+    # C1 reads the leave records and the folded manifests; the job audit
+    # reads jobs, rollbacks and tentative checkpoints.
+    read = index.count(T.K_LEAVE, T.K_JOB_SUBMIT, T.K_JOB_UNIT, T.K_JOB_STAGE, T.K_JOB_DONE,
+                       T.K_ROLLBACK, T.K_CHKPT_TENTATIVE)
+    assert 0 < built <= read < len(sim.trace) / 10, (built, read, len(sim.trace))
 
 
 class DiscardSink(TraceSink):

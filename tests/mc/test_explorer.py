@@ -23,6 +23,20 @@ def test_isolated_rollback_explored_exhaustively_and_clean():
     assert result.terminal > 0
 
 
+@pytest.mark.parametrize("name, explored, terminal, pruned", [
+    ("isolated-checkpoint", 137, 25, 50),
+    ("isolated-rollback", 83, 9, 46),
+    ("join-mid-instance", 274, 25, 236),
+])
+def test_exploration_counts_are_pinned(name, explored, terminal, pruned):
+    # The invariants read the trace through its index: a change there that
+    # moves a verdict or a state hash moves these counts (the CI mc job's
+    # ``--depth-bound 20`` runs).
+    result = Explorer(make_scenario(name, 3), depth_bound=20).run()
+    assert result.violation is None
+    assert (result.explored, result.terminal, result.pruned) == (explored, terminal, pruned)
+
+
 def test_concurrent_quick_mode_is_clean_and_reports_truncation():
     # CI quick mode: bounded exploration of the checkpoint+rollback race.
     explorer = Explorer(make_scenario("concurrent", 3), depth_bound=10, max_states=20_000)

@@ -57,19 +57,22 @@ def test_streaming_trace_rejects_memory_queries(tmp_path):
 
 
 def test_backfill_requires_memory_sink(tmp_path):
+    # The index reads back recorded records, so a streaming trace has none.
     trace = Trace(sinks=[JsonlStreamSink(str(tmp_path / "t.jsonl"))])
     record_sample(trace)
-    with pytest.raises(RuntimeError, match="backfill"):
-        trace.add_sink(InMemorySink())
+    with pytest.raises(RuntimeError, match="no InMemorySink"):
+        trace.index
 
 
-def test_late_sink_is_backfilled_from_memory():
-    trace = Trace()
+def test_memory_sinks_beside_each_other_keep_the_one_emitted_event():
+    first, second = InMemorySink(), InMemorySink()
+    trace = Trace(sinks=[first, second])
     record_sample(trace)
-    late = trace.add_sink(InMemorySink())
-    assert late.events == trace.events
-    trace.record(3.0, T.K_CRASH, pid=0)
-    assert len(late.events) == 7
+    # Each sink appends the four fields and keeps the object it was handed.
+    assert first.kinds == second.kinds == [e.kind for e in first.events]
+    assert len(first.times) == len(first.pids) == len(first.fields) == 6
+    assert all(a is b for a, b in zip(first.events, second.events))
+    assert trace.index.by_kind(T.K_SEND)[0] is first.events[0]
 
 
 def test_jsonl_round_trip_is_lossless(tmp_path):
@@ -167,12 +170,15 @@ def test_index_attached_mid_run_over_the_memory_fast_path_sees_each_event_once()
     # A lone plain InMemorySink is stored as columns: no event is built.
     record_sample(trace)
     assert len(memory.times) == 6
-    index = trace.index  # backfilled from memory; from here on two sinks
-    assert memory.times == []
+    index = trace.index  # a view over the columns, which stay the records
+    assert index.events_indexed == 6 and len(memory.times) == 6
+    rollback = index.by_kind(T.K_ROLLBACK)[0]
     record_sample(trace)
 
-    assert [e.index for e in memory.events] == list(range(12))
+    assert len(memory.times) == 12
     assert index.events_indexed == 12
+    assert [e.index for e in memory.events] == list(range(12))
+    assert memory.events[5] is rollback
     indexed = index.by_kind(*index.kinds())
     assert len(indexed) == 12
     assert all(a is b for a, b in zip(indexed, memory.events))
@@ -214,6 +220,7 @@ def test_events_are_built_once_on_read_and_cached():
 
 
 def test_sinks_changing_mid_run_read_back_the_all_memory_records():
+    """Reading the index mid-run leaves the recorded run as it was."""
     def run(attach_index_at):
         sim, procs = build_sim(n=4, seed=7, delay=UniformDelay(0.3, 0.9))
         if attach_index_at is not None:
